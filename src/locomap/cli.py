@@ -129,6 +129,8 @@ def _execute(args) -> tuple[dict, object, int]:
             )
         else:
             seed = args.seed
+            if args.process_master_heap:
+                raise ConfigError("--process-master-heap applies to sim mode only")
             if args.data_dir is not None and not Path(args.data_dir).is_dir():
                 raise ConfigError(f"data directory {args.data_dir} does not exist")
             result = run_tcp_job(
@@ -244,7 +246,7 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--job-id", type=int, default=1)
     sub.add_argument("--slave-count", type=int, default=None)
     sub.add_argument("--results-only", action="store_true", help="skip the final migration; ship only the result message")
-    sub.add_argument("--process-master-heap", action="store_true", help="let the mapper fold the master node's own heap (sim mode)")
+    sub.add_argument("--process-master-heap", action="store_true", help="let the mapper fold the master node's own heap (sim mode only; tcp mode rejects it)")
     sub.add_argument("--seed", type=int, default=None, help="sim rng seed; overrides the topology file")
     sub.add_argument("--mem-limit", type=int, default=1 << 30, help="per-node heap limit in bytes")
     sub.add_argument("--base-port", type=int, default=0, help="tcp mode: master port; 0 picks ephemeral ports")

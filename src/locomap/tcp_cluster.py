@@ -17,7 +17,7 @@ import queue
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .agents import Agent, AgentIdAllocator, AgentRole, LifecycleCallbacks, duplicate
@@ -40,27 +40,39 @@ from .transport import TcpTransport, Topology
 
 logger = logging.getLogger("locomap.tcp_cluster")
 
-_STAT_GRACE_S = 1.0
-
 
 @dataclass
 class _SlaveState:
+    """One slave as the master sees it.
+
+    ``hops`` maps a hop number to the envelope bytes sent on that hop. The
+    number is the slave's itinerary length when it left: 0 for the
+    master's dispatch, then one more per node visited. Keying by hop makes
+    a repeated stat count once and lets a failed hop be taken back.
+    """
+
     agent_id: int
     partition: tuple
-    resolved: bool = False
-    delivered: bool = False
-    migrations: int = 0
-    bytes_sent: int = 0
-    fail_reason: str | None = None
+    hops: dict[int, int] = field(default_factory=dict)
     message: ResultMessage | None = None
+    message_bytes: int = 0
+    fail_reason: str | None = None
+
+    @property
+    def resolved(self) -> bool:
+        return self.message is not None or self.fail_reason is not None
+
+    def deliver(self, message: ResultMessage, nbytes: int) -> None:
+        self.message = message
+        self.message_bytes = nbytes
 
     def report(self) -> SlaveReport:
         return SlaveReport(
             agent_id=self.agent_id,
             nodes=self.partition,
-            delivered=self.delivered,
-            migrations=self.migrations,
-            bytes_sent=self.bytes_sent,
+            delivered=self.message is not None,
+            migrations=len(self.hops),
+            bytes_sent=sum(self.hops.values()) + self.message_bytes,
             fail_reason=self.fail_reason,
         )
 
@@ -109,8 +121,25 @@ def _await_ready(events: queue.Queue, expected: list[int], deadline: float):
 
 
 def _collect(events: queue.Queue, states: dict[int, "_SlaveState"], callbacks, combine, deadline: float) -> None:
-    """Consume events until every slave resolves or the deadline passes,
-    then drain a short grace window for trailing forwarding stats."""
+    """Consume events until every slave has resolved or the deadline passes.
+
+    A node sends a hop's ``forwarded`` stat, and waits for its ack, before
+    it makes the hop, so every stat of a slave is queued here ahead of the
+    envelope or result message that resolves it. Returning at the last
+    resolution therefore loses no stat. A ``slave_failed`` takes back the
+    stat of the hop it names, and every frame for a slave that has already
+    resolved is ignored, so repeated and late frames change nothing.
+    """
+
+    def pending(agent_id: int) -> "_SlaveState | None":
+        state = states.get(agent_id)
+        if state is None:
+            logger.warning("frame for unknown agent %s", agent_id)
+            return None
+        if state.resolved:
+            logger.info("ignoring a frame for agent %s, which has already resolved", agent_id)
+            return None
+        return state
 
     def handle(frame: bytes) -> None:
         kind = classify_frame(frame)
@@ -120,42 +149,34 @@ def _collect(events: queue.Queue, states: dict[int, "_SlaveState"], callbacks, c
             except EnvelopeError as exc:
                 logger.error("rejected an arriving envelope: %s", exc)
                 return
-            state = states.get(agent.id)
-            if state is None:
-                logger.warning("arriving agent %s belongs to no known slave", agent.id)
-                return
-            partial = agent.payload if agent.payload else encode_partial(combine.identity())
-            state.message = ResultMessage(from_agent=agent.id, partial=partial)
-            # The slave is home; it hands its partial to the reducer locally.
-            state.bytes_sent += state.message.size_bytes
-            state.delivered = True
-            state.resolved = True
+            state = pending(agent.id)
+            if state is not None:
+                partial = agent.payload if agent.payload else encode_partial(combine.identity())
+                message = ResultMessage(from_agent=agent.id, partial=partial)
+                # The slave is home; it hands its partial to the reducer locally.
+                state.deliver(message, message.size_bytes)
         elif kind == "result":
             try:
                 message = decode_result(frame)
             except DecodeError as exc:
                 logger.error("discarding malformed result message: %s", exc)
                 return
-            state = states.get(message.from_agent)
-            if state is None:
-                logger.warning("result from unknown agent %s", message.from_agent)
-                return
-            state.message = message
-            state.bytes_sent += len(frame)
-            state.delivered = True
-            state.resolved = True
+            state = pending(message.from_agent)
+            if state is not None:
+                state.deliver(message, len(frame))
         else:
             doc = decode_control(frame)
             kind = doc.get("type")
-            state = states.get(int(doc.get("agent_id", -1)))
-            if kind == "slave_failed":
-                if state is not None and not state.resolved:
-                    state.resolved = True
-                    state.fail_reason = doc.get("reason", "remote failure")
-            elif kind == "forwarded":
+            if kind == "forwarded":
+                state = pending(int(doc["agent_id"]))
                 if state is not None:
-                    state.migrations += 1
-                    state.bytes_sent += int(doc["bytes"])
+                    state.hops[int(doc["hop"])] = int(doc["bytes"])
+            elif kind == "slave_failed":
+                state = pending(int(doc["agent_id"]))
+                if state is not None:
+                    if doc.get("hop") is not None:
+                        state.hops.pop(int(doc["hop"]), None)
+                    state.fail_reason = doc.get("reason") or "remote failure"
             elif kind != "node_ready":
                 logger.warning("ignoring control message %r", kind)
 
@@ -164,21 +185,13 @@ def _collect(events: queue.Queue, states: dict[int, "_SlaveState"], callbacks, c
         if remaining <= 0:
             for state in states.values():
                 if not state.resolved:
-                    state.resolved = True
                     state.fail_reason = "timed out waiting for the slave"
-            break
+            return
         try:
-            frame = events.get(timeout=min(remaining, 0.25))
+            frame = events.get(timeout=remaining)
         except queue.Empty:
             continue
         handle(frame)
-
-    quiet_until = time.monotonic() + _STAT_GRACE_S
-    while time.monotonic() < quiet_until:
-        try:
-            handle(events.get(timeout=0.1))
-        except queue.Empty:
-            continue
 
 
 def run_tcp_job(
@@ -209,8 +222,15 @@ def run_tcp_job(
     combine = registry.resolve_combine(spec.combine)
     reduce_fn = registry.resolve_reduce(spec.task.reduce_fn_id)
     master = topology.master
-    targets = spec.target_nodes if spec.target_nodes is not None else topology.nodes
-    targets = tuple(sorted(targets))
+    if spec.target_nodes is not None:
+        if master in spec.target_nodes:
+            raise ConfigError("the master node cannot be a slave target")
+        unknown = [n for n in spec.target_nodes if n not in topology.nodes]
+        if unknown:
+            raise ConfigError(f"target nodes {unknown} are not in the topology")
+        targets = spec.target_nodes
+    else:
+        targets = topology.nodes
     slave_count = spec.slave_count if spec.slave_count is not None else len(targets)
     if slave_count == 0:
         raise ConfigError("a TCP run needs at least one slave or one target node")
@@ -286,17 +306,13 @@ def run_tcp_job(
             states[slave.id] = state
             if not state.partition:
                 # Nothing to visit: identity partial, handed over in place.
-                state.message = ResultMessage(from_agent=slave.id, partial=encode_partial(combine.identity()))
-                state.bytes_sent += state.message.size_bytes
-                state.delivered = True
-                state.resolved = True
+                message = ResultMessage(from_agent=slave.id, partial=encode_partial(combine.identity()))
+                state.deliver(message, message.size_bytes)
                 continue
             envelope = pack(slave, callbacks)
             if _send_with_retry(transport, master, state.partition[0], envelope):
-                state.migrations += 1
-                state.bytes_sent += len(envelope)
+                state.hops[0] = len(envelope)
             else:
-                state.resolved = True
                 state.fail_reason = f"could not dispatch to node {state.partition[0]}"
 
         _collect(events, states, callbacks, combine, deadline)
@@ -319,6 +335,7 @@ def run_tcp_job(
             fh.close()
 
     ordered = [states[s.id] for s in slaves]
+    reports = tuple(s.report() for s in ordered)
     decode_failures = 0
 
     def on_bad(message, exc):
@@ -335,11 +352,11 @@ def run_tcp_job(
         partials_received=partials_received,
         slaves_failed=slave_count - partials_received,
         slave_count=slave_count,
-        bytes_transferred_total=sum(s.bytes_sent for s in ordered),
+        bytes_transferred_total=sum(r.bytes_sent for r in reports),
         wall_time_s=time.monotonic() - started,
         raw_data_bytes=raw_bytes,
-        migrations_total=sum(s.migrations for s in ordered),
-        slave_reports=tuple(s.report() for s in ordered),
+        migrations_total=sum(r.migrations for r in reports),
+        slave_reports=reports,
     )
     if slave_count > 0 and partials_received == 0:
         raise AllSlavesFailed("no slave delivered a partial", result=result)

@@ -9,8 +9,16 @@ of traffic, told apart by the first four bytes of each frame:
   - ``LCTL`` control JSON: job registration, shutdown.
   - anything else is a result message, which only the master receives.
 
-One agent runs at a time on a node; arriving envelopes queue up. Each
-frame is acknowledged with a single 0x06 byte once fully read.
+One agent runs at a time on a node; arriving envelopes queue up, and an
+envelope that arrives again for the same hop (a sender retrying after a
+lost acknowledgement) is dropped. Each frame is acknowledged with a single
+0x06 byte once the node has acted on it.
+
+A node tells the master about a hop before making it: the ``forwarded``
+stat, keyed by the hop number, is acknowledged by the master before the
+envelope leaves, so the master holds every stat of a slave before
+anything the hop causes can reach it. A hop that cannot be made is
+reported as ``slave_failed`` with the same hop number.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import sys
 import threading
 from dataclasses import dataclass
 
-from .agents import LifecycleCallbacks, NodeId, TaskDescriptor, next_destination
+from .agents import Agent, LifecycleCallbacks, NodeId, TaskDescriptor, next_destination
 from .envelope import pack, unpack
 from .errors import EnvelopeError, ExecutionError, LocomapError, TransportFailure
 from .nodes import SensorNode, load_records_tsv
@@ -76,25 +84,26 @@ class FrameServer:
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
         self._sock.listen(64)
-        self._sock.settimeout(0.2)
         self.host, self.port = self._sock.getsockname()[:2]
-        self._stop = threading.Event()
         self._thread = threading.Thread(target=self._accept_loop, daemon=True)
 
     def start(self) -> None:
         self._thread.start()
 
     def stop(self) -> None:
-        self._stop.set()
+        # Shutting the listening socket down fails the blocked accept() at
+        # once, so stopping never waits for a connection or a timeout.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._thread.join(timeout=2.0)
         self._sock.close()
 
     def _accept_loop(self) -> None:
-        while not self._stop.is_set():
+        while True:
             try:
                 conn, _ = self._sock.accept()
-            except socket.timeout:
-                continue
             except OSError:
                 break
             threading.Thread(target=self._serve_one, args=(conn,), daemon=True).start()
@@ -179,6 +188,7 @@ class NodeProcess:
         self.registry = registry or build_default_registry()
         self.callbacks = LifecycleCallbacks()
         self._jobs: dict[int, JobRegistration] = {}
+        self._seen: set[tuple[int, int, int]] = set()
         self._lock = threading.Lock()
         self._inbox: queue.Queue = queue.Queue()
         self.shutdown = threading.Event()
@@ -215,7 +225,7 @@ class NodeProcess:
         if kind == "control":
             self._on_control(decode_control(frame))
         elif kind == "envelope":
-            self._inbox.put(frame)
+            self._accept_envelope(frame)
         else:
             logger.warning("node %s ignoring unexpected result message", self.node.id)
 
@@ -232,28 +242,43 @@ class NodeProcess:
         else:
             logger.warning("node %s ignoring control message %r", self.node.id, kind)
 
-    def _work_loop(self) -> None:
-        while not self.shutdown.is_set():
-            try:
-                frame = self._inbox.get(timeout=0.2)
-            except queue.Empty:
-                continue
-            try:
-                self._handle_envelope(frame)
-            except Exception:
-                logger.exception("node %s failed handling an envelope", self.node.id)
+    def _accept_envelope(self, frame: bytes) -> None:
+        """Queue an arriving agent once per (job, agent, hop).
 
-    def _handle_envelope(self, frame: bytes) -> None:
+        This runs before the frame is acked, so a sender whose retry was
+        acked knows the repeat has already been dropped.
+        """
         try:
-            agent = unpack(frame, self.callbacks)
+            agent = unpack(frame)
         except EnvelopeError as exc:
             logger.error("node %s rejected an envelope: %s", self.node.id, exc)
             return
+        key = (agent.job_id, agent.id, len(agent.itinerary))
+        with self._lock:
+            if key in self._seen:
+                logger.warning("node %s dropped a repeated envelope for agent %s", self.node.id, agent.id)
+                return
+            self._seen.add(key)
+            self.callbacks.fire_arrive(agent)
+        self._inbox.put(agent)
+
+    def _work_loop(self) -> None:
+        while not self.shutdown.is_set():
+            try:
+                agent = self._inbox.get(timeout=0.2)
+            except queue.Empty:
+                continue
+            try:
+                self._handle_envelope(agent)
+            except Exception:
+                logger.exception("node %s failed handling an envelope", self.node.id)
+
+    def _handle_envelope(self, agent: Agent) -> None:
         with self._lock:
             reg = self._jobs.get(agent.job_id)
         if reg is None:
             logger.error("node %s has no registration for job %s", self.node.id, agent.job_id)
-            self._report_failure(agent.id, agent.job_id, "job not registered at node")
+            self._report_failure(agent.id, agent.job_id, "job not registered at node", None)
             return
 
         try:
@@ -268,20 +293,18 @@ class NodeProcess:
         nxt = next_destination(agent, partition, lambda _n: True, reg.master)
         transport = TcpTransport(reg.addresses)
 
+        hop = len(agent.itinerary)
         if nxt == reg.master and reg.results_only:
             combine = self.registry.resolve_combine(reg.spec.combine)
             partial = agent.payload if agent.payload else encode_partial(combine.identity())
             payload = ResultMessage(from_agent=agent.id, partial=partial).encode()
-            what = "result"
         else:
             payload = pack(agent, self.callbacks)
-            what = "envelope"
+            # Acked by the master before the hop is made, never after.
+            self._report_stat(agent.id, agent.job_id, hop, len(payload), nxt)
 
-        if self._send_with_retry(transport, nxt, payload):
-            if what == "envelope":
-                self._report_stat(agent.id, agent.job_id, len(payload), nxt)
-        else:
-            self._report_failure(agent.id, agent.job_id, f"could not forward to node {nxt}")
+        if not self._send_with_retry(transport, nxt, payload):
+            self._report_failure(agent.id, agent.job_id, f"could not forward to node {nxt}", hop)
 
     # -- outbound helpers --
 
@@ -301,14 +324,14 @@ class NodeProcess:
                     return False
                 attempt += 1
 
-    def _report_failure(self, agent_id: int, job_id: int, reason: str) -> None:
+    def _report_failure(self, agent_id: int, job_id: int, reason: str, hop: int | None) -> None:
         self._send_control_to_master(
-            {"type": "slave_failed", "agent_id": agent_id, "job_id": job_id, "reason": reason}
+            {"type": "slave_failed", "agent_id": agent_id, "job_id": job_id, "hop": hop, "reason": reason}
         )
 
-    def _report_stat(self, agent_id: int, job_id: int, nbytes: int, dst: NodeId) -> None:
+    def _report_stat(self, agent_id: int, job_id: int, hop: int, nbytes: int, dst: NodeId) -> None:
         self._send_control_to_master(
-            {"type": "forwarded", "agent_id": agent_id, "job_id": job_id, "bytes": nbytes, "dst": dst}
+            {"type": "forwarded", "agent_id": agent_id, "job_id": job_id, "hop": hop, "bytes": nbytes, "dst": dst}
         )
 
     def _send_control_to_master(self, doc: dict) -> None:

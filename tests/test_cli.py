@@ -112,6 +112,14 @@ class TestRun:
         assert doc["mode"] == "tcp"
         assert doc["partials_received"] == 2
 
+    def test_tcp_mode_rejects_process_master_heap(self, workspace, capsys):
+        code = run_cli(
+            "run", "--mode", "tcp", "--topology", workspace / "topo.json",
+            "--data-dir", workspace / "data", "--process-master-heap",
+        )
+        assert code == 1
+        assert "--process-master-heap" in capsys.readouterr().err
+
     def test_all_slaves_failed_is_exit_2(self, workspace, tmp_path, capsys):
         doomed = tmp_path / "doomed.json"
         doomed.write_text(

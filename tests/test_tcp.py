@@ -1,11 +1,15 @@
 import logging
 import queue
 import socket
+import sys
+import threading
+import time
 
 import pytest
 
 import locomap as lm
 from locomap import AgentRole
+from locomap.tcp_cluster import _collect, _SlaveState
 from locomap.tcp_node import (
     FrameServer,
     JobRegistration,
@@ -88,16 +92,16 @@ class TestNodeProcess:
             slave = lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4)
             transport.send(0, 1, lm.pack(slave))
 
-            frames = drain(events, 2)
-            kinds = sorted(classify_frame(f) for f in frames)
-            assert kinds == ["control", "envelope"]
-            envelope = next(f for f in frames if classify_frame(f) == "envelope")
+            # The stat for a hop is acked by the master before the hop is made.
+            stat_frame, envelope = drain(events, 2)
+            assert classify_frame(envelope) == "envelope"
             agent = lm.unpack(envelope)
             assert agent.id == 10
             assert agent.itinerary == (1,)
             assert lm.decode_partial(agent.payload) == {"a": 2, "b": 1}
-            stat = decode_control(next(f for f in frames if classify_frame(f) == "control"))
+            stat = decode_control(stat_frame)
             assert stat["type"] == "forwarded"
+            assert stat["hop"] == 1
             assert stat["bytes"] == len(envelope)
         finally:
             proc.shutdown.set()
@@ -154,11 +158,109 @@ class TestNodeProcess:
             )
             transport.send(0, 1, encode_control(reg.register_control()))
             transport.send(0, 1, lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4)))
-            (frame,) = drain(events, 1, timeout=15.0)
-            doc = decode_control(frame)
-            assert doc["type"] == "slave_failed"
-            assert doc["agent_id"] == 10
+            stat, failure = (decode_control(f) for f in drain(events, 2, timeout=15.0))
+            assert (stat["type"], stat["agent_id"], stat["hop"]) == ("forwarded", 10, 1)
+            assert (failure["type"], failure["agent_id"], failure["hop"]) == ("slave_failed", 10, 1)
         finally:
+            proc.shutdown.set()
+            proc.server.stop()
+
+    def test_lost_ack_hosts_the_agent_once(self, master_inbox, monkeypatch):
+        server, events = master_inbox
+        node1 = lm.SensorNode(id=1)
+        node1.ingest([lm.Record(key=b"r", value=b"a b")])
+        node2 = lm.SensorNode(id=2)
+        node2.ingest([lm.Record(key=b"s", value=b"a")])
+        proc1 = start_node(node1, server)
+        proc2 = start_node(node2, server)
+        hosted = []
+        host = node2.host
+        monkeypatch.setattr(node2, "host", lambda agent, registry: hosted.append(agent.id) or host(agent, registry))
+
+        # Node 2 is reached through a server that hands every frame to the
+        # node but drops the connection before the first ack, so node 1
+        # retries a forward that node 2 has already accepted.
+        deliveries = []
+        retried = threading.Event()
+
+        def lose_first_ack(frame):
+            proc2._on_frame(frame)
+            deliveries.append(frame)
+            if len(deliveries) == 1:
+                raise ConnectionAbortedError("first ack lost")
+            retried.set()
+
+        lossy = FrameServer("127.0.0.1", 0, lose_first_ack)
+        lossy.start()
+        try:
+            spec = lm.builtin_job("wordcount", job_id=4)
+            reg = JobRegistration(
+                spec=spec,
+                results_only=False,
+                master=0,
+                addresses={
+                    0: (server.host, server.port),
+                    1: (proc1.server.host, proc1.server.port),
+                    2: (lossy.host, lossy.port),
+                },
+                partitions={10: (1, 2)},
+            )
+            transport = lm.TcpTransport({1: (proc1.server.host, proc1.server.port), 2: (proc2.server.host, proc2.server.port)})
+            for node_id in (1, 2):
+                transport.send(0, node_id, encode_control(reg.register_control()))
+            transport.send(0, 1, lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4)))
+
+            first, second, envelope = drain(events, 3)
+            assert [decode_control(f)["hop"] for f in (first, second)] == [1, 2]
+            agent = lm.unpack(envelope)
+            assert agent.itinerary == (1, 2)
+            assert lm.decode_partial(agent.payload) == {"a": 2, "b": 1}
+
+            # The repeat is dropped before its ack, so once node 1's retry
+            # has been acked nothing more can come from it.
+            assert retried.wait(10.0)
+            assert len(deliveries) == 2 and deliveries[0] == deliveries[1]
+            assert hosted == [10]
+            assert proc2.callbacks.arrive_count == 1
+            assert events.empty()
+        finally:
+            for proc in (proc1, proc2):
+                proc.shutdown.set()
+                proc.server.stop()
+            lossy.stop()
+
+    def test_concurrent_repeats_are_accepted_once(self, master_inbox):
+        server, events = master_inbox
+        node = lm.SensorNode(id=1)
+        node.ingest([lm.Record(key=b"r", value=b"a")])
+        proc = start_node(node, server)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
+            reg = JobRegistration(
+                spec=lm.builtin_job("wordcount", job_id=4),
+                results_only=False,
+                master=0,
+                addresses={0: (server.host, server.port), 1: (proc.server.host, proc.server.port)},
+                partitions={10: (1,)},
+            )
+            transport.send(0, 1, encode_control(reg.register_control()))
+            envelope = lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4))
+            senders = [threading.Thread(target=transport.send, args=(0, 1, envelope)) for _ in range(8)]
+            for sender in senders:
+                sender.start()
+            for sender in senders:
+                sender.join(timeout=10.0)
+                assert not sender.is_alive()
+
+            stat, home = drain(events, 2)
+            assert decode_control(stat)["hop"] == 1
+            assert lm.unpack(home).itinerary == (1,)
+            assert proc.callbacks.arrive_count == 1
+            assert events.empty()
+        finally:
+            sys.setswitchinterval(interval)
             proc.shutdown.set()
             proc.server.stop()
 
@@ -174,6 +276,54 @@ class TestNodeProcess:
         finally:
             proc.shutdown.set()
             proc.server.stop()
+
+
+class TestMasterAccounting:
+    def test_collect_keys_stats_by_hop_and_ignores_resolved_slaves(self):
+        registry = lm.build_default_registry()
+        combine = registry.resolve_combine(lm.builtin_job("wordcount", job_id=4).combine)
+        failing = _SlaveState(agent_id=10, partition=(1, 2, 3), hops={0: 40})
+        healthy = _SlaveState(agent_id=11, partition=(3,), hops={0: 40})
+        states = {10: failing, 11: healthy}
+
+        def control(doc):
+            return encode_control({"agent_id": 10, "job_id": 4, **doc})
+
+        late = lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4, itinerary=(1, 2), payload=lm.encode_partial({"a": 1}))
+        result = lm.ResultMessage(from_agent=11, partial=lm.encode_partial({"b": 2})).encode()
+        events: queue.Queue = queue.Queue()
+        for frame in (
+            control({"type": "forwarded", "hop": 1, "bytes": 50, "dst": 2}),
+            control({"type": "forwarded", "hop": 1, "bytes": 50, "dst": 2}),  # repeated stat
+            control({"type": "forwarded", "hop": 2, "bytes": 60, "dst": 3}),
+            control({"type": "slave_failed", "hop": 2, "reason": "could not forward to node 3"}),
+            lm.pack(late),  # arrives after the slave failed
+            result,
+        ):
+            events.put(frame)
+
+        _collect(events, states, lm.LifecycleCallbacks(), combine, time.monotonic() + 5.0)
+
+        assert events.empty()
+        failed = failing.report()
+        assert failed.migrations == 2  # the dispatch and hop 1, once; hop 2 failed
+        assert failed.bytes_sent == 40 + 50
+        assert not failed.delivered
+        assert failed.fail_reason == "could not forward to node 3"
+        assert failing.message is None
+        delivered = healthy.report()
+        assert delivered.delivered and delivered.fail_reason is None
+        assert delivered.bytes_sent == 40 + len(result)
+        reports = [failed, delivered]
+        assert sum(r.delivered for r in reports) + sum(r.fail_reason is not None for r in reports) == len(states)
+
+    def test_deadline_fails_the_unresolved_slaves(self):
+        registry = lm.build_default_registry()
+        combine = registry.resolve_combine(lm.builtin_job("wordcount", job_id=4).combine)
+        state = _SlaveState(agent_id=10, partition=(1,), hops={0: 40})
+        _collect(queue.Queue(), {10: state}, lm.LifecycleCallbacks(), combine, time.monotonic())
+        assert state.fail_reason == "timed out waiting for the slave"
+        assert state.report().migrations == 1
 
 
 def write_node_files(tmp_path, node_values):
@@ -216,3 +366,31 @@ class TestRunTcpJob:
         assert result.final == {"x": 2, "y": 1}
         assert result.partials_received == 2
         assert result.migrations_total == 2  # only the outbound hops
+
+    @pytest.mark.parametrize("results_only", [False, True])
+    def test_counts_equal_the_sim_engine_on_every_run(self, tmp_path, results_only):
+        node_values = {1: [b"a b", b"c"], 2: [b"a"], 3: [b"b b c"]}
+        data_dir = write_node_files(tmp_path, node_values)
+        topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
+        spec = lm.builtin_job("wordcount", job_id=1)
+        cluster = lm.Cluster.from_topology(topology)
+        for node_id in node_values:
+            cluster.nodes[node_id].ingest(lm.load_records_tsv(data_dir / f"node_{node_id}.tsv"))
+        expect = lm.run_job(spec, cluster, lm.SimTransport(topology), results_only=results_only)
+        for _ in range(5):
+            got = lm.run_tcp_job(spec, topology, data_dir, results_only=results_only, timeout_s=30.0)
+            assert got.final == expect.final
+            assert got.migrations_total == expect.migrations_total
+            assert got.bytes_transferred_total == expect.bytes_transferred_total
+
+    def test_master_as_target_is_rejected(self):
+        topology = lm.Topology.full_mesh(0, [1, 2], bandwidth_bytes_per_s=1e6)
+        spec = lm.builtin_job("wordcount", job_id=1, target_nodes=[0, 1])
+        with pytest.raises(lm.ConfigError, match="master"):
+            lm.run_tcp_job(spec, topology, None)
+
+    def test_unknown_target_is_rejected(self):
+        topology = lm.Topology.full_mesh(0, [1, 2], bandwidth_bytes_per_s=1e6)
+        spec = lm.builtin_job("wordcount", job_id=1, target_nodes=[1, 7])
+        with pytest.raises(lm.ConfigError, match=r"\[7\]"):
+            lm.run_tcp_job(spec, topology, None)
