@@ -8,7 +8,7 @@ moves by shipping agents between nodes, never by shipping raw records.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from typing import Callable, Sequence
 
@@ -71,50 +71,25 @@ class TaskDescriptor:
     input_selector: bytes = b""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Agent:
     """One mobile unit of computation.
 
-    ``payload_padding_bytes`` inflates the agent's serialized size for cost
-    experiments; on the wire the padding is indistinguishable from trailing
-    zero bytes of payload. ``origin`` is local bookkeeping and is not
-    carried on the wire. Equality therefore compares the wire-carried
-    state: id, role, job, itinerary and the *effective* (padded) payload.
+    ``origin`` is local bookkeeping and is not carried on the wire, so
+    equality compares only the wire-carried state.
     """
 
     id: AgentId
     role: AgentRole
     job_id: int
     payload: bytes = b""
-    payload_padding_bytes: int = 0
     itinerary: tuple[NodeId, ...] = ()
-    origin: NodeId = 0
-
-    @property
-    def effective_payload(self) -> bytes:
-        if self.payload_padding_bytes == 0:
-            return self.payload
-        return self.payload + b"\x00" * self.payload_padding_bytes
-
-    @property
-    def effective_payload_len(self) -> int:
-        return len(self.payload) + self.payload_padding_bytes
+    origin: NodeId = field(default=0, compare=False)
 
     @property
     def serialized_size(self) -> int:
         """Envelope size in bytes: fixed header/trailer plus itinerary plus payload."""
-        return 32 + 4 * len(self.itinerary) + self.effective_payload_len
-
-    def _key(self):
-        return (self.id, self.role, self.job_id, self.itinerary, self.effective_payload)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Agent):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+        return 32 + 4 * len(self.itinerary) + len(self.payload)
 
 
 class AgentIdAllocator:
@@ -133,8 +108,8 @@ _DEFAULT_ALLOCATOR = AgentIdAllocator(start=1_000_000)
 def duplicate(mapper: Agent, n: int, ids: AgentIdAllocator | None = None) -> list[Agent]:
     """Copy a mapper into ``n`` slave agents with fresh distinct ids.
 
-    Payload bytes (including padding) are copied exactly; itineraries start
-    empty. Pass an allocator to get reproducible ids within a job run.
+    Payload bytes are copied exactly; itineraries start empty. Pass an
+    allocator to get reproducible ids within a job run.
     """
     if mapper.role is not AgentRole.MAPPER:
         raise RoleError(f"only a mapper can duplicate, got {mapper.role.name}")
@@ -147,7 +122,6 @@ def duplicate(mapper: Agent, n: int, ids: AgentIdAllocator | None = None) -> lis
             role=AgentRole.SLAVE,
             job_id=mapper.job_id,
             payload=mapper.payload,
-            payload_padding_bytes=mapper.payload_padding_bytes,
             itinerary=(),
             origin=mapper.origin,
         )

@@ -102,10 +102,14 @@ def _load_cluster(topology: Topology, data_dir: str | None, mem_limit: int) -> C
     return cluster
 
 
-def _job_spec(args):
-    if args.job not in BUILTIN_JOBS:
-        raise ConfigError(f"unknown job {args.job!r}; available: {sorted(BUILTIN_JOBS)}")
-    return builtin_job(args.job, job_id=args.job_id, slave_count=args.slave_count)
+def _job_spec(job: str, job_id: int = 1, slave_count: int | None = None):
+    if job not in BUILTIN_JOBS:
+        raise ConfigError(f"unknown job {job!r}; available: {sorted(BUILTIN_JOBS)}")
+    return builtin_job(job, job_id=job_id, slave_count=slave_count)
+
+
+# Run options that only one mode reads; giving one in the other mode is an error.
+_MODE_ONLY = {"seed": "sim", "process_master_heap": "sim", "base_port": "tcp", "timeout": "tcp", "node_logs": "tcp"}
 
 
 def _execute(args) -> tuple[dict, object, int]:
@@ -113,8 +117,11 @@ def _execute(args) -> tuple[dict, object, int]:
     output document, map total failure to exit code 2."""
     if args.job_module:
         importlib.import_module(args.job_module)
+    for name, mode in _MODE_ONLY.items():
+        if args.mode != mode and getattr(args, name) is not None:
+            raise ConfigError(f"--{name.replace('_', '-')} applies to {mode} mode only")
     topology, raw = _load_topology(args)
-    spec = _job_spec(args)
+    spec = _job_spec(args.job, args.job_id, args.slave_count)
     code = 0
     try:
         if args.mode == "sim":
@@ -125,12 +132,10 @@ def _execute(args) -> tuple[dict, object, int]:
                 cluster,
                 SimTransport(topology),
                 results_only=args.results_only,
-                process_master_heap=args.process_master_heap,
+                process_master_heap=bool(args.process_master_heap),
             )
         else:
-            seed = args.seed
-            if args.process_master_heap:
-                raise ConfigError("--process-master-heap applies to sim mode only")
+            seed = None
             if args.data_dir is not None and not Path(args.data_dir).is_dir():
                 raise ConfigError(f"data directory {args.data_dir} does not exist")
             result = run_tcp_job(
@@ -138,8 +143,8 @@ def _execute(args) -> tuple[dict, object, int]:
                 topology,
                 args.data_dir,
                 results_only=args.results_only,
-                base_port=args.base_port,
-                timeout_s=args.timeout,
+                base_port=args.base_port or 0,
+                timeout_s=60.0 if args.timeout is None else args.timeout,
                 node_mem_limit=args.mem_limit,
                 job_module=args.job_module,
                 log_dir=args.node_logs,
@@ -171,7 +176,6 @@ def _cmd_compare(args) -> int:
         bandwidth_bytes_per_s=args.bandwidth_bytes_per_s,
         replication=args.replication,
         compute_bytes_per_s=args.compute_bytes_per_s,
-        node_count=args.node_count,
     )
     report = compare(result, params)
     rows = list(report.to_json_dict().items())
@@ -194,7 +198,7 @@ def _cmd_oracle(args) -> int:
     root = Path(args.data_dir)
     if not root.is_dir():
         raise ConfigError(f"data directory {root} does not exist")
-    spec = _job_spec(args)
+    spec = _job_spec(args.job)
     records = []
     for path in sorted(root.glob("node_*.tsv")):
         records.extend(load_records_tsv(path))
@@ -246,11 +250,14 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--job-id", type=int, default=1)
     sub.add_argument("--slave-count", type=int, default=None)
     sub.add_argument("--results-only", action="store_true", help="skip the final migration; ship only the result message")
-    sub.add_argument("--process-master-heap", action="store_true", help="let the mapper fold the master node's own heap (sim mode only; tcp mode rejects it)")
-    sub.add_argument("--seed", type=int, default=None, help="sim rng seed; overrides the topology file")
+    # Mode-specific options default to None so a stray one can be rejected.
+    sub.add_argument(
+        "--process-master-heap", action="store_true", default=None, help="sim mode: let the mapper fold the master node's own heap"
+    )
+    sub.add_argument("--seed", type=int, default=None, help="sim mode: rng seed; overrides the topology file")
     sub.add_argument("--mem-limit", type=int, default=1 << 30, help="per-node heap limit in bytes")
-    sub.add_argument("--base-port", type=int, default=0, help="tcp mode: master port; 0 picks ephemeral ports")
-    sub.add_argument("--timeout", type=float, default=60.0, help="tcp mode: overall job deadline in seconds")
+    sub.add_argument("--base-port", type=int, default=None, help="tcp mode: master port; 0 (the default) picks ephemeral ports")
+    sub.add_argument("--timeout", type=float, default=None, help="tcp mode: overall job deadline in seconds (default 60)")
     sub.add_argument("--job-module", default="", help="module imported before the run to register custom functions")
     sub.add_argument("--node-logs", default=None, help="tcp mode: directory for per-node stderr logs")
     sub.add_argument("--output", help="write the JSON document here instead of stdout")
@@ -281,14 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--bandwidth-bytes-per-s", type=float, default=BaselineParams.bandwidth_bytes_per_s)
     cmp_.add_argument("--replication", type=int, default=BaselineParams.replication)
     cmp_.add_argument("--compute-bytes-per-s", type=float, default=BaselineParams.compute_bytes_per_s)
-    cmp_.add_argument("--node-count", type=int, default=BaselineParams.node_count)
     cmp_.set_defaults(fn=_cmd_compare)
 
     oracle = subs.add_parser("oracle", help="single-process reference result")
     oracle.add_argument("--data-dir", required=True)
     oracle.add_argument("--job", default="wordcount")
-    oracle.add_argument("--job-id", type=int, default=1)
-    oracle.add_argument("--slave-count", type=int, default=None)
     oracle.add_argument("--job-module", default="")
     oracle.add_argument("--output")
     oracle.set_defaults(fn=_cmd_oracle)

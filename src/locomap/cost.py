@@ -75,8 +75,7 @@ def write_cost_csv(records: Iterable[CostRecord], fp: IO[str]) -> None:
 
 
 def _experiment_agent(size_bytes: int, ids: AgentIdAllocator) -> Agent:
-    # Size is dialed in via padding so the payload itself stays empty.
-    return Agent(id=ids.next(), role=AgentRole.MAPPER, job_id=0, payload_padding_bytes=size_bytes)
+    return Agent(id=ids.next(), role=AgentRole.MAPPER, job_id=0, payload=bytes(size_bytes))
 
 
 def duplication_experiment(
@@ -109,7 +108,7 @@ def duplication_experiment(
             callbacks.fire_depart(mapper)
             t1 = time.perf_counter()
             (clone,) = duplicate(mapper, 1, ids)
-            copied = bytes(clone.effective_payload)  # force the byte copy
+            copied = bytearray(clone.payload)  # bytes() of a bytes object would not copy
             t2 = time.perf_counter()
             callbacks.fire_arrive(clone)
             t3 = time.perf_counter()
@@ -204,15 +203,14 @@ class BaselineParams:
     bandwidth_bytes_per_s: float = 34_000_000.0
     replication: int = 2
     compute_bytes_per_s: float = 34_000_000.0
-    node_count: int = 8
 
     def __post_init__(self):
         if self.data_bytes < 0:
             raise ConfigError("data_bytes must be non-negative")
         if self.bandwidth_bytes_per_s <= 0 or self.compute_bytes_per_s <= 0:
             raise ConfigError("bandwidth and compute rates must be positive")
-        if self.replication < 1 or self.node_count < 1:
-            raise ConfigError("replication and node_count must be positive")
+        if self.replication < 1:
+            raise ConfigError("replication must be positive")
 
 
 def hadoop_baseline(p: BaselineParams) -> tuple[float, float]:

@@ -60,12 +60,8 @@ def envelope_size(payload_len: int, itinerary_count: int = 0) -> int:
 
 
 def pack(agent: Agent, callbacks: LifecycleCallbacks | None = None) -> bytes:
-    """Serialize an agent, firing its departure hook first.
-
-    Padding bytes are written as payload zeros; the payload length field
-    covers both.
-    """
-    payload_len = agent.effective_payload_len
+    """Serialize an agent, firing its departure hook first."""
+    payload_len = len(agent.payload)
     if payload_len > _MAX_U32:
         raise PayloadTooLarge(f"payload of {payload_len} bytes exceeds the u32 length field")
     if len(agent.itinerary) > 0xFFFF:
@@ -80,7 +76,7 @@ def pack(agent: Agent, callbacks: LifecycleCallbacks | None = None) -> bytes:
     parts = [_HEAD.pack(MAGIC, VERSION, agent.id, int(agent.role), agent.job_id, len(agent.itinerary))]
     parts.extend(_U32.pack(n) for n in agent.itinerary)
     parts.append(_U32.pack(payload_len))
-    parts.append(agent.effective_payload)
+    parts.append(agent.payload)
     body = b"".join(parts)
     return body + _U32.pack(crc32(body) & 0xFFFFFFFF)
 
@@ -120,8 +116,7 @@ def unpack(data: bytes, callbacks: LifecycleCallbacks | None = None) -> Agent:
     """Reconstruct an agent, firing its arrival hook after decoding.
 
     Any structural or integrity problem rejects the envelope before the
-    hook runs. ``origin`` is not carried on the wire and comes back as 0;
-    padding comes back folded into the payload.
+    hook runs. ``origin`` is not carried on the wire and comes back as 0.
     """
     count, payload_len = check_structure(data)
     check_integrity(data)

@@ -20,7 +20,7 @@ class EnvelopeError(LocomapError):
 
 
 class PayloadTooLarge(EnvelopeError):
-    """Payload plus padding does not fit the 32-bit length field."""
+    """The payload does not fit the 32-bit length field."""
 
 
 class BadMagic(EnvelopeError):

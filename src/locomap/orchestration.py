@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 import struct
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable
@@ -278,37 +277,127 @@ def aggregate(
     return folded
 
 
-@dataclass(frozen=True)
-class _SlaveOutcome:
-    report: SlaveReport
-    message: ResultMessage | None
-    finished_at: float
+def send_with_retry(send: Callable[[], Any], wait: Callable[[float], Any]) -> tuple[Any, str | None]:
+    """Run one send under the retry policy; returns (value, fail_reason).
 
-
-def _with_retry(attempt_fn, t: float, simulated: bool):
-    """Run one send action under the retry policy.
-
-    Returns (value, time, fail_reason). ``attempt_fn`` takes the current
-    time and returns (value, new_time); each attempt repacks and resends.
+    Every send in both engines goes through here: sim hops and result
+    messages, the TCP master's registration and dispatch, and node
+    forwards. ``send`` makes one attempt and raises TransportFailure to
+    ask for another; ``wait(backoff_s)`` passes the backoff on the
+    caller's clock, and returning False from it abandons the send.
     """
     attempt = 1
     while True:
         try:
-            value, t = attempt_fn(t)
-            return value, t, None
+            return send(), None
         except VerifyFailure as exc:
-            return None, t, f"verification failed: {exc}"
+            return None, f"verification failed: {exc}"
         except TransportFailure as exc:
-            if exc.report is not None:
-                t = max(t, exc.report.completed_at)
             decision = retry_policy(exc, attempt)
             if decision.action is RetryAction.MARK_FAILED:
-                return None, t, f"gave up after {attempt} attempts: {exc}"
-            if simulated:
-                t += decision.backoff_s
-            else:
-                time.sleep(decision.backoff_s)
+                return None, f"gave up after {attempt} attempts: {exc}"
+            if wait(decision.backoff_s) is False:
+                return None, f"abandoned after {attempt} attempts: {exc}"
             attempt += 1
+
+
+def home_message(agent: Agent, combine) -> ResultMessage:
+    """The result message a slave hands the reducer: its partial, or the
+    encoded identity when it never folded anything."""
+    partial = agent.payload if agent.payload else encode_partial(combine.identity())
+    return ResultMessage(from_agent=agent.id, partial=partial)
+
+
+@dataclass(frozen=True)
+class JobPlan:
+    """Who runs a job and where: the part both engines share up front."""
+
+    master: NodeId
+    targets: tuple[NodeId, ...]
+    mapper: Agent
+    reducer: Agent
+    slaves: tuple[Agent, ...]
+    assignment: dict[AgentId, tuple[NodeId, ...]]
+    combine: Any
+    reduce_fn: Callable[[Any], Any]
+
+
+def plan_job(
+    spec: JobSpec,
+    topology: Topology,
+    registry: FunctionRegistry,
+    available: Callable[[NodeId], bool] | None = None,
+) -> JobPlan:
+    """Register the job, check its targets, and split them among slaves.
+
+    Without explicit ``target_nodes`` every sensor node for which
+    ``available`` holds is a target (all of them when it is None).
+    """
+    registry.register_job(spec)
+    combine = registry.resolve_combine(spec.combine)
+    reduce_fn = registry.resolve_reduce(spec.task.reduce_fn_id)
+    master = topology.master
+    if spec.target_nodes is not None:
+        if master in spec.target_nodes:
+            raise ConfigError("the master node cannot be a slave target")
+        unknown = [n for n in spec.target_nodes if n not in topology.nodes]
+        if unknown:
+            raise ConfigError(f"target nodes {unknown} are not in the topology")
+        targets = spec.target_nodes
+    else:
+        targets = tuple(n for n in topology.nodes if available is None or available(n))
+    slave_count = spec.slave_count if spec.slave_count is not None else len(targets)
+    if slave_count == 0:
+        raise NoNodes("no target nodes and no explicit slave count; the aggregate would be empty")
+
+    ids = AgentIdAllocator()
+    mapper = Agent(id=ids.next(), role=AgentRole.MAPPER, job_id=spec.job_id, origin=master)
+    reducer = Agent(id=ids.next(), role=AgentRole.REDUCER, job_id=spec.job_id, origin=master)
+    slaves = tuple(duplicate(mapper, slave_count, ids))
+    return JobPlan(master, targets, mapper, reducer, slaves, dispatch(slaves, targets), combine, reduce_fn)
+
+
+def finish_job(
+    plan: JobPlan,
+    reports: Iterable[SlaveReport],
+    messages: list[ResultMessage],
+    wall_time_s: float,
+    raw_data_bytes: int,
+    extra_partial: Any = None,
+) -> JobResult:
+    """Fold the delivered partials, reduce, and account for every slave.
+
+    ``extra_partial`` is folded in outside the slave accounting (the
+    mapper's pass over the master heap). Raises AllSlavesFailed, carrying
+    the result, when no partial could be used.
+    """
+    decode_failures = 0
+
+    def on_bad(message, exc):
+        nonlocal decode_failures
+        decode_failures += 1
+        logger.warning("discarding malformed partial from agent %s: %s", message.from_agent, exc)
+
+    folded = aggregate(plan.reducer, messages, plan.combine, on_decode_error=on_bad)
+    if extra_partial is not None:
+        folded = plan.combine.merge(folded, extra_partial)
+    reports = tuple(reports)
+    slave_count = len(plan.slaves)
+    partials_received = len(messages) - decode_failures
+    result = JobResult(
+        final=plan.reduce_fn(folded),
+        partials_received=partials_received,
+        slaves_failed=slave_count - partials_received,
+        slave_count=slave_count,
+        bytes_transferred_total=sum(r.bytes_sent for r in reports),
+        wall_time_s=wall_time_s,
+        raw_data_bytes=raw_data_bytes,
+        migrations_total=sum(r.migrations for r in reports),
+        slave_reports=reports,
+    )
+    if partials_received == 0:
+        raise AllSlavesFailed("no slave delivered a partial", result=result)
+    return result
 
 
 def _tour(
@@ -321,18 +410,39 @@ def _tour(
     combine,
     callbacks: LifecycleCallbacks,
     results_only: bool,
-    simulated: bool,
-) -> _SlaveOutcome:
-    """Walk one slave through its partition and deliver its partial."""
+) -> tuple[SlaveReport, ResultMessage | None, float]:
+    """Walk one slave through its partition and deliver its partial.
+
+    Returns the slave's report, its result message (None if it failed)
+    and the modeled time it finished at.
+    """
     master = cluster.topology.master
     selector = spec.task.input_selector
 
     def has_data(node_id: NodeId) -> bool:
         return not cluster.nodes[node_id].is_empty(selector)
 
+    t = 0.0
+
+    def attempt(send):
+        # One send at the slave's modeled clock. A failed attempt still
+        # used the link until its report completed.
+        nonlocal t
+        try:
+            value = send(t)
+        except TransportFailure as exc:
+            if exc.report is not None:
+                t = max(t, exc.report.completed_at)
+            raise
+        t = value.completed_at
+        return value
+
+    def backoff(seconds: float) -> None:
+        nonlocal t
+        t += seconds
+
     agent = slave
     loc = master
-    t = 0.0
     migrations = 0
     bytes_sent = 0
     fail = None
@@ -340,11 +450,9 @@ def _tour(
     if partition:
         nxt = partition[0]
         while True:
-            def one_hop(at, _agent=agent, _src=loc, _dst=nxt):
-                outcome = migrate(_agent, _src, _dst, transport, callbacks, at=at)
-                return outcome, outcome.completed_at
-
-            outcome, t, fail = _with_retry(one_hop, t, simulated)
+            outcome, fail = send_with_retry(
+                lambda: attempt(lambda at: migrate(agent, loc, nxt, transport, callbacks, at=at)), backoff
+            )
             if fail is not None:
                 break
             agent, loc = outcome.agent, nxt
@@ -363,8 +471,7 @@ def _tour(
 
     message = None
     if fail is None:
-        partial = agent.payload if agent.payload else encode_partial(combine.identity())
-        candidate = ResultMessage(from_agent=agent.id, partial=partial)
+        candidate = home_message(agent, combine)
         if loc != master:
             wire = candidate.encode()
 
@@ -372,9 +479,9 @@ def _tour(
                 report = transport.send(loc, master, wire, at=at)
                 if not report.delivered:
                     raise TransportFailure(f"result message dropped on {loc}->{master}", report=report)
-                return report, report.completed_at
+                return report
 
-            _, t, fail = _with_retry(send_result, t, simulated)
+            _, fail = send_with_retry(lambda: attempt(send_result), backoff)
         if fail is None:
             bytes_sent += candidate.size_bytes
             message = candidate
@@ -387,7 +494,7 @@ def _tour(
         bytes_sent=bytes_sent,
         fail_reason=fail,
     )
-    return _SlaveOutcome(report=report, message=message, finished_at=t)
+    return report, message, t
 
 
 def run_job(
@@ -400,7 +507,7 @@ def run_job(
     process_master_heap: bool = False,
     callbacks: LifecycleCallbacks | None = None,
 ) -> JobResult:
-    """Execute one job end to end and return its result and accounting.
+    """Execute one job end to end over a simulated transport.
 
     ``results_only`` skips the slaves' final migration and ships only the
     result message over the last hop. ``process_master_heap`` additionally
@@ -408,77 +515,26 @@ def run_job(
     outside the slave accounting.
     """
     registry = registry or DEFAULT_REGISTRY
-    registry.register_job(spec)
-    combine = registry.resolve_combine(spec.combine)
-    reduce_fn = registry.resolve_reduce(spec.task.reduce_fn_id)
-    master = cluster.topology.master
-
-    if spec.target_nodes is not None:
-        unknown = [n for n in spec.target_nodes if n not in cluster.nodes]
-        if unknown:
-            raise ConfigError(f"target nodes {unknown} are not in the cluster")
-        if master in spec.target_nodes:
-            raise ConfigError("the master node cannot be a slave target")
-        targets = spec.target_nodes
-    else:
-        targets = tuple(
-            n for n in cluster.topology.nodes if n in cluster.nodes and cluster.nodes[n].cpu_rank > 0
-        )
-    slave_count = spec.slave_count if spec.slave_count is not None else len(targets)
-    if slave_count == 0:
-        raise NoNodes("no target nodes and no explicit slave count; the aggregate would be empty")
-
-    ids = AgentIdAllocator()
-    mapper = Agent(id=ids.next(), role=AgentRole.MAPPER, job_id=spec.job_id, origin=master)
-    reducer = Agent(id=ids.next(), role=AgentRole.REDUCER, job_id=spec.job_id, origin=master)
-    slaves = duplicate(mapper, slave_count, ids)
-    assignment = dispatch(slaves, targets)
+    plan = plan_job(spec, cluster.topology, registry, lambda n: n in cluster.nodes and cluster.nodes[n].cpu_rank > 0)
     callbacks = callbacks if callbacks is not None else LifecycleCallbacks()
-    simulated = transport.cpu_phase_times(0) is not None
     raw_bytes = cluster.raw_data_bytes
 
     mapper_partial = None
-    if process_master_heap and master in cluster.nodes:
+    if process_master_heap and plan.master in cluster.nodes:
         try:
-            mapper = cluster.nodes[master].host(mapper, registry)
+            mapper = cluster.nodes[plan.master].host(plan.mapper, registry)
             if mapper.payload:
                 mapper_partial = decode_partial(mapper.payload)
         except ExecutionError as exc:
             logger.warning("mapper could not process the master heap: %s", exc)
 
-    outcomes = [
-        _tour(slave, assignment[slave.id], cluster, transport, registry, spec, combine, callbacks, results_only, simulated)
-        for slave in slaves
+    tours = [
+        _tour(slave, plan.assignment[slave.id], cluster, transport, registry, spec, plan.combine, callbacks, results_only)
+        for slave in plan.slaves
     ]
-
-    decode_failures = 0
-
-    def on_bad(message, exc):
-        nonlocal decode_failures
-        decode_failures += 1
-        logger.warning("discarding malformed partial from agent %s: %s", message.from_agent, exc)
-
-    messages = [o.message for o in outcomes if o.message is not None]
-    folded = aggregate(reducer, messages, combine, on_decode_error=on_bad)
-    if mapper_partial is not None:
-        folded = combine.merge(folded, mapper_partial)
-    final = reduce_fn(folded)
-
-    partials_received = len(messages) - decode_failures
-    result = JobResult(
-        final=final,
-        partials_received=partials_received,
-        slaves_failed=slave_count - partials_received,
-        slave_count=slave_count,
-        bytes_transferred_total=sum(o.report.bytes_sent for o in outcomes),
-        wall_time_s=max((o.finished_at for o in outcomes), default=0.0),
-        raw_data_bytes=raw_bytes,
-        migrations_total=sum(o.report.migrations for o in outcomes),
-        slave_reports=tuple(o.report for o in outcomes),
-    )
-    if slave_count > 0 and partials_received == 0:
-        raise AllSlavesFailed("no slave delivered a partial", result=result)
-    return result
+    reports, messages, finished_at = zip(*tours)
+    delivered = [m for m in messages if m is not None]
+    return finish_job(plan, reports, delivered, max(finished_at), raw_bytes, extra_partial=mapper_partial)
 
 
 def sequential_oracle(

@@ -20,23 +20,28 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .agents import Agent, AgentIdAllocator, AgentRole, LifecycleCallbacks, duplicate
+from .agents import LifecycleCallbacks
 from .envelope import pack, unpack
-from .errors import AllSlavesFailed, ConfigError, DecodeError, EnvelopeError, TransportFailure
+from .errors import ConfigError, DecodeError, EnvelopeError, TransportFailure
 from .orchestration import (
     JobResult,
     JobSpec,
     ResultMessage,
-    RetryAction,
     SlaveReport,
-    aggregate,
     decode_result,
-    dispatch,
-    retry_policy,
+    finish_job,
+    home_message,
+    plan_job,
+    send_with_retry,
 )
-from .registry import DEFAULT_REGISTRY, FunctionRegistry, encode_partial
+from .registry import DEFAULT_REGISTRY, FunctionRegistry
 from .tcp_node import FrameServer, JobRegistration, classify_frame, decode_control, encode_control
 from .transport import TcpTransport, Topology
+
+# perfbench's tracer patches these names here as well as in orchestration,
+# whose globals the job code actually calls.
+from .orchestration import aggregate, retry_policy  # noqa: F401
+from .registry import encode_partial  # noqa: F401
 
 logger = logging.getLogger("locomap.tcp_cluster")
 
@@ -75,21 +80,6 @@ class _SlaveState:
             bytes_sent=sum(self.hops.values()) + self.message_bytes,
             fail_reason=self.fail_reason,
         )
-
-
-def _send_with_retry(transport: TcpTransport, src: int, dst: int, payload: bytes) -> bool:
-    attempt = 1
-    while True:
-        try:
-            transport.send(src, dst, payload)
-            return True
-        except TransportFailure as exc:
-            decision = retry_policy(exc, attempt)
-            if decision.action is RetryAction.MARK_FAILED:
-                logger.error("giving up on send %s -> %s: %s", src, dst, exc)
-                return False
-            time.sleep(decision.backoff_s)
-            attempt += 1
 
 
 def _await_ready(events: queue.Queue, expected: list[int], deadline: float):
@@ -151,9 +141,8 @@ def _collect(events: queue.Queue, states: dict[int, "_SlaveState"], callbacks, c
                 return
             state = pending(agent.id)
             if state is not None:
-                partial = agent.payload if agent.payload else encode_partial(combine.identity())
-                message = ResultMessage(from_agent=agent.id, partial=partial)
                 # The slave is home; it hands its partial to the reducer locally.
+                message = home_message(agent, combine)
                 state.deliver(message, message.size_bytes)
         elif kind == "result":
             try:
@@ -217,23 +206,8 @@ def run_tcp_job(
     when given. Data files are looked up as ``node_<id>.tsv`` under
     ``data_dir`` and loaded by the node processes themselves.
     """
-    registry = registry or DEFAULT_REGISTRY
-    registry.register_job(spec)
-    combine = registry.resolve_combine(spec.combine)
-    reduce_fn = registry.resolve_reduce(spec.task.reduce_fn_id)
-    master = topology.master
-    if spec.target_nodes is not None:
-        if master in spec.target_nodes:
-            raise ConfigError("the master node cannot be a slave target")
-        unknown = [n for n in spec.target_nodes if n not in topology.nodes]
-        if unknown:
-            raise ConfigError(f"target nodes {unknown} are not in the topology")
-        targets = spec.target_nodes
-    else:
-        targets = topology.nodes
-    slave_count = spec.slave_count if spec.slave_count is not None else len(targets)
-    if slave_count == 0:
-        raise ConfigError("a TCP run needs at least one slave or one target node")
+    plan = plan_job(spec, topology, registry or DEFAULT_REGISTRY)
+    master, targets = plan.master, plan.targets
 
     events: queue.Queue = queue.Queue()
     server = FrameServer(host, base_port, events.put)
@@ -281,41 +255,42 @@ def run_tcp_job(
         addresses, raw_bytes = _await_ready(events, list(targets), deadline)
         transport = TcpTransport({**addresses, master: (server.host, server.port)})
 
-        ids = AgentIdAllocator()
-        mapper = Agent(id=ids.next(), role=AgentRole.MAPPER, job_id=spec.job_id, origin=master)
-        reducer = Agent(id=ids.next(), role=AgentRole.REDUCER, job_id=spec.job_id, origin=master)
-        slaves = duplicate(mapper, slave_count, ids)
-        assignment = dispatch(slaves, targets)
         callbacks = LifecycleCallbacks()
+
+        def send(dst, payload):
+            return send_with_retry(lambda: transport.send(master, dst, payload), time.sleep)
 
         registration = JobRegistration(
             spec=spec,
             results_only=results_only,
             master=master,
             addresses=dict(transport.addresses),
-            partitions={s.id: assignment[s.id] for s in slaves},
+            partitions=plan.assignment,
         )
         control = encode_control(registration.register_control())
         for node_id in targets:
-            if not _send_with_retry(transport, master, node_id, control):
-                raise ConfigError(f"could not register the job at node {node_id}")
+            _, fail = send(node_id, control)
+            if fail is not None:
+                raise ConfigError(f"could not register the job at node {node_id}: {fail}")
 
         states: dict[int, _SlaveState] = {}
-        for slave in slaves:
-            state = _SlaveState(agent_id=slave.id, partition=assignment[slave.id])
+        for slave in plan.slaves:
+            state = _SlaveState(agent_id=slave.id, partition=plan.assignment[slave.id])
             states[slave.id] = state
             if not state.partition:
                 # Nothing to visit: identity partial, handed over in place.
-                message = ResultMessage(from_agent=slave.id, partial=encode_partial(combine.identity()))
+                message = home_message(slave, plan.combine)
                 state.deliver(message, message.size_bytes)
                 continue
             envelope = pack(slave, callbacks)
-            if _send_with_retry(transport, master, state.partition[0], envelope):
+            _, fail = send(state.partition[0], envelope)
+            if fail is None:
                 state.hops[0] = len(envelope)
             else:
+                logger.error("could not dispatch agent %s: %s", slave.id, fail)
                 state.fail_reason = f"could not dispatch to node {state.partition[0]}"
 
-        _collect(events, states, callbacks, combine, deadline)
+        _collect(events, states, callbacks, plan.combine, deadline)
     finally:
         if transport is not None:
             shutdown = encode_control({"type": "shutdown"})
@@ -334,30 +309,6 @@ def run_tcp_job(
         for fh in log_files:
             fh.close()
 
-    ordered = [states[s.id] for s in slaves]
-    reports = tuple(s.report() for s in ordered)
-    decode_failures = 0
-
-    def on_bad(message, exc):
-        nonlocal decode_failures
-        decode_failures += 1
-
-    messages = [s.message for s in ordered if s.message is not None]
-    folded = aggregate(reducer, messages, combine, on_decode_error=on_bad)
-    final = reduce_fn(folded)
-    partials_received = len(messages) - decode_failures
-
-    result = JobResult(
-        final=final,
-        partials_received=partials_received,
-        slaves_failed=slave_count - partials_received,
-        slave_count=slave_count,
-        bytes_transferred_total=sum(r.bytes_sent for r in reports),
-        wall_time_s=time.monotonic() - started,
-        raw_data_bytes=raw_bytes,
-        migrations_total=sum(r.migrations for r in reports),
-        slave_reports=reports,
-    )
-    if slave_count > 0 and partials_received == 0:
-        raise AllSlavesFailed("no slave delivered a partial", result=result)
-    return result
+    wall_time_s = time.monotonic() - started
+    messages = [state.message for state in states.values() if state.message is not None]
+    return finish_job(plan, [state.report() for state in states.values()], messages, wall_time_s, raw_bytes)

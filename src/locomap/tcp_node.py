@@ -36,15 +36,10 @@ from dataclasses import dataclass
 
 from .agents import Agent, LifecycleCallbacks, NodeId, TaskDescriptor, next_destination
 from .envelope import pack, unpack
-from .errors import EnvelopeError, ExecutionError, LocomapError, TransportFailure
+from .errors import EnvelopeError, ExecutionError, LocomapError
 from .nodes import SensorNode, load_records_tsv
-from .orchestration import (
-    JobSpec,
-    ResultMessage,
-    RetryAction,
-    retry_policy,
-)
-from .registry import DEFAULT_REGISTRY, FunctionRegistry, build_default_registry, encode_partial
+from .orchestration import JobSpec, home_message, send_with_retry
+from .registry import DEFAULT_REGISTRY, FunctionRegistry, build_default_registry
 from .transport import ACK, TcpTransport, read_frame, write_frame
 
 logger = logging.getLogger("locomap.tcp_node")
@@ -295,34 +290,20 @@ class NodeProcess:
 
         hop = len(agent.itinerary)
         if nxt == reg.master and reg.results_only:
-            combine = self.registry.resolve_combine(reg.spec.combine)
-            partial = agent.payload if agent.payload else encode_partial(combine.identity())
-            payload = ResultMessage(from_agent=agent.id, partial=partial).encode()
+            payload = home_message(agent, self.registry.resolve_combine(reg.spec.combine)).encode()
         else:
             payload = pack(agent, self.callbacks)
             # Acked by the master before the hop is made, never after.
             self._report_stat(agent.id, agent.job_id, hop, len(payload), nxt)
 
-        if not self._send_with_retry(transport, nxt, payload):
+        _, fail = send_with_retry(
+            lambda: transport.send(self.node.id, nxt, payload), lambda s: not self.shutdown.wait(s)
+        )
+        if fail is not None:
+            logger.error("node %s could not forward agent %s to %s: %s", self.node.id, agent.id, nxt, fail)
             self._report_failure(agent.id, agent.job_id, f"could not forward to node {nxt}", hop)
 
     # -- outbound helpers --
-
-    def _send_with_retry(self, transport: TcpTransport, dst: NodeId, payload: bytes) -> bool:
-        attempt = 1
-        while True:
-            try:
-                transport.send(self.node.id, dst, payload)
-                return True
-            except TransportFailure as exc:
-                decision = retry_policy(exc, attempt)
-                if decision.action is RetryAction.MARK_FAILED:
-                    logger.error("node %s giving up on send to %s: %s", self.node.id, dst, exc)
-                    return False
-                self.shutdown.wait(decision.backoff_s)
-                if self.shutdown.is_set():
-                    return False
-                attempt += 1
 
     def _report_failure(self, agent_id: int, job_id: int, reason: str, hop: int | None) -> None:
         self._send_control_to_master(

@@ -27,8 +27,8 @@ def random_agent(rng: random.Random) -> lm.Agent:
         id=rng.randrange(0, 2**63),
         role=rng.choice(list(lm.AgentRole)),
         job_id=rng.randrange(0, 2**63),
-        payload=rng.randbytes(rng.randrange(0, 400)),
-        payload_padding_bytes=rng.choice((0, 0, rng.randrange(0, 100))),
+        # Padding as trailing zeros, drawn after the payload as before.
+        payload=rng.randbytes(rng.randrange(0, 400)) + bytes(rng.choice((0, 0, rng.randrange(0, 100)))),
         itinerary=tuple(rng.sample(range(1, 10_000), rng.randrange(0, 8))),
     )
 

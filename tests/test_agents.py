@@ -7,7 +7,7 @@ from locomap import AgentIdAllocator, AgentRole
 
 
 def mk_mapper(payload=b"", padding=0):
-    return lm.Agent(id=1, role=AgentRole.MAPPER, job_id=9, payload=payload, payload_padding_bytes=padding)
+    return lm.Agent(id=1, role=AgentRole.MAPPER, job_id=9, payload=payload + bytes(padding))
 
 
 def mk_slave(itinerary=(), agent_id=2):
@@ -53,10 +53,6 @@ class TestDuplicate:
             mapper = mk_mapper(payload=payload)
             for slave in lm.duplicate(mapper, rng.randrange(1, 4), AgentIdAllocator()):
                 assert slave.payload == payload
-
-    def test_padding_copied(self):
-        (slave,) = lm.duplicate(mk_mapper(padding=512), 1, AgentIdAllocator())
-        assert slave.payload_padding_bytes == 512
 
 
 class TestNextDestination:

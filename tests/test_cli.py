@@ -120,6 +120,18 @@ class TestRun:
         assert code == 1
         assert "--process-master-heap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mode, flag, value",
+        [("tcp", "--seed", "7"), ("sim", "--base-port", "0"), ("sim", "--timeout", "30"), ("sim", "--node-logs", "logs")],
+    )
+    def test_option_of_the_other_mode_is_rejected(self, workspace, capsys, mode, flag, value):
+        code = run_cli(
+            "run", "--mode", mode, "--topology", workspace / "topo.json",
+            "--data-dir", workspace / "data", flag, value,
+        )
+        assert code == 1
+        assert flag in capsys.readouterr().err
+
     def test_all_slaves_failed_is_exit_2(self, workspace, tmp_path, capsys):
         doomed = tmp_path / "doomed.json"
         doomed.write_text(

@@ -14,8 +14,7 @@ def mk_agent(payload=b"", itinerary=(), padding=0, role=AgentRole.SLAVE, agent_i
         id=agent_id,
         role=role,
         job_id=job_id,
-        payload=payload,
-        payload_padding_bytes=padding,
+        payload=payload + bytes(padding),
         itinerary=tuple(itinerary),
     )
 
@@ -139,7 +138,11 @@ class TestRejection:
         assert lm.unpack(data) == agent  # the original is still fine
 
     def test_payload_too_large_without_allocating(self):
-        agent = mk_agent(padding=2**32)
+        class Huge(bytes):
+            def __len__(self):
+                return 2**32
+
+        agent = lm.Agent(id=42, role=AgentRole.SLAVE, job_id=7, payload=Huge())
         with pytest.raises(lm.PayloadTooLarge):
             lm.pack(agent)
 

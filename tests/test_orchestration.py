@@ -5,7 +5,7 @@ import pytest
 
 import locomap as lm
 from locomap import AgentRole
-from locomap.orchestration import RetryAction
+from locomap.orchestration import RetryAction, send_with_retry
 
 from helpers import make_cluster, random_workload, reference_final, sum_reference, wordcount_reference, all_values
 
@@ -57,6 +57,30 @@ class TestRetryPolicy:
     def test_fourth_attempt_fails(self):
         assert lm.retry_policy(None, 4).action is RetryAction.MARK_FAILED
         assert lm.retry_policy(None, 10).action is RetryAction.MARK_FAILED
+
+    def test_send_with_retry_waits_the_backoffs_then_gives_up(self):
+        def refuse():
+            raise lm.ConnectRefused("nobody home")
+
+        waits = []
+        value, fail = send_with_retry(refuse, waits.append)
+        assert value is None
+        assert waits == [0.1, 0.2, 0.4]
+        assert fail == "gave up after 4 attempts: nobody home"
+
+    def test_send_with_retry_returns_a_late_success_or_stops_when_wait_says_so(self):
+        attempts = []
+
+        def flaky():
+            attempts.append(1)
+            if len(attempts) < 3:
+                raise lm.SendTimeout("slow")
+            return "sent"
+
+        assert send_with_retry(flaky, lambda s: None) == ("sent", None)
+        attempts.clear()
+        assert send_with_retry(flaky, lambda s: False) == (None, "abandoned after 1 attempts: slow")
+        assert len(attempts) == 1
 
 
 class TestResultMessage:

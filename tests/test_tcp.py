@@ -1,3 +1,4 @@
+import importlib
 import logging
 import queue
 import socket
@@ -394,3 +395,41 @@ class TestRunTcpJob:
         spec = lm.builtin_job("wordcount", job_id=1, target_nodes=[1, 7])
         with pytest.raises(lm.ConfigError, match=r"\[7\]"):
             lm.run_tcp_job(spec, topology, None)
+
+    def test_node_killed_mid_tour_fails_only_its_slave(self, tmp_path, monkeypatch):
+        # A map function that kills its node process on a "die" record. The
+        # nodes import the module through job_module; this process imports it
+        # too, so the job's map id is registered on the master. The pause lets
+        # the node ack the envelope first: a node that dies before its ack
+        # leaves the master seeing a failed dispatch instead of a held slave.
+        (tmp_path / "locomap_killjob.py").write_text(
+            "import os\n"
+            "import time\n"
+            "import locomap as lm\n"
+            "\n"
+            "def die_or_count(key, value):\n"
+            "    if value == b'die':\n"
+            "        time.sleep(0.5)\n"
+            "        os._exit(17)\n"
+            "    for word in value.split():\n"
+            "        yield word.decode(), 1\n"
+            "\n"
+            "lm.DEFAULT_REGISTRY.register_map('die-wordcount', die_or_count)\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+        importlib.import_module("locomap_killjob")
+
+        node_values = {1: [b"a b", b"c"], 2: [b"a", b"die"], 3: [b"b b c"]}
+        data_dir = write_node_files(tmp_path, node_values)
+        topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
+        spec = lm.JobSpec(job_id=1, task=lm.TaskDescriptor("die-wordcount", "identity"), combine="sum-by-key")
+        result = lm.run_tcp_job(spec, topology, data_dir, timeout_s=3, job_module="locomap_killjob")
+
+        assert (result.partials_received, result.slaves_failed, result.slave_count) == (2, 1, 3)
+        survivors = [r for n in (1, 3) for r in lm.load_records_tsv(data_dir / f"node_{n}.tsv")]
+        assert result.final == lm.sequential_oracle(spec.task, spec.combine, survivors)
+        (killed,) = [r for r in result.slave_reports if r.nodes == (2,)]
+        assert not killed.delivered
+        assert killed.migrations == 1
+        assert killed.fail_reason == "timed out waiting for the slave"

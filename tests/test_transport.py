@@ -225,10 +225,13 @@ class TestTcpTransport:
         silent = socket.socket()
         silent.bind(("127.0.0.1", 0))
         silent.listen(1)
+        done = threading.Event()
 
         def swallow():
             conn, _ = silent.accept()
-            read_frame(conn)  # read it all, then go quiet
+            with conn:
+                read_frame(conn)  # read it all, then go quiet
+                done.wait(10.0)
 
         thread = threading.Thread(target=swallow, daemon=True)
         thread.start()
@@ -237,6 +240,8 @@ class TestTcpTransport:
             with pytest.raises(lm.SendTimeout):
                 transport.send(0, 1, b"x")
         finally:
+            done.set()
+            thread.join(timeout=10.0)
             silent.close()
 
     def test_unknown_destination(self):
