@@ -86,11 +86,6 @@ class Agent:
     itinerary: tuple[NodeId, ...] = ()
     origin: NodeId = field(default=0, compare=False)
 
-    @property
-    def serialized_size(self) -> int:
-        """Envelope size in bytes: fixed header/trailer plus itinerary plus payload."""
-        return 32 + 4 * len(self.itinerary) + len(self.payload)
-
 
 class AgentIdAllocator:
     """Issues fresh agent ids, never repeating within one job run."""

@@ -34,7 +34,7 @@ from .orchestration import (
     plan_job,
     send_with_retry,
 )
-from .registry import DEFAULT_REGISTRY, FunctionRegistry
+from .registry import DEFAULT_REGISTRY
 from .tcp_node import FrameServer, JobRegistration, classify_frame, decode_control, encode_control
 from .transport import TcpTransport, Topology
 
@@ -92,7 +92,7 @@ def _await_ready(events: queue.Queue, expected: list[int], deadline: float):
         if remaining <= 0:
             raise ConfigError(f"nodes {sorted(waiting)} never announced themselves")
         try:
-            frame = events.get(timeout=min(remaining, 0.25))
+            frame = events.get(timeout=remaining)
         except queue.Empty:
             continue
         if classify_frame(frame) != "control":
@@ -188,7 +188,6 @@ def run_tcp_job(
     topology: Topology,
     data_dir: str | Path | None,
     *,
-    registry: FunctionRegistry | None = None,
     results_only: bool = False,
     host: str = "127.0.0.1",
     base_port: int = 0,
@@ -206,7 +205,7 @@ def run_tcp_job(
     when given. Data files are looked up as ``node_<id>.tsv`` under
     ``data_dir`` and loaded by the node processes themselves.
     """
-    plan = plan_job(spec, topology, registry or DEFAULT_REGISTRY)
+    plan = plan_job(spec, topology, DEFAULT_REGISTRY)
     master, targets = plan.master, plan.targets
 
     events: queue.Queue = queue.Queue()

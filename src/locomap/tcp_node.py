@@ -9,16 +9,19 @@ of traffic, told apart by the first four bytes of each frame:
   - ``LCTL`` control JSON: job registration, shutdown.
   - anything else is a result message, which only the master receives.
 
-One agent runs at a time on a node; arriving envelopes queue up, and an
-envelope that arrives again for the same hop (a sender retrying after a
-lost acknowledgement) is dropped. Each frame is acknowledged with a single
-0x06 byte once the node has acted on it.
+Each frame is acknowledged with a single 0x06 byte once the node has
+accepted it. A node acks an envelope before it hosts it, hosts one agent
+at a time, and drops a repeat for the same (job, agent, hop): a sender
+retrying after a lost acknowledgement.
 
-A node tells the master about a hop before making it: the ``forwarded``
-stat, keyed by the hop number, is acknowledged by the master before the
+Every frame a node sends, control or data, goes through
+``TcpTransport.send`` and the one retry loop, ``send_with_retry``. A node
+tells the master about a hop before making it: the ``forwarded`` stat,
+keyed by the hop number, is acknowledged by the master before the
 envelope leaves, so the master holds every stat of a slave before
-anything the hop causes can reach it. A hop that cannot be made is
-reported as ``slave_failed`` with the same hop number.
+anything the hop causes can reach it. A hop whose stat the master did not
+acknowledge is not made; a hop that cannot be made is reported as
+``slave_failed`` with the same hop number.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import importlib
 import json
 import logging
 import os
-import queue
 import socket
 import sys
 import threading
@@ -40,7 +42,7 @@ from .errors import EnvelopeError, ExecutionError, LocomapError
 from .nodes import SensorNode, load_records_tsv
 from .orchestration import JobSpec, home_message, send_with_retry
 from .registry import DEFAULT_REGISTRY, FunctionRegistry, build_default_registry
-from .transport import ACK, TcpTransport, read_frame, write_frame
+from .transport import ACK, TcpTransport, read_frame
 
 logger = logging.getLogger("locomap.tcp_node")
 
@@ -71,7 +73,8 @@ def classify_frame(data: bytes) -> str:
 
 
 class FrameServer:
-    """Accepts connections, reads one frame each, acks, hands it off."""
+    """Accepts connections, reads one frame each, hands it off, acks, and
+    then runs the callable the handler returned, if any."""
 
     def __init__(self, host: str, port: int, handler):
         self._handler = handler
@@ -106,9 +109,10 @@ class FrameServer:
     def _serve_one(self, conn: socket.socket) -> None:
         # The ack is sent only after the handler accepted the frame, so a
         # sender that saw an ack knows the receiver acted on it (an agent
-        # envelope is queued, a job registration is in force). A handler
+        # envelope is accepted, a job registration is in force). A handler
         # failure closes without acking and the sender's retry policy takes
-        # over.
+        # over. Work the handler hands back runs after the ack, so a
+        # receiver that dies doing it has still acked the frame.
         try:
             conn.settimeout(10.0)
             frame = read_frame(conn)
@@ -120,7 +124,7 @@ class FrameServer:
             conn.close()
             return
         try:
-            self._handler(frame)
+            then = self._handler(frame)
         except Exception:
             logger.exception("frame handler failed")
             conn.close()
@@ -131,6 +135,11 @@ class FrameServer:
             logger.warning("could not acknowledge a frame: %s", exc)
         finally:
             conn.close()
+        if then is not None:
+            try:
+                then()
+            except Exception:
+                logger.exception("work after the ack failed")
 
 
 @dataclass
@@ -175,26 +184,24 @@ class JobRegistration:
 
 
 class NodeProcess:
-    """The in-process half of one sensor node: server, worker, routing."""
+    """The in-process half of one sensor node: server, hosting, routing."""
 
     def __init__(self, node: SensorNode, host: str, port: int, master_addr: tuple[str, int], registry: FunctionRegistry | None = None):
         self.node = node
-        self.master_addr = master_addr
         self.registry = registry or build_default_registry()
         self.callbacks = LifecycleCallbacks()
         self._jobs: dict[int, JobRegistration] = {}
         self._seen: set[tuple[int, int, int]] = set()
         self._lock = threading.Lock()
-        self._inbox: queue.Queue = queue.Queue()
+        self._hosting = threading.Lock()
+        self._master = TcpTransport({"master": master_addr})
         self.shutdown = threading.Event()
         self.server = FrameServer(host, port, self._on_frame)
-        self._worker = threading.Thread(target=self._work_loop, daemon=True)
 
     # -- lifecycle --
 
     def start(self) -> None:
         self.server.start()
-        self._worker.start()
 
     def run_until_shutdown(self) -> None:
         self.start()
@@ -209,18 +216,18 @@ class NodeProcess:
             "host": self.server.host,
             "port": self.server.port,
             "heap_bytes": self.node.heap.total_bytes,
-            "records": len(self.node.heap),
         }
-        self._send_control_to_master(doc)
+        self._tell_master(doc)
 
     # -- frame handling --
 
-    def _on_frame(self, frame: bytes) -> None:
+    def _on_frame(self, frame: bytes):
+        """FrameServer handler; returns the hosting step of an accepted envelope."""
         kind = classify_frame(frame)
         if kind == "control":
             self._on_control(decode_control(frame))
         elif kind == "envelope":
-            self._accept_envelope(frame)
+            return self._accept_envelope(frame)
         else:
             logger.warning("node %s ignoring unexpected result message", self.node.id)
 
@@ -237,96 +244,75 @@ class NodeProcess:
         else:
             logger.warning("node %s ignoring control message %r", self.node.id, kind)
 
-    def _accept_envelope(self, frame: bytes) -> None:
-        """Queue an arriving agent once per (job, agent, hop).
+    def _accept_envelope(self, frame: bytes):
+        """Accept an arriving agent once per (job, agent, hop).
 
         This runs before the frame is acked, so a sender whose retry was
-        acked knows the repeat has already been dropped.
+        acked knows the repeat has already been dropped. Returns the step
+        that hosts and forwards the agent, which runs after the ack.
         """
         try:
             agent = unpack(frame)
         except EnvelopeError as exc:
             logger.error("node %s rejected an envelope: %s", self.node.id, exc)
-            return
+            return None
         key = (agent.job_id, agent.id, len(agent.itinerary))
         with self._lock:
             if key in self._seen:
                 logger.warning("node %s dropped a repeated envelope for agent %s", self.node.id, agent.id)
-                return
+                return None
             self._seen.add(key)
             self.callbacks.fire_arrive(agent)
-        self._inbox.put(agent)
+        return lambda: self._host_and_forward(agent)
 
-    def _work_loop(self) -> None:
-        while not self.shutdown.is_set():
+    def _host_and_forward(self, agent: Agent) -> None:
+        """Host the agent and send it on; one agent at a time per node."""
+        about = {"agent_id": agent.id, "job_id": agent.job_id}
+        with self._hosting:
+            with self._lock:
+                reg = self._jobs.get(agent.job_id)
+            if reg is None:
+                logger.error("node %s has no registration for job %s", self.node.id, agent.job_id)
+                self._tell_master({"type": "slave_failed", **about, "hop": None, "reason": "job not registered at node"})
+                return
+
             try:
-                agent = self._inbox.get(timeout=0.2)
-            except queue.Empty:
-                continue
-            try:
-                self._handle_envelope(agent)
-            except Exception:
-                logger.exception("node %s failed handling an envelope", self.node.id)
+                agent = self.node.host(agent, self.registry)
+            except ExecutionError as exc:
+                logger.warning("node %s map task failed, continuing: %s", self.node.id, exc)
+                agent = exc.agent
 
-    def _handle_envelope(self, agent: Agent) -> None:
-        with self._lock:
-            reg = self._jobs.get(agent.job_id)
-        if reg is None:
-            logger.error("node %s has no registration for job %s", self.node.id, agent.job_id)
-            self._report_failure(agent.id, agent.job_id, "job not registered at node", None)
-            return
+            partition = reg.partitions.get(agent.id, ())
+            # Without a remote emptiness oracle the slave simply visits every
+            # node left in its slice; an empty node is a no-op stop.
+            nxt = next_destination(agent, partition, lambda _n: True, reg.master)
+            transport = TcpTransport(reg.addresses)
 
-        try:
-            agent = self.node.host(agent, self.registry)
-        except ExecutionError as exc:
-            logger.warning("node %s map task failed, continuing: %s", self.node.id, exc)
-            agent = exc.agent
+            hop = len(agent.itinerary)
+            if nxt == reg.master and reg.results_only:
+                payload = home_message(agent, self.registry.resolve_combine(reg.spec.combine)).encode()
+            else:
+                payload = pack(agent, self.callbacks)
+                # Acked by the master before the hop is made, never after; a
+                # stat the master did not take means no hop.
+                if not self._tell_master({"type": "forwarded", **about, "hop": hop, "bytes": len(payload), "dst": nxt}):
+                    return
 
-        partition = reg.partitions.get(agent.id, ())
-        # Without a remote emptiness oracle the slave simply visits every
-        # node left in its slice; an empty node is a no-op stop.
-        nxt = next_destination(agent, partition, lambda _n: True, reg.master)
-        transport = TcpTransport(reg.addresses)
+            if not self._send(transport, nxt, payload):
+                self._tell_master({"type": "slave_failed", **about, "hop": hop, "reason": f"could not forward to node {nxt}"})
 
-        hop = len(agent.itinerary)
-        if nxt == reg.master and reg.results_only:
-            payload = home_message(agent, self.registry.resolve_combine(reg.spec.combine)).encode()
-        else:
-            payload = pack(agent, self.callbacks)
-            # Acked by the master before the hop is made, never after.
-            self._report_stat(agent.id, agent.job_id, hop, len(payload), nxt)
+    # -- outbound --
 
-        _, fail = send_with_retry(
-            lambda: transport.send(self.node.id, nxt, payload), lambda s: not self.shutdown.wait(s)
-        )
+    def _send(self, transport: TcpTransport, dst, payload: bytes) -> bool:
+        """One frame under the retry policy; True once it is acked."""
+        _, fail = send_with_retry(lambda: transport.send(self.node.id, dst, payload), lambda s: not self.shutdown.wait(s))
         if fail is not None:
-            logger.error("node %s could not forward agent %s to %s: %s", self.node.id, agent.id, nxt, fail)
-            self._report_failure(agent.id, agent.job_id, f"could not forward to node {nxt}", hop)
+            logger.error("node %s could not send to node %s: %s", self.node.id, dst, fail)
+        return fail is None
 
-    # -- outbound helpers --
-
-    def _report_failure(self, agent_id: int, job_id: int, reason: str, hop: int | None) -> None:
-        self._send_control_to_master(
-            {"type": "slave_failed", "agent_id": agent_id, "job_id": job_id, "hop": hop, "reason": reason}
-        )
-
-    def _report_stat(self, agent_id: int, job_id: int, hop: int, nbytes: int, dst: NodeId) -> None:
-        self._send_control_to_master(
-            {"type": "forwarded", "agent_id": agent_id, "job_id": job_id, "hop": hop, "bytes": nbytes, "dst": dst}
-        )
-
-    def _send_control_to_master(self, doc: dict) -> None:
-        payload = encode_control(doc)
-        sock = None
-        try:
-            sock = socket.create_connection(self.master_addr, timeout=5.0)
-            write_frame(sock, payload)
-            sock.recv(1)
-        except OSError as exc:
-            logger.error("node %s could not reach the master: %s", self.node.id, exc)
-        finally:
-            if sock is not None:
-                sock.close()
+    def _tell_master(self, doc: dict) -> bool:
+        """Every control frame to the master; True once the master acked it."""
+        return self._send(self._master, "master", encode_control(doc))
 
 
 def main(argv=None) -> int:

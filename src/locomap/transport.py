@@ -246,8 +246,6 @@ class SimTransport:
         self.sent_payloads: list[bytes] = []
         self.bytes_delivered = 0
         self.bytes_attempted = 0
-        self.sends = 0
-        self.failures = 0
 
     def send(self, src: NodeId, dst: NodeId, payload: bytes, at: float = 0.0) -> DeliveryReport:
         link = self.topology.link(src, dst)
@@ -256,13 +254,10 @@ class SimTransport:
         completed = started + report.elapsed_s
         self._link_free_at[(src, dst)] = completed
         self._horizon = max(self._horizon, completed)
-        self.sends += 1
         if self.record_payloads:
             self.sent_payloads.append(payload)
         if report.delivered:
             self.bytes_delivered += report.bytes
-        else:
-            self.failures += 1
         self.bytes_attempted += report.bytes
         return replace(report, started_at=started, completed_at=completed)
 
@@ -318,8 +313,6 @@ class TcpTransport:
         self.addresses = dict(addresses)
         self.timeout_s = timeout_s
         self._epoch = time.monotonic()
-        self.bytes_delivered = 0
-        self.sends = 0
 
     def send(self, src: NodeId, dst: NodeId, payload: bytes, at: float = 0.0) -> DeliveryReport:
         try:
@@ -348,8 +341,6 @@ class TcpTransport:
         if ack != ACK:
             raise SendTimeout(f"node {dst} closed without acknowledging")
         elapsed = time.perf_counter() - t0
-        self.sends += 1
-        self.bytes_delivered += len(payload)
         now = self.clock()
         return DeliveryReport(
             delivered=True,

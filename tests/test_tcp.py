@@ -180,16 +180,19 @@ class TestNodeProcess:
 
         # Node 2 is reached through a server that hands every frame to the
         # node but drops the connection before the first ack, so node 1
-        # retries a forward that node 2 has already accepted.
+        # retries a forward that node 2 has already accepted. Node 2 hosts
+        # what it accepted whether or not the ack got through.
         deliveries = []
         retried = threading.Event()
 
         def lose_first_ack(frame):
-            proc2._on_frame(frame)
+            then = proc2._on_frame(frame)
             deliveries.append(frame)
             if len(deliveries) == 1:
+                threading.Thread(target=then, daemon=True).start()
                 raise ConnectionAbortedError("first ack lost")
             retried.set()
+            return then
 
         lossy = FrameServer("127.0.0.1", 0, lose_first_ack)
         lossy.start()
@@ -229,6 +232,43 @@ class TestNodeProcess:
                 proc.shutdown.set()
                 proc.server.stop()
             lossy.stop()
+
+    def test_refused_stat_stops_the_hop(self):
+        # A master that refuses every forwarded stat: the node retries the
+        # stat under the retry policy, then gives the hop up without sending
+        # the envelope or anything else.
+        events: queue.Queue = queue.Queue()
+
+        def refuse_stats(frame):
+            events.put(frame)
+            if classify_frame(frame) == "control" and decode_control(frame)["type"] == "forwarded":
+                raise ConnectionRefusedError("stat refused")
+
+        server = FrameServer("127.0.0.1", 0, refuse_stats)
+        server.start()
+        node = lm.SensorNode(id=1)
+        node.ingest([lm.Record(key=b"r", value=b"a")])
+        proc = start_node(node, server)
+        try:
+            transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
+            reg = JobRegistration(
+                spec=lm.builtin_job("wordcount", job_id=4),
+                results_only=False,
+                master=0,
+                addresses={0: (server.host, server.port), 1: (proc.server.host, proc.server.port)},
+                partitions={10: (1,)},
+            )
+            transport.send(0, 1, encode_control(reg.register_control()))
+            transport.send(0, 1, lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4)))
+
+            attempts = [decode_control(f) for f in drain(events, 4)]  # 1 attempt, 3 retries
+            assert [(d["type"], d["hop"]) for d in attempts] == [("forwarded", 1)] * 4
+            with pytest.raises(queue.Empty):
+                events.get(timeout=1.0)
+        finally:
+            proc.shutdown.set()
+            proc.server.stop()
+            server.stop()
 
     def test_concurrent_repeats_are_accepted_once(self, master_inbox):
         server, events = master_inbox
@@ -399,17 +439,13 @@ class TestRunTcpJob:
     def test_node_killed_mid_tour_fails_only_its_slave(self, tmp_path, monkeypatch):
         # A map function that kills its node process on a "die" record. The
         # nodes import the module through job_module; this process imports it
-        # too, so the job's map id is registered on the master. The pause lets
-        # the node ack the envelope first: a node that dies before its ack
-        # leaves the master seeing a failed dispatch instead of a held slave.
+        # too, so the job's map id is registered on the master.
         (tmp_path / "locomap_killjob.py").write_text(
             "import os\n"
-            "import time\n"
             "import locomap as lm\n"
             "\n"
             "def die_or_count(key, value):\n"
             "    if value == b'die':\n"
-            "        time.sleep(0.5)\n"
             "        os._exit(17)\n"
             "    for word in value.split():\n"
             "        yield word.decode(), 1\n"
