@@ -8,7 +8,10 @@ carry results away, they never mutate what the node sensed.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -44,27 +47,34 @@ class HeapStore:
 
     def __init__(self):
         self._records: dict[bytes, list[Record]] = {}
+        self._keys: list[bytes] | None = None  # sorted; None after a new key
         self.total_bytes = 0
 
     def put(self, record: Record) -> None:
-        self._records.setdefault(record.key, []).append(record)
+        bucket = self._records.setdefault(record.key, [])
+        if not bucket:
+            self._keys = None
+        bucket.append(record)
         self.total_bytes += record.size
 
-    def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._records.values())
-
-    def records(self) -> Iterator[Record]:
-        for key in sorted(self._records):
-            yield from self._records[key]
+    def _sorted_keys(self) -> list[bytes]:
+        if self._keys is None:
+            self._keys = sorted(self._records)
+        return self._keys
 
     def records_matching(self, selector: bytes) -> Iterator[Record]:
         """Records whose key starts with ``selector`` (empty matches all)."""
-        for key in sorted(self._records):
-            if key.startswith(selector):
-                yield from self._records[key]
+        keys = self._sorted_keys()
+        # Keys with the prefix are contiguous in sorted order, and cutting
+        # every key to the selector's length keeps the list sorted.
+        lo = bisect_left(keys, selector)
+        hi = bisect_right(keys, selector, lo, key=lambda key: key[: len(selector)])
+        return chain.from_iterable(map(self._records.__getitem__, keys[lo:hi]))
 
     def has_match(self, selector: bytes) -> bool:
-        return any(key.startswith(selector) for key in self._records)
+        keys = self._sorted_keys()
+        i = bisect_left(keys, selector)
+        return i < len(keys) and keys[i].startswith(selector)
 
 
 @dataclass
@@ -100,16 +110,18 @@ class SensorNode:
         """Run the agent's map task over matching heap records, in place.
 
         Emitted key/value pairs are folded into the agent's payload with
-        the job's combine operation. The heap is never modified. The node
-        lands on the itinerary even when the map function blows up, so a
-        tour can continue past a bad node (ExecutionError carries the
-        visited agent).
+        the job's combine operation; a batch kernel registered for the map
+        and combine replaces the per-record map calls. The heap is never
+        modified. The node lands on the itinerary even when the map function
+        blows up, so a tour can continue past a bad node (ExecutionError
+        carries the visited agent).
         """
         if agent.role not in (AgentRole.SLAVE, AgentRole.MAPPER):
             raise RoleError(f"a {agent.role.name} agent cannot process node data")
         spec = registry.job(agent.job_id)
         map_fn = registry.resolve_map(spec.task.map_fn_id)
         combine = registry.resolve_combine(spec.combine)
+        batch_map = registry.batch_map(spec.task.map_fn_id, spec.combine)
 
         visited = record_visit(agent, self.id)
         if not self.heap.has_match(spec.task.input_selector):
@@ -117,8 +129,12 @@ class SensorNode:
         partial = decode_partial(agent.payload) if agent.payload else combine.identity()
 
         def emissions():
-            for record in self.heap.records_matching(spec.task.input_selector):
-                yield from map_fn(record.key, record.value)
+            records = self.heap.records_matching(spec.task.input_selector)
+            if batch_map is not None:
+                yield from batch_map(map(attrgetter("value"), records))
+            else:
+                for record in records:
+                    yield from map_fn(record.key, record.value)
 
         try:
             folded = combine.fold(partial, emissions())

@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import ConfigError, DecodeError, UnknownFunction
 
 Emission = tuple[str, Any]
 MapFn = Callable[[bytes, bytes], Iterable[Emission]]
+BatchMapFn = Callable[[Iterable[bytes]], Iterable[Emission]]
 ReduceFn = Callable[[Any], Any]
 
 
@@ -89,20 +92,34 @@ class FunctionRegistry:
 
     def __init__(self):
         self._maps: dict[str, MapFn] = {}
+        self._batch_maps: dict[tuple[str, str], BatchMapFn] = {}
         self._reduces: dict[str, ReduceFn] = {}
         self._combines: dict[str, CombineOp] = {}
         self._jobs: dict[int, Any] = {}
 
     def register_map(self, fn_id: str, fn: MapFn) -> None:
+        """Register a map function; drops any batch kernel under ``fn_id``."""
         self._maps[fn_id] = fn
+        self._batch_maps = {pair: kernel for pair, kernel in self._batch_maps.items() if pair[0] != fn_id}
+
+    def register_batch_map(self, fn_id: str, combine: str, fn: BatchMapFn) -> None:
+        """Run ``fn(values of the matching records)`` in place of map ``fn_id``
+        under ``combine``; folded into any partial, its emissions must give
+        what the per-record map's do. Re-registering either drops it."""
+        self._batch_maps[(fn_id, combine)] = fn
+
+    def batch_map(self, fn_id: str, combine: str) -> BatchMapFn | None:
+        return self._batch_maps.get((fn_id, combine))
 
     def register_reduce(self, fn_id: str, fn: ReduceFn) -> None:
         self._reduces[fn_id] = fn
 
     def register_combine(self, op: CombineOp, check: bool = True) -> None:
+        """Register a combine operation; drops any batch kernel under its name."""
         if check:
             check_combine_algebra(op)
         self._combines[op.name] = op
+        self._batch_maps = {pair: kernel for pair, kernel in self._batch_maps.items() if pair[1] != op.name}
 
     def resolve_map(self, fn_id: str) -> MapFn:
         try:
@@ -186,6 +203,21 @@ def wordcount_map(key: bytes, value: bytes) -> Iterator[Emission]:
         yield (word, 1)
 
 
+# Values joined per decode: enough to amortize the per-call cost, few enough
+# that one chunk's words of short sensor values take well under 1 MB.
+_WORDCOUNT_CHUNK = 1024
+
+
+def wordcount_sum_batch(values: Iterable[bytes]) -> Iterator[Emission]:
+    """``wordcount_map`` pre-combined for sum-by-key. The joining space splits
+    words and ends any partial UTF-8 sequence, so each value decodes as alone."""
+    counts: Counter[str] = Counter()
+    values = iter(values)
+    while chunk := list(islice(values, _WORDCOUNT_CHUNK)):
+        counts.update(b" ".join(chunk).decode("utf-8", "replace").split())
+    yield from counts.items()
+
+
 def sum_map(key: bytes, value: bytes) -> Iterator[Emission]:
     yield ("sum", int(value))
 
@@ -200,6 +232,7 @@ def build_default_registry() -> FunctionRegistry:
     reg.register_map("sum-map", sum_map)
     reg.register_reduce("identity", identity_reduce)
     reg.register_combine(SUM_BY_KEY)
+    reg.register_batch_map("wordcount-map", SUM_BY_KEY.name, wordcount_sum_batch)
     return reg
 
 

@@ -19,9 +19,9 @@ Every frame a node sends, control or data, goes through
 tells the master about a hop before making it: the ``forwarded`` stat,
 keyed by the hop number, is acknowledged by the master before the
 envelope leaves, so the master holds every stat of a slave before
-anything the hop causes can reach it. A hop whose stat the master did not
-acknowledge is not made; a hop that cannot be made is reported as
-``slave_failed`` with the same hop number.
+anything the hop causes can reach it. A node gives a hop up when the
+master does not acknowledge its stat or the envelope cannot be sent, and
+either way reports ``slave_failed`` with the same hop number.
 """
 
 from __future__ import annotations
@@ -294,8 +294,9 @@ class NodeProcess:
             else:
                 payload = pack(agent, self.callbacks)
                 # Acked by the master before the hop is made, never after; a
-                # stat the master did not take means no hop.
+                # stat the master did not take means no hop and a failed slave.
                 if not self._tell_master({"type": "forwarded", **about, "hop": hop, "bytes": len(payload), "dst": nxt}):
+                    self._tell_master({"type": "slave_failed", **about, "hop": hop, "reason": "master did not ack the forwarded stat"})
                     return
 
             if not self._send(transport, nxt, payload):

@@ -33,20 +33,20 @@ class TestHeapStore:
         heap = lm.HeapStore()
         for key in (b"m", b"a", b"z", b"b"):
             heap.put(lm.Record(key=key, value=b""))
-        assert [r.key for r in heap.records()] == [b"a", b"b", b"m", b"z"]
+        assert [r.key for r in heap.records_matching(b"")] == [b"a", b"b", b"m", b"z"]
 
     def test_insertion_order_within_a_key(self):
         heap = lm.HeapStore()
         heap.put(lm.Record(key=b"k", value=b"1"))
         heap.put(lm.Record(key=b"k", value=b"2"))
-        assert [r.value for r in heap.records()] == [b"1", b"2"]
+        assert [r.value for r in heap.records_matching(b"")] == [b"1", b"2"]
 
     def test_total_bytes_never_drifts(self):
         rng = random.Random(9)
         heap = lm.HeapStore()
         for _ in range(300):
             heap.put(lm.Record(key=rng.randbytes(rng.randrange(1, 8)), value=rng.randbytes(rng.randrange(0, 20))))
-            assert heap.total_bytes == sum(r.size for r in heap.records())
+            assert heap.total_bytes == sum(r.size for r in heap.records_matching(b""))
 
     def test_prefix_matching(self):
         heap = lm.HeapStore()
@@ -55,6 +55,25 @@ class TestHeapStore:
         assert [r.key for r in heap.records_matching(b"temp:")] == [b"temp:1"]
         assert heap.has_match(b"hum:")
         assert not heap.has_match(b"co2:")
+
+    def test_index_equals_naive_prefix_filter(self):
+        # Scans run between puts, so new keys and new records under known
+        # keys both land after the sorted key list was built.
+        rng = random.Random(12)
+        heap = lm.HeapStore()
+        buckets: dict[bytes, list[lm.Record]] = {}
+        for i in range(400):
+            key = b"".join(rng.choice([b"a", b"b", b"\x00", b"\xfe", b"\xff"]) for _ in range(rng.randrange(1, 4)))
+            record = lm.Record(key=key, value=b"%d" % i)
+            heap.put(record)
+            buckets.setdefault(key, []).append(record)
+            if i % 7:
+                continue
+            exact = rng.choice(sorted(buckets))
+            for selector in (b"", exact, exact[:1], b"c", b"\xff", b"a\xff", b"\xff\xff\xff\xff"):
+                expected = [r for k in sorted(buckets) if k.startswith(selector) for r in buckets[k]]
+                assert list(heap.records_matching(selector)) == expected
+                assert heap.has_match(selector) == bool(expected)
 
 
 class TestIngest:
@@ -131,10 +150,10 @@ class TestHost:
         registry = fresh_registry_with_job()
         node = lm.SensorNode(id=4)
         node.ingest([lm.Record(key=b"r1", value=b"a b"), lm.Record(key=b"r2", value=b"c")])
-        before = [(r.key, r.value, r.timestamp_ms) for r in node.heap.records()]
+        before = [(r.key, r.value, r.timestamp_ms) for r in node.heap.records_matching(b"")]
         total_before = node.heap.total_bytes
         node.host(mk_slave(), registry)
-        assert [(r.key, r.value, r.timestamp_ms) for r in node.heap.records()] == before
+        assert [(r.key, r.value, r.timestamp_ms) for r in node.heap.records_matching(b"")] == before
         assert node.heap.total_bytes == total_before
 
     def test_deterministic_payload_bytes(self):

@@ -3,7 +3,29 @@ import random
 import pytest
 
 import locomap as lm
+from locomap import registry as registry_module
 from locomap.registry import SUM_BY_KEY, sum_map, wordcount_map
+
+from helpers import make_cluster
+
+# Byte runs that stress the decode-and-split step: valid and truncated
+# UTF-8, stray continuation and invalid bytes, and whitespace that only
+# str.split knows (\x1c-\x1f, U+0085, U+00A0, U+2028, U+3000).
+_PIECES = [b"a", b"bb", b"\xc3\xa9", b"\xe2\x82", b"\x82\xac", b"\xff", b"\x80", b" ", b"\t", b"\r", b"\x0b", b"\x0c"]
+_PIECES += [b"\x1c", b"\x1d", b"\x1e", b"\x1f"] + [c.encode() for c in "\u0085\u00a0\u2028\u3000"]
+
+
+def adversarial_values(rng: random.Random, n: int) -> list[bytes]:
+    return [b"".join(rng.choice(_PIECES) for _ in range(rng.randrange(0, 6))) for _ in range(n)]
+
+
+GENERIC_SUM_BY_KEY = lm.CombineOp(
+    name="generic",
+    identity=SUM_BY_KEY.identity,
+    merge=SUM_BY_KEY.merge,
+    lift=SUM_BY_KEY.lift,
+    sample=SUM_BY_KEY.sample,
+)
 
 
 class TestPartialCodec:
@@ -50,17 +72,69 @@ class TestCombineAlgebra:
 
     def test_fast_fold_equals_generic_fold(self):
         rng = random.Random(2)
-        generic = lm.CombineOp(
-            name="generic",
-            identity=SUM_BY_KEY.identity,
-            merge=SUM_BY_KEY.merge,
-            lift=SUM_BY_KEY.lift,
-            sample=SUM_BY_KEY.sample,
-        )
         for _ in range(30):
             emissions = [(f"k{rng.randrange(5)}", rng.randrange(-5, 6)) for _ in range(rng.randrange(20))]
             start = SUM_BY_KEY.sample(rng)
-            assert SUM_BY_KEY.fold(dict(start), emissions) == generic.fold(dict(start), emissions)
+            assert SUM_BY_KEY.fold(dict(start), emissions) == GENERIC_SUM_BY_KEY.fold(dict(start), emissions)
+
+
+class TestWordcountKernel:
+    @pytest.mark.parametrize("chunk", [1, 2, 5, None])
+    def test_kernel_fold_equals_generic_fold(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(registry_module, "_WORDCOUNT_CHUNK", chunk)
+        kernel = lm.build_default_registry().batch_map("wordcount-map", "sum-by-key")
+        rng = random.Random(chunk or 0)
+        default = registry_module._WORDCOUNT_CHUNK
+        sizes = [rng.randrange(12) for _ in range(300)] if chunk else [0, 1, default - 1, default, default + 1, 2 * default + 3]
+        for n in sizes:
+            values = adversarial_values(rng, n)
+            start = {"a": 2, "\ufffd": 1, "zz": 5, "bb\u00e9": -3}
+            emissions = (e for value in values for e in wordcount_map(b"k", value))
+            expected = GENERIC_SUM_BY_KEY.fold(dict(start), emissions)
+            folded = SUM_BY_KEY.fold(dict(start), kernel(iter(values)))
+            assert folded == expected
+            assert lm.encode_partial(folded) == lm.encode_partial(expected)
+
+    def test_redefined_map_drops_the_kernel(self):
+        registry = lm.build_default_registry()
+
+        def shout_map(key, value):
+            for word in value.decode("utf-8", "replace").split():
+                yield (word.upper(), 1)
+
+        registry.register_map("wordcount-map", shout_map)
+        assert registry.batch_map("wordcount-map", "sum-by-key") is None
+        spec = lm.builtin_job("wordcount", job_id=21)
+        final = run_against_oracle(spec, registry)
+        assert final == {"A": 2, "B": 2, "C": 1}
+
+    @pytest.mark.parametrize("name", ["max-by-key", "sum-by-key"])
+    def test_other_combine_takes_the_per_record_path(self, name):
+        # Max of the emitted 1s is 1 per word; the pre-combined counts the
+        # kernel yields would give 2 for "a" and "b".
+        registry = lm.build_default_registry()
+        registry.register_combine(
+            lm.CombineOp(
+                name=name,
+                identity=dict,
+                merge=lambda a, b: {**a, **b, **{k: max(a[k], b[k]) for k in a.keys() & b.keys()}},
+                lift=lambda k, v: {k: v},
+                sample=SUM_BY_KEY.sample,
+            )
+        )
+        assert registry.batch_map("wordcount-map", name) is None
+        spec = lm.JobSpec(job_id=22, task=lm.TaskDescriptor("wordcount-map", "identity"), combine=name)
+        assert run_against_oracle(spec, registry) == {"a": 1, "b": 1, "c": 1}
+
+
+def run_against_oracle(spec, registry) -> dict:
+    """``run_job`` over a fixed two-node cluster; its final must equal the oracle's."""
+    cluster, topo = make_cluster({1: [b"a b a"], 2: [b"b c"]})
+    result = lm.run_job(spec, cluster, lm.SimTransport(topo), registry=registry)
+    records = [r for node_id in sorted(cluster.nodes) for r in cluster.nodes[node_id].heap.records_matching(b"")]
+    assert result.final == lm.sequential_oracle(spec.task, spec.combine, records, registry)
+    return result.final
 
 
 class TestBuiltins:

@@ -235,8 +235,8 @@ class TestNodeProcess:
 
     def test_refused_stat_stops_the_hop(self):
         # A master that refuses every forwarded stat: the node retries the
-        # stat under the retry policy, then gives the hop up without sending
-        # the envelope or anything else.
+        # stat under the retry policy, then reports the slave failed at that
+        # hop and gives the hop up without sending the envelope.
         events: queue.Queue = queue.Queue()
 
         def refuse_stats(frame):
@@ -263,6 +263,9 @@ class TestNodeProcess:
 
             attempts = [decode_control(f) for f in drain(events, 4)]  # 1 attempt, 3 retries
             assert [(d["type"], d["hop"]) for d in attempts] == [("forwarded", 1)] * 4
+            failed = decode_control(events.get(timeout=5.0))
+            assert (failed["type"], failed["hop"]) == ("slave_failed", 1)
+            assert "forwarded stat" in failed["reason"]
             with pytest.raises(queue.Empty):
                 events.get(timeout=1.0)
         finally:
