@@ -52,7 +52,7 @@ from .errors import (
     UnsupportedVersion,
     VerifyFailure,
 )
-from .nodes import HeapStore, Record, SensorNode, load_records_tsv
+from .nodes import HeapStore, SensorNode, load_records_tsv
 from .orchestration import (
     Cluster,
     JobResult,

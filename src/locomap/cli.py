@@ -199,10 +199,10 @@ def _cmd_oracle(args) -> int:
     if not root.is_dir():
         raise ConfigError(f"data directory {root} does not exist")
     spec = _job_spec(args.job)
-    records = []
+    pairs = []
     for path in sorted(root.glob("node_*.tsv")):
-        records.extend(load_records_tsv(path))
-    final = sequential_oracle(spec.task, spec.combine, records)
+        pairs.extend(load_records_tsv(path))
+    final = sequential_oracle(spec.task, spec.combine, pairs)
     _write_output({"job": args.job, "final": final}, args.output)
     return 0
 

@@ -11,34 +11,17 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from operator import attrgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .agents import Agent, AgentRole, NodeId, record_visit
-from .errors import ExecutionError, RoleError, UnknownFunction
+from .errors import ConfigError, ExecutionError, RoleError, UnknownFunction
 from .registry import FunctionRegistry, decode_partial, encode_partial
 
 
-@dataclass(frozen=True)
-class Record:
-    """One sensed datum. Keys are non-empty byte strings."""
-
-    key: bytes
-    value: bytes
-    timestamp_ms: int = 0
-
-    def __post_init__(self):
-        if not self.key:
-            raise ValueError("record key must be non-empty")
-
-    @property
-    def size(self) -> int:
-        return len(self.key) + len(self.value)
-
-
 class HeapStore:
-    """Ordered in-memory key -> records map standing in for a file system.
+    """Ordered in-memory key -> values map standing in for a file system.
 
     Iteration is deterministic: ascending key, insertion order within a
     key. ``total_bytes`` is maintained on every put and always equals the
@@ -46,30 +29,32 @@ class HeapStore:
     """
 
     def __init__(self):
-        self._records: dict[bytes, list[Record]] = {}
+        self._values: dict[bytes, list[bytes]] = {}
         self._keys: list[bytes] | None = None  # sorted; None after a new key
         self.total_bytes = 0
 
-    def put(self, record: Record) -> None:
-        bucket = self._records.setdefault(record.key, [])
+    def put(self, key: bytes, value: bytes) -> None:
+        bucket = self._values.setdefault(key, [])
         if not bucket:
             self._keys = None
-        bucket.append(record)
-        self.total_bytes += record.size
+        bucket.append(value)
+        self.total_bytes += len(key) + len(value)
 
     def _sorted_keys(self) -> list[bytes]:
         if self._keys is None:
-            self._keys = sorted(self._records)
+            self._keys = sorted(self._values)
         return self._keys
 
-    def records_matching(self, selector: bytes) -> Iterator[Record]:
-        """Records whose key starts with ``selector`` (empty matches all)."""
+    def records_matching(self, selector: bytes) -> Iterator[tuple[bytes, list[bytes]]]:
+        """``(key, values)`` buckets whose key starts with ``selector``
+        (empty matches all)."""
         keys = self._sorted_keys()
         # Keys with the prefix are contiguous in sorted order, and cutting
         # every key to the selector's length keeps the list sorted.
         lo = bisect_left(keys, selector)
         hi = bisect_right(keys, selector, lo, key=lambda key: key[: len(selector)])
-        return chain.from_iterable(map(self._records.__getitem__, keys[lo:hi]))
+        found = keys[lo:hi]
+        return zip(found, map(self._values.__getitem__, found))
 
     def has_match(self, selector: bytes) -> bool:
         keys = self._sorted_keys()
@@ -79,25 +64,24 @@ class HeapStore:
 
 @dataclass
 class SensorNode:
-    """One node: identity, heap, and its (modest) resource envelope.
+    """One node: identity, heap, and its (modest) memory envelope.
 
-    ``cpu_rank`` 0 marks a node as unavailable for deployment; the
-    orchestrator skips it. Over-limit ingestion drops records and counts
-    them rather than evicting, because constrained sensors simply fill up.
+    Over-limit ingestion drops records and counts them rather than
+    evicting, because constrained sensors simply fill up.
     """
 
     id: NodeId
     heap: HeapStore = field(default_factory=HeapStore)
     mem_bytes_limit: int = 1 << 30
-    cpu_rank: int = 1
     dropped: int = 0
 
-    def ingest(self, records: Iterable[Record]) -> int:
-        """Append records until the memory limit; returns how many stuck."""
+    def ingest(self, pairs: Iterable[tuple[bytes, bytes]]) -> int:
+        """Append ``(key, value)`` pairs until the memory limit; returns
+        how many stuck."""
         stored = 0
-        for record in records:
-            if self.heap.total_bytes + record.size <= self.mem_bytes_limit:
-                self.heap.put(record)
+        for key, value in pairs:
+            if self.heap.total_bytes + len(key) + len(value) <= self.mem_bytes_limit:
+                self.heap.put(key, value)
                 stored += 1
             else:
                 self.dropped += 1
@@ -129,12 +113,13 @@ class SensorNode:
         partial = decode_partial(agent.payload) if agent.payload else combine.identity()
 
         def emissions():
-            records = self.heap.records_matching(spec.task.input_selector)
+            buckets = self.heap.records_matching(spec.task.input_selector)
             if batch_map is not None:
-                yield from batch_map(map(attrgetter("value"), records))
+                yield from batch_map(chain.from_iterable(map(itemgetter(1), buckets)))
             else:
-                for record in records:
-                    yield from map_fn(record.key, record.value)
+                for key, values in buckets:
+                    for value in values:
+                        yield from map_fn(key, value)
 
         try:
             folded = combine.fold(partial, emissions())
@@ -145,18 +130,20 @@ class SensorNode:
         return replace(visited, payload=encode_partial(folded))
 
 
-def load_records_tsv(path: str | Path) -> list[Record]:
-    """Read newline-delimited ``key<TAB>value`` records.
+def load_records_tsv(path: str | Path) -> list[tuple[bytes, bytes]]:
+    """Read newline-delimited ``key<TAB>value`` records as ``(key, value)``
+    pairs.
 
-    Timestamps are assigned at load as the zero-based line number, which
-    keeps repeated loads byte-for-byte reproducible. Blank lines are
-    skipped; a line without a tab is a record with an empty value.
+    Blank lines are skipped; a line without a tab is a record with an
+    empty value. A line with an empty key raises ConfigError naming the
+    file and the 1-based line number.
     """
-    records = []
-    data = Path(path).read_bytes()
-    for lineno, line in enumerate(data.split(b"\n")):
+    pairs = []
+    for lineno, line in enumerate(Path(path).read_bytes().split(b"\n"), 1):
         if not line:
             continue
         key, _, value = line.partition(b"\t")
-        records.append(Record(key=key, value=value, timestamp_ms=lineno))
-    return records
+        if not key:
+            raise ConfigError(f"{path}, line {lineno}: empty record key")
+        pairs.append((key, value))
+    return pairs

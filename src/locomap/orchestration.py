@@ -322,16 +322,10 @@ class JobPlan:
     reduce_fn: Callable[[Any], Any]
 
 
-def plan_job(
-    spec: JobSpec,
-    topology: Topology,
-    registry: FunctionRegistry,
-    available: Callable[[NodeId], bool] | None = None,
-) -> JobPlan:
+def plan_job(spec: JobSpec, topology: Topology, registry: FunctionRegistry) -> JobPlan:
     """Register the job, check its targets, and split them among slaves.
 
-    Without explicit ``target_nodes`` every sensor node for which
-    ``available`` holds is a target (all of them when it is None).
+    Without explicit ``target_nodes`` every sensor node is a target.
     """
     registry.register_job(spec)
     combine = registry.resolve_combine(spec.combine)
@@ -345,7 +339,7 @@ def plan_job(
             raise ConfigError(f"target nodes {unknown} are not in the topology")
         targets = spec.target_nodes
     else:
-        targets = tuple(n for n in topology.nodes if available is None or available(n))
+        targets = topology.nodes
     slave_count = spec.slave_count if spec.slave_count is not None else len(targets)
     if slave_count == 0:
         raise NoNodes("no target nodes and no explicit slave count; the aggregate would be empty")
@@ -515,7 +509,7 @@ def run_job(
     outside the slave accounting.
     """
     registry = registry or DEFAULT_REGISTRY
-    plan = plan_job(spec, cluster.topology, registry, lambda n: n in cluster.nodes and cluster.nodes[n].cpu_rank > 0)
+    plan = plan_job(spec, cluster.topology, registry)
     callbacks = callbacks if callbacks is not None else LifecycleCallbacks()
     raw_bytes = cluster.raw_data_bytes
 
@@ -540,10 +534,11 @@ def run_job(
 def sequential_oracle(
     task: TaskDescriptor,
     combine_id: str,
-    records,
+    pairs: Iterable[tuple[bytes, bytes]],
     registry: FunctionRegistry | None = None,
 ) -> Any:
-    """Single-process reference: map everything, fold once, reduce.
+    """Single-process reference over ``(key, value)`` pairs: map
+    everything, fold once, reduce.
 
     This is what a run must equal whenever the combine is a commutative
     monoid, regardless of node count, slave count or arrival order.
@@ -554,8 +549,8 @@ def sequential_oracle(
     reduce_fn = registry.resolve_reduce(task.reduce_fn_id)
 
     def emissions():
-        for record in records:
-            if record.key.startswith(task.input_selector):
-                yield from map_fn(record.key, record.value)
+        for key, value in pairs:
+            if key.startswith(task.input_selector):
+                yield from map_fn(key, value)
 
     return reduce_fn(combine.fold(combine.identity(), emissions()))

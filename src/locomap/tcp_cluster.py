@@ -291,7 +291,12 @@ def run_tcp_job(
 
         _collect(events, states, callbacks, plan.combine, deadline)
     finally:
-        if transport is not None:
+        if transport is None:
+            # The cluster never came up, so no node can be sent a shutdown
+            # frame; waiting for them to exit would only sit out the timeout.
+            for proc in procs:
+                proc.kill()
+        else:
             shutdown = encode_control({"type": "shutdown"})
             for node_id in targets:
                 try:

@@ -337,12 +337,11 @@ def main(argv=None) -> int:
         importlib.import_module(args.job_module)
 
     node = SensorNode(id=args.node_id, mem_bytes_limit=args.mem_limit)
-    if args.data_file:
-        stored = node.ingest(load_records_tsv(args.data_file))
-        logger.info("node %s ingested %d records (%d bytes, %d dropped)", node.id, stored, node.heap.total_bytes, node.dropped)
-
     host, _, port = args.master.partition(":")
     try:
+        if args.data_file:
+            stored = node.ingest(load_records_tsv(args.data_file))
+            logger.info("node %s ingested %d records (%d bytes, %d dropped)", node.id, stored, node.heap.total_bytes, node.dropped)
         proc = NodeProcess(node, args.host, args.port, (host, int(port)), registry=DEFAULT_REGISTRY)
         proc.run_until_shutdown()
     except LocomapError as exc:

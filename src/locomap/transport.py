@@ -229,23 +229,19 @@ class SimCpuModel:
 
 
 class SimTransport:
-    """Seeded, queueing, payload-recording simulated network.
+    """Seeded, queueing simulated network.
 
     Each directed link carries at most one envelope at a time; a send
     issued while the link is busy starts when the link frees up. Queueing
     delay shows up in ``started_at``, never inside ``elapsed_s``.
     """
 
-    def __init__(self, topology: Topology, cpu_model: SimCpuModel | None = None, record_payloads: bool = False):
+    def __init__(self, topology: Topology, cpu_model: SimCpuModel | None = None):
         self.topology = topology
         self.cpu_model = cpu_model or SimCpuModel()
         self._rng = random.Random(topology.rng_seed)
         self._link_free_at: dict[tuple[NodeId, NodeId], float] = {}
         self._horizon = 0.0
-        self.record_payloads = record_payloads
-        self.sent_payloads: list[bytes] = []
-        self.bytes_delivered = 0
-        self.bytes_attempted = 0
 
     def send(self, src: NodeId, dst: NodeId, payload: bytes, at: float = 0.0) -> DeliveryReport:
         link = self.topology.link(src, dst)
@@ -254,11 +250,6 @@ class SimTransport:
         completed = started + report.elapsed_s
         self._link_free_at[(src, dst)] = completed
         self._horizon = max(self._horizon, completed)
-        if self.record_payloads:
-            self.sent_payloads.append(payload)
-        if report.delivered:
-            self.bytes_delivered += report.bytes
-        self.bytes_attempted += report.bytes
         return replace(report, started_at=started, completed_at=completed)
 
     def cpu_phase_times(self, envelope_bytes: int) -> tuple[float, float, float]:

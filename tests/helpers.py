@@ -62,9 +62,26 @@ def make_cluster(
     )
     cluster = lm.Cluster.from_topology(topology, mem_bytes_limit=mem_limit)
     for node_id, values in node_values.items():
-        records = [lm.Record(key=b"r%d.%d" % (node_id, i), value=v) for i, v in enumerate(values)]
+        records = [(b"r%d.%d" % (node_id, i), v) for i, v in enumerate(values)]
         cluster.nodes[node_id].ingest(records)
     return cluster, topology
+
+
+def heap_pairs(heap: lm.HeapStore, selector: bytes = b"") -> list[tuple[bytes, bytes]]:
+    """The heap's matching records as (key, value) pairs, in scan order."""
+    return [(key, value) for key, values in heap.records_matching(selector) for value in values]
+
+
+class RecordingTransport(lm.SimTransport):
+    """SimTransport that keeps every payload it is asked to send."""
+
+    def __init__(self, topology: lm.Topology):
+        super().__init__(topology)
+        self.sent_payloads: list[bytes] = []
+
+    def send(self, src, dst, payload: bytes, at: float = 0.0):
+        self.sent_payloads.append(payload)
+        return super().send(src, dst, payload, at=at)
 
 
 def random_workload(rng: random.Random, job: str, n_nodes: int) -> dict[int, list[bytes]]:

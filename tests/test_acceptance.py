@@ -14,6 +14,7 @@ import locomap as lm
 from locomap.cli import main as cli_main
 
 from helpers import (
+    RecordingTransport,
     all_values,
     make_cluster,
     random_workload,
@@ -137,9 +138,9 @@ def test_6_raw_data_never_leaves_a_node(results_only):
     cluster, topo = make_cluster(data, seed=6)
     for node_id in range(1, 9):
         cluster.nodes[node_id].ingest(
-            [lm.Record(key=sentinel + b"/%d/%d" % (node_id, i), value=b"100") for i in range(3)]
+            [(sentinel + b"/%d/%d" % (node_id, i), b"100") for i in range(3)]
         )
-    transport = lm.SimTransport(topo, record_payloads=True)
+    transport = RecordingTransport(topo)
     result = lm.run_job(lm.builtin_job("sum", job_id=1), cluster, transport, results_only=results_only)
 
     assert result.final == {"sum": (7 + 35 + 300) * 8}

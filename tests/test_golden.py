@@ -1,0 +1,29 @@
+"""Sim outputs stay byte-identical to checked-in reference documents.
+
+Each file under ``golden/`` is the exact ``locomap run`` output for one
+case, named ``<topology>_seed<seed>_<flags>.json``. To regenerate one
+after an intended output change, run, from the repository root:
+
+    locomap run --topology configs/iot3.json --data-dir configs/sample_data \
+        --seed 0 --results-only --output tests/golden/iot3_seed0_results-only.json
+"""
+
+from pathlib import Path
+
+import pytest
+
+from locomap.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FLAGS = {"none": [], "results-only": ["--results-only"], "mem-limit-300": ["--mem-limit", "300"]}
+CASES = [(topo, seed, flags) for topo in ("iot3", "iot8") for seed in (0, 1) for flags in FLAGS]
+
+
+@pytest.mark.parametrize("topo,seed,flags", CASES, ids=[f"{t}_seed{s}_{f}" for t, s, f in CASES])
+def test_sim_output_matches_golden(tmp_path, topo, seed, flags):
+    out = tmp_path / "out.json"
+    argv = ["run", "--topology", ROOT / "configs" / f"{topo}.json", "--data-dir", ROOT / "configs" / "sample_data"]
+    argv += ["--seed", seed, *FLAGS[flags], "--output", out]
+    assert main([str(a) for a in argv]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{topo}_seed{seed}_{flags}.json").read_bytes()

@@ -5,7 +5,7 @@ import pytest
 import locomap as lm
 from locomap import AgentRole
 
-from helpers import wordcount_reference
+from helpers import heap_pairs, wordcount_reference
 
 
 def fresh_registry_with_job(job="wordcount", job_id=5, selector=b""):
@@ -19,40 +19,31 @@ def mk_slave(job_id=5, payload=b""):
     return lm.Agent(id=3, role=AgentRole.SLAVE, job_id=job_id, payload=payload)
 
 
-class TestRecord:
-    def test_empty_key_rejected(self):
-        with pytest.raises(ValueError):
-            lm.Record(key=b"", value=b"x")
-
-    def test_size_is_key_plus_value(self):
-        assert lm.Record(key=b"ab", value=b"cde").size == 5
-
-
 class TestHeapStore:
     def test_iteration_is_ascending_by_key(self):
         heap = lm.HeapStore()
         for key in (b"m", b"a", b"z", b"b"):
-            heap.put(lm.Record(key=key, value=b""))
-        assert [r.key for r in heap.records_matching(b"")] == [b"a", b"b", b"m", b"z"]
+            heap.put(key, b"")
+        assert [k for k, _ in heap_pairs(heap)] == [b"a", b"b", b"m", b"z"]
 
     def test_insertion_order_within_a_key(self):
         heap = lm.HeapStore()
-        heap.put(lm.Record(key=b"k", value=b"1"))
-        heap.put(lm.Record(key=b"k", value=b"2"))
-        assert [r.value for r in heap.records_matching(b"")] == [b"1", b"2"]
+        heap.put(b"k", b"1")
+        heap.put(b"k", b"2")
+        assert list(heap.records_matching(b"")) == [(b"k", [b"1", b"2"])]
 
     def test_total_bytes_never_drifts(self):
         rng = random.Random(9)
         heap = lm.HeapStore()
         for _ in range(300):
-            heap.put(lm.Record(key=rng.randbytes(rng.randrange(1, 8)), value=rng.randbytes(rng.randrange(0, 20))))
-            assert heap.total_bytes == sum(r.size for r in heap.records_matching(b""))
+            heap.put(rng.randbytes(rng.randrange(1, 8)), rng.randbytes(rng.randrange(0, 20)))
+            assert heap.total_bytes == sum(len(k) + len(v) for k, v in heap_pairs(heap))
 
     def test_prefix_matching(self):
         heap = lm.HeapStore()
-        heap.put(lm.Record(key=b"temp:1", value=b"a"))
-        heap.put(lm.Record(key=b"hum:1", value=b"b"))
-        assert [r.key for r in heap.records_matching(b"temp:")] == [b"temp:1"]
+        heap.put(b"temp:1", b"a")
+        heap.put(b"hum:1", b"b")
+        assert [k for k, _ in heap_pairs(heap, b"temp:")] == [b"temp:1"]
         assert heap.has_match(b"hum:")
         assert not heap.has_match(b"co2:")
 
@@ -61,18 +52,17 @@ class TestHeapStore:
         # keys both land after the sorted key list was built.
         rng = random.Random(12)
         heap = lm.HeapStore()
-        buckets: dict[bytes, list[lm.Record]] = {}
+        buckets: dict[bytes, list[bytes]] = {}
         for i in range(400):
             key = b"".join(rng.choice([b"a", b"b", b"\x00", b"\xfe", b"\xff"]) for _ in range(rng.randrange(1, 4)))
-            record = lm.Record(key=key, value=b"%d" % i)
-            heap.put(record)
-            buckets.setdefault(key, []).append(record)
+            heap.put(key, b"%d" % i)
+            buckets.setdefault(key, []).append(b"%d" % i)
             if i % 7:
                 continue
             exact = rng.choice(sorted(buckets))
             for selector in (b"", exact, exact[:1], b"c", b"\xff", b"a\xff", b"\xff\xff\xff\xff"):
-                expected = [r for k in sorted(buckets) if k.startswith(selector) for r in buckets[k]]
-                assert list(heap.records_matching(selector)) == expected
+                expected = [(k, v) for k in sorted(buckets) if k.startswith(selector) for v in buckets[k]]
+                assert heap_pairs(heap, selector) == expected
                 assert heap.has_match(selector) == bool(expected)
 
 
@@ -82,21 +72,21 @@ class TestIngest:
 
     def test_all_fit(self):
         node = lm.SensorNode(id=1, mem_bytes_limit=10 * 1024)
-        records = [lm.Record(key=b"k%02d" % i, value=b"v" * 97) for i in range(10)]
+        records = [(b"k%02d" % i, b"v" * 97) for i in range(10)]
         assert node.ingest(records) == 10
         assert node.dropped == 0
 
     def test_capacity_drop(self):
         node = lm.SensorNode(id=1, mem_bytes_limit=10 * 1024)
-        records = [lm.Record(key=b"k", value=b"v" * 4095) for _ in range(3)]
+        records = [(b"k", b"v" * 4095) for _ in range(3)]
         assert node.ingest(records) == 2
         assert node.dropped == 1
         assert node.heap.total_bytes == 2 * 4096
 
     def test_limit_respected_exactly(self):
         node = lm.SensorNode(id=1, mem_bytes_limit=8)
-        assert node.ingest([lm.Record(key=b"abcd", value=b"efgh")]) == 1
-        assert node.ingest([lm.Record(key=b"x", value=b"")]) == 0
+        assert node.ingest([(b"abcd", b"efgh")]) == 1
+        assert node.ingest([(b"x", b"")]) == 0
 
 
 class TestIsEmpty:
@@ -105,12 +95,12 @@ class TestIsEmpty:
 
     def test_after_matching_ingest(self):
         node = lm.SensorNode(id=1)
-        node.ingest([lm.Record(key=b"temp:1", value=b"20")])
+        node.ingest([(b"temp:1", b"20")])
         assert not node.is_empty(b"temp:")
 
     def test_nonmatching_selector(self):
         node = lm.SensorNode(id=1)
-        node.ingest([lm.Record(key=b"temp:1", value=b"20")])
+        node.ingest([(b"temp:1", b"20")])
         assert node.is_empty(b"hum:")
 
 
@@ -118,7 +108,7 @@ class TestHost:
     def test_wordcount_partial_matches_reference(self):
         registry = fresh_registry_with_job()
         node = lm.SensorNode(id=4)
-        node.ingest([lm.Record(key=b"r1", value=b"a b"), lm.Record(key=b"r2", value=b"a")])
+        node.ingest([(b"r1", b"a b"), (b"r2", b"a")])
         hosted = node.host(mk_slave(), registry)
         assert lm.decode_partial(hosted.payload) == wordcount_reference([b"a b", b"a"]) == {"a": 2, "b": 1}
         assert hosted.itinerary == (4,)
@@ -126,9 +116,9 @@ class TestHost:
     def test_partial_accumulates_across_nodes(self):
         registry = fresh_registry_with_job()
         first = lm.SensorNode(id=4)
-        first.ingest([lm.Record(key=b"r", value=b"a b")])
+        first.ingest([(b"r", b"a b")])
         second = lm.SensorNode(id=5)
-        second.ingest([lm.Record(key=b"r", value=b"b c")])
+        second.ingest([(b"r", b"b c")])
         hosted = second.host(first.host(mk_slave(), registry), registry)
         assert lm.decode_partial(hosted.payload) == {"a": 1, "b": 2, "c": 1}
         assert hosted.itinerary == (4, 5)
@@ -142,24 +132,24 @@ class TestHost:
     def test_selector_with_no_matches_leaves_payload_unchanged(self):
         registry = fresh_registry_with_job(selector=b"co2:")
         node = lm.SensorNode(id=4)
-        node.ingest([lm.Record(key=b"temp:1", value=b"a b")])
+        node.ingest([(b"temp:1", b"a b")])
         hosted = node.host(mk_slave(payload=b""), registry)
         assert hosted.payload == b""
 
     def test_heap_is_read_only(self):
         registry = fresh_registry_with_job()
         node = lm.SensorNode(id=4)
-        node.ingest([lm.Record(key=b"r1", value=b"a b"), lm.Record(key=b"r2", value=b"c")])
-        before = [(r.key, r.value, r.timestamp_ms) for r in node.heap.records_matching(b"")]
+        node.ingest([(b"r1", b"a b"), (b"r2", b"c")])
+        before = heap_pairs(node.heap)
         total_before = node.heap.total_bytes
         node.host(mk_slave(), registry)
-        assert [(r.key, r.value, r.timestamp_ms) for r in node.heap.records_matching(b"")] == before
+        assert heap_pairs(node.heap) == before
         assert node.heap.total_bytes == total_before
 
     def test_deterministic_payload_bytes(self):
         registry = fresh_registry_with_job()
         node = lm.SensorNode(id=4)
-        node.ingest([lm.Record(key=b"r%d" % i, value=b"w%d x" % (i % 3)) for i in range(50)])
+        node.ingest([(b"r%d" % i, b"w%d x" % (i % 3)) for i in range(50)])
         assert node.host(mk_slave(), registry).payload == node.host(mk_slave(), registry).payload
 
     def test_unknown_job_raises(self):
@@ -178,7 +168,7 @@ class TestHost:
         spec = lm.JobSpec(job_id=6, task=lm.TaskDescriptor("bad-map", "identity"), combine="sum-by-key")
         registry.register_job(spec)
         node = lm.SensorNode(id=4)
-        node.ingest([lm.Record(key=b"r", value=b"x")])
+        node.ingest([(b"r", b"x")])
         prior = lm.encode_partial({"w": 1})
         agent = mk_slave(job_id=6, payload=prior)
         with pytest.raises(lm.ExecutionError) as info:
@@ -194,15 +184,18 @@ class TestHost:
 
 
 class TestLoadTsv(object):
-    def test_parses_keys_values_and_line_timestamps(self, tmp_path):
+    def test_parses_keys_and_values(self, tmp_path):
         path = tmp_path / "node_1.tsv"
         path.write_bytes(b"k1\tv1\nk2\tv2\n\nk3\t\n")
-        records = lm.load_records_tsv(path)
-        assert [(r.key, r.value) for r in records] == [(b"k1", b"v1"), (b"k2", b"v2"), (b"k3", b"")]
-        assert [r.timestamp_ms for r in records] == [0, 1, 3]
+        assert lm.load_records_tsv(path) == [(b"k1", b"v1"), (b"k2", b"v2"), (b"k3", b"")]
 
     def test_line_without_tab_is_empty_value(self, tmp_path):
         path = tmp_path / "d.tsv"
         path.write_bytes(b"lonelykey\n")
-        (record,) = lm.load_records_tsv(path)
-        assert (record.key, record.value) == (b"lonelykey", b"")
+        assert lm.load_records_tsv(path) == [(b"lonelykey", b"")]
+
+    def test_empty_key_rejected(self, tmp_path):
+        path = tmp_path / "node_2.tsv"
+        path.write_bytes(b"k1\tv1\n\n\torphan value\n")
+        with pytest.raises(lm.ConfigError, match=r"node_2\.tsv, line 3: empty record key"):
+            lm.load_records_tsv(path)

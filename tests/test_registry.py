@@ -6,7 +6,7 @@ import locomap as lm
 from locomap import registry as registry_module
 from locomap.registry import SUM_BY_KEY, sum_map, wordcount_map
 
-from helpers import make_cluster
+from helpers import heap_pairs, make_cluster
 
 # Byte runs that stress the decode-and-split step: valid and truncated
 # UTF-8, stray continuation and invalid bytes, and whitespace that only
@@ -132,8 +132,8 @@ def run_against_oracle(spec, registry) -> dict:
     """``run_job`` over a fixed two-node cluster; its final must equal the oracle's."""
     cluster, topo = make_cluster({1: [b"a b a"], 2: [b"b c"]})
     result = lm.run_job(spec, cluster, lm.SimTransport(topo), registry=registry)
-    records = [r for node_id in sorted(cluster.nodes) for r in cluster.nodes[node_id].heap.records_matching(b"")]
-    assert result.final == lm.sequential_oracle(spec.task, spec.combine, records, registry)
+    pairs = [p for node_id in sorted(cluster.nodes) for p in heap_pairs(cluster.nodes[node_id].heap)]
+    assert result.final == lm.sequential_oracle(spec.task, spec.combine, pairs, registry)
     return result.final
 
 

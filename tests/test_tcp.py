@@ -77,7 +77,7 @@ class TestNodeProcess:
     def test_hosts_then_forwards_the_agent_home(self, master_inbox):
         server, events = master_inbox
         node = lm.SensorNode(id=1)
-        node.ingest([lm.Record(key=b"r", value=b"a b a")])
+        node.ingest([(b"r", b"a b a")])
         proc = start_node(node, server)
         try:
             transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
@@ -111,7 +111,7 @@ class TestNodeProcess:
     def test_results_only_ships_a_result_message(self, master_inbox):
         server, events = master_inbox
         node = lm.SensorNode(id=1)
-        node.ingest([lm.Record(key=b"r", value=b"x y")])
+        node.ingest([(b"r", b"x y")])
         proc = start_node(node, server)
         try:
             transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
@@ -169,9 +169,9 @@ class TestNodeProcess:
     def test_lost_ack_hosts_the_agent_once(self, master_inbox, monkeypatch):
         server, events = master_inbox
         node1 = lm.SensorNode(id=1)
-        node1.ingest([lm.Record(key=b"r", value=b"a b")])
+        node1.ingest([(b"r", b"a b")])
         node2 = lm.SensorNode(id=2)
-        node2.ingest([lm.Record(key=b"s", value=b"a")])
+        node2.ingest([(b"s", b"a")])
         proc1 = start_node(node1, server)
         proc2 = start_node(node2, server)
         hosted = []
@@ -247,7 +247,7 @@ class TestNodeProcess:
         server = FrameServer("127.0.0.1", 0, refuse_stats)
         server.start()
         node = lm.SensorNode(id=1)
-        node.ingest([lm.Record(key=b"r", value=b"a")])
+        node.ingest([(b"r", b"a")])
         proc = start_node(node, server)
         try:
             transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
@@ -276,7 +276,7 @@ class TestNodeProcess:
     def test_concurrent_repeats_are_accepted_once(self, master_inbox):
         server, events = master_inbox
         node = lm.SensorNode(id=1)
-        node.ingest([lm.Record(key=b"r", value=b"a")])
+        node.ingest([(b"r", b"a")])
         proc = start_node(node, server)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -438,6 +438,21 @@ class TestRunTcpJob:
         spec = lm.builtin_job("wordcount", job_id=1, target_nodes=[1, 7])
         with pytest.raises(lm.ConfigError, match=r"\[7\]"):
             lm.run_tcp_job(spec, topology, None)
+
+    def test_bad_data_file_fails_fast_and_the_node_says_why(self, tmp_path):
+        data_dir = write_node_files(tmp_path, {1: [b"a"], 2: [b"b"], 3: [b"c"]})
+        (data_dir / "node_2.tsv").write_bytes(b"k0\tb\n\tno key\n")
+        topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
+        spec = lm.builtin_job("wordcount", job_id=1)
+        timeout_s = 2.0
+        started = time.monotonic()
+        with pytest.raises(lm.ConfigError, match=r"nodes \[2\] never announced"):
+            lm.run_tcp_job(spec, topology, data_dir, timeout_s=timeout_s, log_dir=tmp_path / "logs")
+        # Nodes 1 and 3 came up and never got a shutdown frame; they are
+        # killed rather than waited on.
+        assert time.monotonic() - started < timeout_s + 2
+        log = (tmp_path / "logs" / "node_2.log").read_text()
+        assert "node 2 aborting" in log and "node_2.tsv, line 2: empty record key" in log
 
     def test_node_killed_mid_tour_fails_only_its_slave(self, tmp_path, monkeypatch):
         # A map function that kills its node process on a "die" record. The

@@ -151,20 +151,6 @@ class TestSimTransportClock:
         assert second.completed_at == 2.0
         assert second.elapsed_s == 1.0  # queueing never hides inside elapsed
 
-    def test_payload_recording_is_opt_in(self):
-        transport = self.mk()
-        transport.send(0, 1, b"abc")
-        assert transport.sent_payloads == []
-        recording = lm.SimTransport(transport.topology, record_payloads=True)
-        recording.send(0, 1, b"abc")
-        assert recording.sent_payloads == [b"abc"]
-
-    def test_byte_counters(self):
-        transport = self.mk(failure=1.0)
-        transport.send(0, 1, b"abcd")
-        assert transport.bytes_attempted == 4
-        assert transport.bytes_delivered == 0
-
 
 class TestFraming:
     def test_roundtrip_over_a_socketpair(self):
