@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
 
 from .agents import Agent, AgentRole, NodeId, record_visit
 from .errors import ConfigError, ExecutionError, RoleError, UnknownFunction
@@ -21,45 +19,44 @@ from .registry import FunctionRegistry, decode_partial, encode_partial
 
 
 class HeapStore:
-    """Ordered in-memory key -> values map standing in for a file system.
+    """Ordered in-memory ``(key, value)`` records standing in for a file system.
 
     Iteration is deterministic: ascending key, insertion order within a
-    key. ``total_bytes`` is maintained on every put and always equals the
+    key. ``total_bytes`` is maintained on every extend and always equals the
     sum of stored key+value sizes.
     """
 
     def __init__(self):
-        self._values: dict[bytes, list[bytes]] = {}
-        self._keys: list[bytes] | None = None  # sorted; None after a new key
+        self._records: list[tuple[bytes, bytes]] = []
+        self._sorted = True
         self.total_bytes = 0
 
-    def put(self, key: bytes, value: bytes) -> None:
-        bucket = self._values.setdefault(key, [])
-        if not bucket:
-            self._keys = None
-        bucket.append(value)
-        self.total_bytes += len(key) + len(value)
+    def extend(self, records: list[tuple[bytes, bytes]]) -> None:
+        """Store ``(key, value)`` tuples as given."""
+        self._records += records
+        self._sorted = False
+        self.total_bytes += sum(map(len, map(itemgetter(0), records))) + sum(map(len, map(itemgetter(1), records)))
 
-    def _sorted_keys(self) -> list[bytes]:
-        if self._keys is None:
-            self._keys = sorted(self._values)
-        return self._keys
+    def _sorted_records(self) -> list[tuple[bytes, bytes]]:
+        if not self._sorted:
+            # Stable and by key alone: records under one key keep insertion order.
+            self._records.sort(key=itemgetter(0))
+            self._sorted = True
+        return self._records
 
-    def records_matching(self, selector: bytes) -> Iterator[tuple[bytes, list[bytes]]]:
-        """``(key, values)`` buckets whose key starts with ``selector``
-        (empty matches all)."""
-        keys = self._sorted_keys()
+    def records_matching(self, selector: bytes) -> list[tuple[bytes, bytes]]:
+        """Records whose key starts with ``selector`` (empty matches all)."""
+        records = self._sorted_records()
         # Keys with the prefix are contiguous in sorted order, and cutting
         # every key to the selector's length keeps the list sorted.
-        lo = bisect_left(keys, selector)
-        hi = bisect_right(keys, selector, lo, key=lambda key: key[: len(selector)])
-        found = keys[lo:hi]
-        return zip(found, map(self._values.__getitem__, found))
+        lo = bisect_left(records, selector, key=itemgetter(0))
+        hi = bisect_right(records, selector, lo, key=lambda record: record[0][: len(selector)])
+        return records[lo:hi]
 
     def has_match(self, selector: bytes) -> bool:
-        keys = self._sorted_keys()
-        i = bisect_left(keys, selector)
-        return i < len(keys) and keys[i].startswith(selector)
+        records = self._sorted_records()
+        i = bisect_left(records, selector, key=itemgetter(0))
+        return i < len(records) and records[i][0].startswith(selector)
 
 
 @dataclass
@@ -75,17 +72,19 @@ class SensorNode:
     mem_bytes_limit: int = 1 << 30
     dropped: int = 0
 
-    def ingest(self, pairs: Iterable[tuple[bytes, bytes]]) -> int:
-        """Append ``(key, value)`` pairs until the memory limit; returns
-        how many stuck."""
-        stored = 0
-        for key, value in pairs:
-            if self.heap.total_bytes + len(key) + len(value) <= self.mem_bytes_limit:
-                self.heap.put(key, value)
-                stored += 1
-            else:
-                self.dropped += 1
-        return stored
+    def ingest(self, pairs: list[tuple[bytes, bytes]]) -> int:
+        """Store the ``(key, value)`` tuples that fit in the memory limit;
+        returns how many stuck."""
+        room = self.mem_bytes_limit - self.heap.total_bytes
+        kept = []
+        for record in pairs:
+            size = len(record[0]) + len(record[1])
+            if size <= room:
+                room -= size
+                kept.append(record)
+        self.dropped += len(pairs) - len(kept)
+        self.heap.extend(kept)
+        return len(kept)
 
     def is_empty(self, selector: bytes = b"") -> bool:
         return not self.heap.has_match(selector)
@@ -113,13 +112,12 @@ class SensorNode:
         partial = decode_partial(agent.payload) if agent.payload else combine.identity()
 
         def emissions():
-            buckets = self.heap.records_matching(spec.task.input_selector)
+            records = self.heap.records_matching(spec.task.input_selector)
             if batch_map is not None:
-                yield from batch_map(chain.from_iterable(map(itemgetter(1), buckets)))
+                yield from batch_map(map(itemgetter(1), records))
             else:
-                for key, values in buckets:
-                    for value in values:
-                        yield from map_fn(key, value)
+                for key, value in records:
+                    yield from map_fn(key, value)
 
         try:
             folded = combine.fold(partial, emissions())

@@ -165,6 +165,9 @@ def _sbk_identity() -> dict:
 
 
 def _sbk_merge(a: dict, b: dict) -> dict:
+    # The merge commutes, so copy the larger side and add the smaller one.
+    if len(a) < len(b):
+        a, b = b, a
     out = dict(a)
     for key, value in b.items():
         out[key] = out.get(key, 0) + value

@@ -16,6 +16,7 @@ import os
 import queue
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -82,8 +83,17 @@ class _SlaveState:
         )
 
 
+def _watch_exit(proc: subprocess.Popen, node_id: int, events: queue.Queue) -> None:
+    """Block until the node process exits, then report it on ``events``."""
+    code = proc.wait()
+    events.put(encode_control({"type": "node_exited", "node": node_id, "code": code}))
+
+
 def _await_ready(events: queue.Queue, expected: list[int], deadline: float):
-    """Wait for every node's ready announcement; returns (addresses, raw_bytes)."""
+    """Wait for every node's ready announcement; returns (addresses, raw_bytes).
+
+    A node process that exits first fails the wait at once.
+    """
     addresses: dict[int, tuple[str, int]] = {}
     raw_bytes = 0
     waiting = set(expected)
@@ -99,6 +109,8 @@ def _await_ready(events: queue.Queue, expected: list[int], deadline: float):
             logger.warning("unexpected frame before the cluster was ready; dropping it")
             continue
         doc = decode_control(frame)
+        if doc.get("type") == "node_exited":
+            raise ConfigError(f"node {doc['node']} exited with code {doc['code']} before the cluster was ready")
         if doc.get("type") != "node_ready":
             logger.warning("unexpected control %r before the cluster was ready", doc.get("type"))
             continue
@@ -212,6 +224,7 @@ def run_tcp_job(
     server = FrameServer(host, base_port, events.put)
     server.start()
     procs: list[subprocess.Popen] = []
+    watchers: list[threading.Thread] = []
     log_files: list = []
     transport: TcpTransport | None = None
     started = time.monotonic()
@@ -250,6 +263,8 @@ def run_tcp_job(
                 stderr = open(Path(log_dir) / f"node_{node_id}.log", "w")
                 log_files.append(stderr)
             procs.append(subprocess.Popen(cmd, stderr=stderr, env=env))
+            watchers.append(threading.Thread(target=_watch_exit, args=(procs[-1], node_id, events), daemon=True))
+            watchers[-1].start()
 
         addresses, raw_bytes = _await_ready(events, list(targets), deadline)
         transport = TcpTransport({**addresses, master: (server.host, server.port)})
@@ -309,6 +324,8 @@ def run_tcp_job(
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait(timeout=5.0)
+        for watcher in watchers:
+            watcher.join(timeout=5.0)
         server.stop()
         for fh in log_files:
             fh.close()

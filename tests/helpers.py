@@ -69,7 +69,7 @@ def make_cluster(
 
 def heap_pairs(heap: lm.HeapStore, selector: bytes = b"") -> list[tuple[bytes, bytes]]:
     """The heap's matching records as (key, value) pairs, in scan order."""
-    return [(key, value) for key, values in heap.records_matching(selector) for value in values]
+    return list(heap.records_matching(selector))
 
 
 class RecordingTransport(lm.SimTransport):

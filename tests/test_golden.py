@@ -16,7 +16,12 @@ from locomap.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
-FLAGS = {"none": [], "results-only": ["--results-only"], "mem-limit-300": ["--mem-limit", "300"]}
+FLAGS = {
+    "none": [],
+    "results-only": ["--results-only"],
+    "mem-limit-300": ["--mem-limit", "300"],
+    "mem-limit-20": ["--mem-limit", "20"],
+}
 CASES = [(topo, seed, flags) for topo in ("iot3", "iot8") for seed in (0, 1) for flags in FLAGS]
 
 

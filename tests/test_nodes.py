@@ -23,39 +23,39 @@ class TestHeapStore:
     def test_iteration_is_ascending_by_key(self):
         heap = lm.HeapStore()
         for key in (b"m", b"a", b"z", b"b"):
-            heap.put(key, b"")
+            heap.extend([(key, b"")])
         assert [k for k, _ in heap_pairs(heap)] == [b"a", b"b", b"m", b"z"]
 
     def test_insertion_order_within_a_key(self):
         heap = lm.HeapStore()
-        heap.put(b"k", b"1")
-        heap.put(b"k", b"2")
-        assert list(heap.records_matching(b"")) == [(b"k", [b"1", b"2"])]
+        heap.extend([(b"k", b"1")])
+        heap.extend([(b"k", b"2")])
+        assert list(heap.records_matching(b"")) == [(b"k", b"1"), (b"k", b"2")]
 
     def test_total_bytes_never_drifts(self):
         rng = random.Random(9)
         heap = lm.HeapStore()
         for _ in range(300):
-            heap.put(rng.randbytes(rng.randrange(1, 8)), rng.randbytes(rng.randrange(0, 20)))
+            heap.extend([(rng.randbytes(rng.randrange(1, 8)), rng.randbytes(rng.randrange(0, 20)))])
             assert heap.total_bytes == sum(len(k) + len(v) for k, v in heap_pairs(heap))
 
     def test_prefix_matching(self):
         heap = lm.HeapStore()
-        heap.put(b"temp:1", b"a")
-        heap.put(b"hum:1", b"b")
+        heap.extend([(b"temp:1", b"a")])
+        heap.extend([(b"hum:1", b"b")])
         assert [k for k, _ in heap_pairs(heap, b"temp:")] == [b"temp:1"]
         assert heap.has_match(b"hum:")
         assert not heap.has_match(b"co2:")
 
     def test_index_equals_naive_prefix_filter(self):
-        # Scans run between puts, so new keys and new records under known
-        # keys both land after the sorted key list was built.
+        # Scans run between extends, so new keys and new records under known
+        # keys both land after the list was last sorted.
         rng = random.Random(12)
         heap = lm.HeapStore()
         buckets: dict[bytes, list[bytes]] = {}
         for i in range(400):
             key = b"".join(rng.choice([b"a", b"b", b"\x00", b"\xfe", b"\xff"]) for _ in range(rng.randrange(1, 4)))
-            heap.put(key, b"%d" % i)
+            heap.extend([(key, b"%d" % i)])
             buckets.setdefault(key, []).append(b"%d" % i)
             if i % 7:
                 continue

@@ -70,6 +70,17 @@ class TestCombineAlgebra:
         with pytest.raises(lm.ConfigError):
             registry.register_combine(bad)
 
+    @pytest.mark.parametrize("a", [{}, {"x": 1}], ids=["identity", "smaller"])
+    def test_merge_neither_mutates_nor_aliases_a_larger_b(self, a):
+        b = {"x": 2, "y": 3}
+        a_before, b_before = dict(a), dict(b)
+        out = SUM_BY_KEY.merge(a, b)
+        assert out == {"x": 2 + a.get("x", 0), "y": 3}
+        assert a == a_before and b == b_before
+        assert out is not a and out is not b
+        out["z"] = 1
+        assert "z" not in a and "z" not in b
+
     def test_fast_fold_equals_generic_fold(self):
         rng = random.Random(2)
         for _ in range(30):
