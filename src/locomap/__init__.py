@@ -7,6 +7,8 @@ node. The package ships a deterministic network simulator, a real TCP
 mode, cost experiments, and a CLI.
 """
 
+import importlib
+
 from .agents import (
     Agent,
     AgentId,
@@ -18,16 +20,6 @@ from .agents import (
     duplicate,
     next_destination,
     record_visit,
-)
-from .cost import (
-    BaselineParams,
-    ComparisonReport,
-    CostRecord,
-    compare,
-    duplication_experiment,
-    hadoop_baseline,
-    migration_experiment,
-    write_cost_csv,
 )
 from .envelope import MigrationOutcome, MigrationPhases, envelope_size, migrate, pack, unpack
 from .errors import (
@@ -79,7 +71,6 @@ from .registry import (
     decode_partial,
     encode_partial,
 )
-from .tcp_cluster import run_tcp_job
 from .transport import (
     DeliveryReport,
     LINK_PRESETS,
@@ -92,3 +83,16 @@ from .transport import (
 )
 
 __version__ = "0.1.0"
+
+# Loaded on first use, so that a node process, which imports only
+# locomap.tcp_node, loads neither the cost experiments nor the master.
+_LAZY = dict.fromkeys(
+    ("BaselineParams", "ComparisonReport", "CostRecord", "compare", "duplication_experiment", "hadoop_baseline", "migration_experiment", "write_cost_csv"),
+    "cost",
+) | {"run_tcp_job": "tcp_cluster"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)

@@ -1,19 +1,21 @@
 """Master-side supervision for TCP mode.
 
-The master (this process) launches one node process per sensor node,
-waits for them to announce themselves, registers the job everywhere,
-injects the slaves, and then collects whatever comes back: arriving
-agents, remote result messages, failure notices and forwarding stats.
-Byte accounting matches the simulator's: envelope bytes for every hop
-plus result message bytes; control traffic is not data-plane and is
-not counted.
+The master (this process) starts one launcher process, which forks a
+node process per sensor node. The master waits for the nodes to announce
+themselves, registers the job everywhere, injects the slaves, and then
+collects whatever comes back: arriving agents, remote result messages,
+failure notices and forwarding stats. Byte accounting matches the
+simulator's: envelope bytes for every hop plus result message bytes;
+control traffic is not data-plane and is not counted.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import queue
+import signal
 import subprocess
 import sys
 import threading
@@ -55,11 +57,13 @@ class _SlaveState:
     number is the slave's itinerary length when it left: 0 for the
     master's dispatch, then one more per node visited. Keying by hop makes
     a repeated stat count once and lets a failed hop be taken back.
+    ``holder`` is where the last counted hop went.
     """
 
     agent_id: int
     partition: tuple
     hops: dict[int, int] = field(default_factory=dict)
+    holder: int | None = None
     message: ResultMessage | None = None
     message_bytes: int = 0
     fail_reason: str | None = None
@@ -83,16 +87,16 @@ class _SlaveState:
         )
 
 
-def _watch_exit(proc: subprocess.Popen, node_id: int, events: queue.Queue) -> None:
-    """Block until the node process exits, then report it on ``events``."""
-    code = proc.wait()
-    events.put(encode_control({"type": "node_exited", "node": node_id, "code": code}))
+def _watch_exit(launcher: subprocess.Popen, events: queue.Queue) -> None:
+    """Block until the launcher exits, then report it on ``events``."""
+    code = launcher.wait()
+    events.put(encode_control({"type": "launcher_exited", "code": code}))
 
 
 def _await_ready(events: queue.Queue, expected: list[int], deadline: float):
     """Wait for every node's ready announcement; returns (addresses, raw_bytes).
 
-    A node process that exits first fails the wait at once.
+    A node, or the launcher, that exits first fails the wait at once.
     """
     addresses: dict[int, tuple[str, int]] = {}
     raw_bytes = 0
@@ -111,6 +115,8 @@ def _await_ready(events: queue.Queue, expected: list[int], deadline: float):
         doc = decode_control(frame)
         if doc.get("type") == "node_exited":
             raise ConfigError(f"node {doc['node']} exited with code {doc['code']} before the cluster was ready")
+        if doc.get("type") == "launcher_exited":
+            raise ConfigError(f"the node launcher exited with code {doc['code']} before the cluster was ready")
         if doc.get("type") != "node_ready":
             logger.warning("unexpected control %r before the cluster was ready", doc.get("type"))
             continue
@@ -131,6 +137,13 @@ def _collect(events: queue.Queue, states: dict[int, "_SlaveState"], callbacks, c
     resolution therefore loses no stat. A ``slave_failed`` takes back the
     stat of the hop it names, and every frame for a slave that has already
     resolved is ignored, so repeated and late frames change nothing.
+
+    A ``node_exited`` fails every unresolved slave that the node holds.
+    The launcher reports an exit only once the node is gone, so every
+    frame the node had acked, and every stat it sent, is queued ahead of
+    the report. One case goes undetected until the deadline: a node that
+    dies between its acked stat and the forward, since the stat has
+    already moved the slave to the next node.
     """
 
     def pending(agent_id: int) -> "_SlaveState | None":
@@ -172,12 +185,17 @@ def _collect(events: queue.Queue, states: dict[int, "_SlaveState"], callbacks, c
                 state = pending(int(doc["agent_id"]))
                 if state is not None:
                     state.hops[int(doc["hop"])] = int(doc["bytes"])
+                    state.holder = int(doc["dst"])
             elif kind == "slave_failed":
                 state = pending(int(doc["agent_id"]))
                 if state is not None:
                     if doc.get("hop") is not None:
                         state.hops.pop(int(doc["hop"]), None)
                     state.fail_reason = doc.get("reason") or "remote failure"
+            elif kind == "node_exited":
+                for state in states.values():
+                    if not state.resolved and state.holder == doc["node"]:
+                        state.fail_reason = f"node {doc['node']} exited with code {doc['code']} while holding the slave"
             elif kind != "node_ready":
                 logger.warning("ignoring control message %r", kind)
 
@@ -208,14 +226,15 @@ def run_tcp_job(
     job_module: str = "",
     log_dir: str | Path | None = None,
 ) -> JobResult:
-    """Run one job over freshly spawned local node processes.
+    """Run one job over freshly forked local node processes.
 
     With ``base_port`` 0 every listener picks a free ephemeral port and
     the master learns node ports from their ready announcements; a
     nonzero value puts the master at base_port and node i at
-    base_port+1+i. Child stderr goes to ``log_dir`` (one file per node)
-    when given. Data files are looked up as ``node_<id>.tsv`` under
-    ``data_dir`` and loaded by the node processes themselves.
+    base_port+1+i. With ``log_dir``, node stderr goes there (one file per
+    node) and the launcher's to ``launcher.log``. Data files are looked
+    up as ``node_<id>.tsv`` under ``data_dir`` and loaded by the node
+    processes themselves.
     """
     plan = plan_job(spec, topology, DEFAULT_REGISTRY)
     master, targets = plan.master, plan.targets
@@ -223,48 +242,29 @@ def run_tcp_job(
     events: queue.Queue = queue.Queue()
     server = FrameServer(host, base_port, events.put)
     server.start()
-    procs: list[subprocess.Popen] = []
-    watchers: list[threading.Thread] = []
-    log_files: list = []
+    launcher: subprocess.Popen | None = None
     transport: TcpTransport | None = None
     started = time.monotonic()
     deadline = started + timeout_s
 
     try:
+        cmd = [sys.executable, "-m", "locomap.tcp_node", "--host", host, "--master", f"{server.host}:{server.port}"]
+        cmd += ["--mem-limit", str(node_mem_limit), "--job-module", job_module]
+        for index, node_id in enumerate(targets):
+            data_file = Path(data_dir) / f"node_{node_id}.tsv" if data_dir is not None else None
+            cmd += ["--node-id", str(node_id), "--port", str(0 if base_port == 0 else base_port + 1 + index)]
+            cmd += ["--data-file", str(data_file) if data_file is not None and data_file.exists() else ""]
         pkg_root = str(Path(__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = pkg_root + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-        for index, node_id in enumerate(targets):
-            port = 0 if base_port == 0 else base_port + 1 + index
-            cmd = [
-                sys.executable,
-                "-m",
-                "locomap.tcp_node",
-                "--node-id",
-                str(node_id),
-                "--host",
-                host,
-                "--port",
-                str(port),
-                "--master",
-                f"{server.host}:{server.port}",
-                "--mem-limit",
-                str(node_mem_limit),
-            ]
-            if data_dir is not None:
-                data_file = Path(data_dir) / f"node_{node_id}.tsv"
-                if data_file.exists():
-                    cmd += ["--data-file", str(data_file)]
-            if job_module:
-                cmd += ["--job-module", job_module]
-            stderr = subprocess.DEVNULL
-            if log_dir is not None:
-                Path(log_dir).mkdir(parents=True, exist_ok=True)
-                stderr = open(Path(log_dir) / f"node_{node_id}.log", "w")
-                log_files.append(stderr)
-            procs.append(subprocess.Popen(cmd, stderr=stderr, env=env))
-            watchers.append(threading.Thread(target=_watch_exit, args=(procs[-1], node_id, events), daemon=True))
-            watchers[-1].start()
+        if log_dir is None:
+            launcher = subprocess.Popen(cmd, stderr=subprocess.DEVNULL, env=env, start_new_session=True)
+        else:
+            Path(log_dir).mkdir(parents=True, exist_ok=True)
+            with open(Path(log_dir) / "launcher.log", "w") as stderr:
+                launcher = subprocess.Popen(cmd + ["--log-dir", str(log_dir)], stderr=stderr, env=env, start_new_session=True)
+        watcher = threading.Thread(target=_watch_exit, args=(launcher, events), daemon=True)
+        watcher.start()
 
         addresses, raw_bytes = _await_ready(events, list(targets), deadline)
         transport = TcpTransport({**addresses, master: (server.host, server.port)})
@@ -300,35 +300,35 @@ def run_tcp_job(
             _, fail = send(state.partition[0], envelope)
             if fail is None:
                 state.hops[0] = len(envelope)
+                state.holder = state.partition[0]
             else:
                 logger.error("could not dispatch agent %s: %s", slave.id, fail)
                 state.fail_reason = f"could not dispatch to node {state.partition[0]}"
 
         _collect(events, states, callbacks, plan.combine, deadline)
     finally:
-        if transport is None:
-            # The cluster never came up, so no node can be sent a shutdown
-            # frame; waiting for them to exit would only sit out the timeout.
-            for proc in procs:
-                proc.kill()
-        else:
-            shutdown = encode_control({"type": "shutdown"})
-            for node_id in targets:
-                try:
-                    transport.send(master, node_id, shutdown)
-                except TransportFailure:
-                    pass
-        for proc in procs:
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=5.0)
-        for watcher in watchers:
+        if launcher is not None:
+            if transport is None:
+                # The cluster never came up, so no node can be sent a shutdown
+                # frame. SIGTERM stops the nodes; the launcher ignores it, reaps
+                # them and exits. The group is gone when the launcher exited first.
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(launcher.pid, signal.SIGTERM)
+            else:
+                shutdown = encode_control({"type": "shutdown"})
+                for node_id in targets:
+                    try:
+                        transport.send(master, node_id, shutdown)
+                    except TransportFailure:
+                        pass
+            # The launcher reaps every node before it exits, so once it is
+            # reaped here no node outlives the job and the nodes' CPU time
+            # is in this process's RUSAGE_CHILDREN.
             watcher.join(timeout=5.0)
+            if watcher.is_alive():
+                os.killpg(launcher.pid, signal.SIGKILL)
+                watcher.join()
         server.stop()
-        for fh in log_files:
-            fh.close()
 
     wall_time_s = time.monotonic() - started
     messages = [state.message for state in states.values() if state.message is not None]

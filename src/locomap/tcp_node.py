@@ -1,8 +1,13 @@
-"""Standalone sensor-node process for TCP mode.
+"""Sensor node processes for TCP mode.
 
-Run as ``python -m locomap.tcp_node``. The process loads its data file
-into a heap store, listens for framed messages, and handles three kinds
-of traffic, told apart by the first four bytes of each frame:
+Run as ``python -m locomap.tcp_node --node-id N [--node-id M ...]``. The
+process is a launcher: it imports the node code and any ``--job-module``
+once, then forks one node process per ``--node-id``, reaps each, tells
+the master with a ``node_exited`` control frame (node id, exit code), and
+exits when every node has. A job module must therefore start no thread
+at import. Each node loads its data file into a heap store, listens for
+framed messages, and handles three kinds of traffic, told apart by the
+first four bytes of each frame:
 
   - ``LMAP`` agent envelopes: host the agent over the local heap, pick
     the next hop, and forward it on a fresh connection.
@@ -31,9 +36,11 @@ import importlib
 import json
 import logging
 import os
+import signal
 import socket
 import sys
 import threading
+import time
 from dataclasses import dataclass
 
 from .agents import Agent, LifecycleCallbacks, NodeId, TaskDescriptor, next_destination
@@ -316,38 +323,82 @@ class NodeProcess:
         return self._send(self._master, "master", encode_control(doc))
 
 
+def _serve(args, node_id: int, port: int, data_file: str, master: tuple[str, int]) -> int:
+    """One forked node: load its data file, serve until shutdown; the exit code."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    node = SensorNode(id=node_id, mem_bytes_limit=args.mem_limit)
+    try:
+        if args.log_dir:
+            log = os.open(os.path.join(args.log_dir, f"node_{node_id}.log"), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+            os.dup2(log, 2)
+            os.close(log)
+        if data_file:
+            stored = node.ingest(load_records_tsv(data_file))
+            logger.info("node %s ingested %d records (%d bytes, %d dropped)", node.id, stored, node.heap.total_bytes, node.dropped)
+        proc = NodeProcess(node, args.host, port, master, registry=DEFAULT_REGISTRY)
+        proc.run_until_shutdown()
+    except LocomapError as exc:
+        logger.error("node %s aborting: %s", node_id, exc)
+        return 1
+    except Exception:
+        logger.exception("node %s crashed", node_id)
+        return 1
+    return 0
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="locomap-node", description="Sensor node process for TCP mode")
-    parser.add_argument("--node-id", type=int, required=True)
+    parser = argparse.ArgumentParser(prog="locomap-node", description="Launcher that forks one sensor node process per --node-id")
+    parser.add_argument("--node-id", type=int, action="append", required=True, help="repeat once per node")
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=0, help="0 picks a free port; the master learns it from node_ready")
+    parser.add_argument("--port", type=int, action="append", help="once per --node-id, in order; 0 (the default) picks a free port")
     parser.add_argument("--master", required=True, help="host:port of the master listener")
-    parser.add_argument("--data-file", default="", help="TSV records to ingest at startup")
+    parser.add_argument("--data-file", action="append", help="once per --node-id, in order: TSV records to ingest at startup, or ''")
     parser.add_argument("--mem-limit", type=int, default=1 << 30)
-    parser.add_argument("--job-module", default="", help="module imported at startup to register custom functions")
+    parser.add_argument("--job-module", default="", help="module imported before the fork to register custom functions")
+    parser.add_argument("--log-dir", default="", help="each node's stderr goes to node_<id>.log here")
     args = parser.parse_args(argv)
+    nodes = args.node_id
+    ports = args.port or [0] * len(nodes)
+    data_files = args.data_file or [""] * len(nodes)
+    if len(ports) != len(nodes) or len(data_files) != len(nodes):
+        parser.error("give --port and --data-file once per --node-id, or not at all")
 
     logging.basicConfig(
         level=os.environ.get("LOCOMAP_LOG", "INFO").upper(),
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
-        stream=sys.stderr,
     )
 
     if args.job_module:
         importlib.import_module(args.job_module)
+    host, _, master_port = args.master.partition(":")
+    master = (host, int(master_port))
 
-    node = SensorNode(id=args.node_id, mem_bytes_limit=args.mem_limit)
-    host, _, port = args.master.partition(":")
-    try:
-        if args.data_file:
-            stored = node.ingest(load_records_tsv(args.data_file))
-            logger.info("node %s ingested %d records (%d bytes, %d dropped)", node.id, stored, node.heap.total_bytes, node.dropped)
-        proc = NodeProcess(node, args.host, args.port, (host, int(port)), registry=DEFAULT_REGISTRY)
-        proc.run_until_shutdown()
-    except LocomapError as exc:
-        logger.error("node %s aborting: %s", args.node_id, exc)
-        return 1
-    return 0
+    # A SIGTERM to the process group stops the nodes but not the launcher,
+    # which then reaps them and reports their exits like any other.
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    children: dict[int, int] = {}
+    for node_id, port, data_file in zip(nodes, ports, data_files):
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = _serve(args, node_id, port, data_file, master)
+            finally:
+                os._exit(code)
+        children[pid] = node_id
+
+    transport = TcpTransport({"master": master})
+    failed = False
+    while children:
+        pid, status = os.wait()
+        node_id = children.pop(pid)
+        code = os.waitstatus_to_exitcode(status)
+        failed = failed or code != 0
+        exited = encode_control({"type": "node_exited", "node": node_id, "code": code})
+        _, fail = send_with_retry(lambda: transport.send("launcher", "master", exited), time.sleep)
+        if fail is not None:
+            logger.error("could not tell the master that node %s exited: %s", node_id, fail)
+    return int(failed)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 import importlib
 import logging
+import os
 import queue
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -361,6 +363,26 @@ class TestMasterAccounting:
         reports = [failed, delivered]
         assert sum(r.delivered for r in reports) + sum(r.fail_reason is not None for r in reports) == len(states)
 
+    def test_node_exit_fails_only_the_slaves_it_holds(self):
+        registry = lm.build_default_registry()
+        combine = registry.resolve_combine(lm.builtin_job("wordcount", job_id=4).combine)
+        moved_on = _SlaveState(agent_id=10, partition=(1, 2), hops={0: 40}, holder=1)
+        held = _SlaveState(agent_id=11, partition=(1,), hops={0: 40}, holder=1)
+        states = {10: moved_on, 11: held}
+        events: queue.Queue = queue.Queue()
+        for frame in (
+            encode_control({"type": "forwarded", "agent_id": 10, "job_id": 4, "hop": 1, "bytes": 50, "dst": 2}),
+            encode_control({"type": "node_exited", "node": 1, "code": -9}),
+            lm.ResultMessage(from_agent=10, partial=lm.encode_partial({"a": 1})).encode(),
+        ):
+            events.put(frame)
+
+        _collect(events, states, lm.LifecycleCallbacks(), combine, time.monotonic() + 5.0)
+
+        assert held.fail_reason == "node 1 exited with code -9 while holding the slave"
+        assert held.report().migrations == 1
+        assert moved_on.fail_reason is None and moved_on.report().delivered
+
     def test_deadline_fails_the_unresolved_slaves(self):
         registry = lm.build_default_registry()
         combine = registry.resolve_combine(lm.builtin_job("wordcount", job_id=4).combine)
@@ -453,6 +475,16 @@ class TestRunTcpJob:
         log = (tmp_path / "logs" / "node_2.log").read_text()
         assert "node 2 aborting" in log and "node_2.tsv, line 2: empty record key" in log
 
+    def test_launcher_that_cannot_start_fails_fast(self, tmp_path):
+        data_dir = write_node_files(tmp_path, {1: [b"a"], 2: [b"b"]})
+        topology = lm.Topology.full_mesh(0, [1, 2], bandwidth_bytes_per_s=1e6)
+        spec = lm.builtin_job("wordcount", job_id=1)
+        started = time.monotonic()
+        with pytest.raises(lm.ConfigError, match=r"the node launcher exited with code 1 before the cluster was ready"):
+            lm.run_tcp_job(spec, topology, data_dir, timeout_s=30.0, job_module="locomap_no_such_job", log_dir=tmp_path / "logs")
+        assert time.monotonic() - started < 4
+        assert "No module named 'locomap_no_such_job'" in (tmp_path / "logs" / "launcher.log").read_text()
+
     def test_node_killed_mid_tour_fails_only_its_slave(self, tmp_path, monkeypatch):
         # A map function that kills its node process on a "die" record. The
         # nodes import the module through job_module; this process imports it
@@ -477,7 +509,10 @@ class TestRunTcpJob:
         data_dir = write_node_files(tmp_path, node_values)
         topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
         spec = lm.JobSpec(job_id=1, task=lm.TaskDescriptor("die-wordcount", "identity"), combine="sum-by-key")
-        result = lm.run_tcp_job(spec, topology, data_dir, timeout_s=3, job_module="locomap_killjob")
+        started = time.monotonic()
+        result = lm.run_tcp_job(spec, topology, data_dir, timeout_s=30, job_module="locomap_killjob")
+        # The launcher's exit report fails the slave at once, not at the deadline.
+        assert time.monotonic() - started < 4
 
         assert (result.partials_received, result.slaves_failed, result.slave_count) == (2, 1, 3)
         survivors = [r for n in (1, 3) for r in lm.load_records_tsv(data_dir / f"node_{n}.tsv")]
@@ -485,4 +520,76 @@ class TestRunTcpJob:
         (killed,) = [r for r in result.slave_reports if r.nodes == (2,)]
         assert not killed.delivered
         assert killed.migrations == 1
-        assert killed.fail_reason == "timed out waiting for the slave"
+        assert killed.fail_reason == "node 2 exited with code 17 while holding the slave"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+    @pytest.mark.parametrize("bad_data", [False, True])
+    def test_no_node_outlives_its_job(self, tmp_path, monkeypatch, bad_data):
+        # A job module that records the launcher's pid at import and each
+        # node's pid right after its fork.
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        (tmp_path / "locomap_pidjob.py").write_text(
+            "import os\n"
+            "\n"
+            "def record_pid():\n"
+            "    with open(os.path.join(os.environ['LOCOMAP_PID_DIR'], str(os.getpid())), 'w'):\n"
+            "        pass\n"
+            "\n"
+            "record_pid()\n"
+            "os.register_at_fork(after_in_child=record_pid)\n"
+        )
+        monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+        monkeypatch.setenv("LOCOMAP_PID_DIR", str(pids))
+        data_dir = write_node_files(tmp_path, {1: [b"a"], 2: [b"b"], 3: [b"c"]})
+        if bad_data:
+            (data_dir / "node_2.tsv").write_bytes(b"\tno key\n")
+        topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
+        spec = lm.builtin_job("wordcount", job_id=1)
+        if bad_data:
+            with pytest.raises(lm.ConfigError, match="node 2 exited"):
+                lm.run_tcp_job(spec, topology, data_dir, timeout_s=30.0, job_module="locomap_pidjob")
+        else:
+            assert lm.run_tcp_job(spec, topology, data_dir, timeout_s=30.0, job_module="locomap_pidjob").final == {"a": 1, "b": 1, "c": 1}
+
+        recorded = [int(p.name) for p in pids.iterdir()]
+        assert len(recorded) == 4  # the launcher and three nodes
+        assert [pid for pid in recorded if process_running(pid)] == []
+
+
+def process_running(pid: int) -> bool:
+    """True unless the process is gone or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            stat = fh.read()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+class TestNodeStartup:
+    def run_python(self, *args):
+        src = os.path.dirname(os.path.dirname(lm.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="error::RuntimeWarning")
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+    def test_module_runs_once_without_a_warning(self):
+        proc = self.run_python("-m", "locomap.tcp_node", "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert "--node-id" in proc.stdout
+
+    def test_node_import_leaves_out_the_master_and_the_cost_code(self):
+        proc = self.run_python(
+            "-c",
+            "import sys, locomap.tcp_node\n"
+            "print(sorted(m for m in ('locomap.cost', 'locomap.tcp_cluster', 'locomap.cli') if m in sys.modules))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_ports_and_data_files_must_match_the_node_ids(self):
+        from locomap.tcp_node import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--node-id", "1", "--node-id", "2", "--port", "0", "--master", "127.0.0.1:1"])
+        assert exc.value.code == 2
