@@ -4,6 +4,14 @@ Agents carry function *ids*; the code those ids name lives here. Partials
 travel as canonical JSON bytes so that equal values always serialize to
 identical bytes, which is what makes whole-job runs reproducible.
 
+``encode_partial`` hands its last flat partial (a ``dict`` of ``str`` keys
+and ``int``, ``float``, ``str``, ``bool`` or ``None`` values) to the next
+``decode_partial`` of equal bytes, which takes it instead of parsing: a sim
+slave's next hop skips re-reading what its last hop wrote. The hand-off is
+in-process only and leaves the bytes as they are; the dict it hands out
+equals what ``json.loads`` gives, key order included, and nothing else
+holds it.
+
 A combine operation must be a commutative monoid over partials: slaves
 arrive in no particular order, so aggregation is only correct when the
 merge does not care. ``register_combine`` enforces that with a randomized
@@ -14,6 +22,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from collections import Counter
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator
@@ -26,12 +35,31 @@ BatchMapFn = Callable[[Iterable[bytes]], Iterable[Emission]]
 ReduceFn = Callable[[Any], Any]
 
 
+_SCALAR_TYPES = frozenset((int, float, str, bool, type(None)))
+# An escaped high surrogate: json.loads joins it with a following escaped low
+# surrogate, so a string holding such a pair would not decode to itself.
+_ESCAPED_HIGH_SURROGATE = re.compile(rb"\\ud[89ab]")
+# encode_partial's last flat partial, {bytes: dict}, for the next
+# decode_partial of equal bytes; dict.pop takes it in one step.
+_handoff: dict[bytes, dict] = {}
+
+
 def encode_partial(value: Any) -> bytes:
     """Canonical JSON bytes: sorted keys, no whitespace."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    if type(value) is not dict or set(map(type, value)) - {str} or set(map(type, value.values())) - _SCALAR_TYPES:
+        return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    ordered = dict.fromkeys(sorted(value))
+    ordered.update(value)
+    data = json.dumps(ordered, separators=(",", ":")).encode("utf-8")
+    _handoff.clear()
+    if _ESCAPED_HIGH_SURROGATE.search(data) is None:
+        _handoff[data] = ordered
+    return data
 
 
 def decode_partial(data: bytes) -> Any:
+    if type(data) is bytes and (ordered := _handoff.pop(data, None)) is not None:
+        return ordered
     try:
         return json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -28,6 +29,42 @@ GENERIC_SUM_BY_KEY = lm.CombineOp(
 )
 
 
+# Pieces of keys and scalar values the JSON encoder escapes or treats
+# specially: quotes, backslashes, control characters, lone and paired
+# surrogates (an escaped pair decodes to one character), non-BMP and
+# non-ASCII characters, and the float and int values JSON spells oddly.
+_KEY_PIECES = ['"', "\\", "\n", "\x00", "\ud800", "\udc00", "\U0001f600", "\u00e9", "\ud55c", "a", "z"]
+_SCALARS = [True, False, None, float("nan"), float("inf"), float("-inf"), -0.0, 0.1, 2**70, -(2**70), 0, 7]
+
+
+def flat_partials(rng: random.Random, n: int) -> list[dict]:
+    partials = []
+    for _ in range(n):
+        keys = ["".join(rng.choice(_KEY_PIECES) for _ in range(rng.randrange(4))) for _ in range(rng.randrange(12))]
+        partial = {}
+        for key in keys:
+            partial[key] = rng.choice(_SCALARS) if rng.randrange(4) else rng.choice(keys)
+        partials.append(partial)
+    return partials
+
+
+def typed_items(value: dict) -> list[tuple]:
+    """Items in order, with types and reprs, so 1 != True and nan == nan."""
+    return [(type(k), repr(k), type(v), repr(v)) for k, v in value.items()]
+
+
+class _Key(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+def canonical_json(value) -> bytes:
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 class TestPartialCodec:
     def test_canonical_bytes_ignore_construction_order(self):
         a = {"x": 1, "y": 2}
@@ -37,10 +74,56 @@ class TestPartialCodec:
     def test_roundtrip(self):
         value = {"word": 3, "another": 1}
         assert lm.decode_partial(lm.encode_partial(value)) == value
+        assert lm.decode_partial(bytearray(lm.encode_partial(value))) == value
 
     def test_malformed_bytes_raise(self):
         with pytest.raises(lm.DecodeError):
             lm.decode_partial(b"\xff\xfe not json")
+
+    def test_flat_partials_encode_canonically_and_decode_as_json_loads(self):
+        for value in flat_partials(random.Random(9), 400):
+            data = lm.encode_partial(value)
+            assert data == canonical_json(value)
+            expected = typed_items(json.loads(data))
+            first = lm.decode_partial(bytes(bytearray(data)))  # equal bytes, another object
+            assert typed_items(first) == expected
+            second = lm.decode_partial(data)
+            assert second is not first
+            assert typed_items(second) == expected
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {1: 2},
+            {True: 1},
+            {"a": [1, {"y": 2, "x": 1}], "c": {"e": None, "d": 0}},
+            [{"x": 1}, 2],
+            {_Key("k"): 1},
+            {"k": _Count(5)},
+            {"\ud83d\ude00": 1},
+            {"\ud83d\ude00": 1, "\U0001f600": 2},
+        ],
+        ids=["int-key", "bool-key", "nested", "list", "str-subclass-key", "int-subclass-value", "surrogate-pair", "pair-collides"],
+    )
+    def test_other_values_decode_as_json_loads(self, value):
+        data = lm.encode_partial(value)
+        assert data == canonical_json(value)
+        decoded = lm.decode_partial(data)
+        expected = json.loads(data)
+        assert repr(decoded) == repr(expected)
+        if isinstance(expected, dict):
+            assert typed_items(decoded) == typed_items(expected)
+
+    def test_handed_out_partials_are_private(self):
+        value = {"a": 1, "b": 2}
+        data = lm.encode_partial(value)
+        value["a"] = 50
+        handed = lm.decode_partial(data)
+        assert handed == {"a": 1, "b": 2}
+        handed["a"] = 99
+        handed["c"] = 3
+        assert lm.decode_partial(data) == {"a": 1, "b": 2}
+        assert value == {"a": 50, "b": 2}
 
 
 class TestCombineAlgebra:
@@ -80,6 +163,22 @@ class TestCombineAlgebra:
         assert out is not a and out is not b
         out["z"] = 1
         assert "z" not in a and "z" not in b
+
+    @pytest.mark.parametrize("step", ["fold", "merge", "merge-reversed"])
+    def test_fold_and_merge_leave_their_input_partials_unchanged(self, step):
+        # perfbench's traced fold counts emissions as sum(out) - sum(partial),
+        # so neither may change its input; here that input is a handed-out dict.
+        partial = lm.decode_partial(lm.encode_partial({"a": 1, "b": 2, "c": 3}))
+        other = {"a": 5, "d": 1}
+        before, other_before = dict(partial), dict(other)
+        if step == "fold":
+            out = SUM_BY_KEY.fold(partial, [("a", 1), ("e", 1)])
+        elif step == "merge":
+            out = SUM_BY_KEY.merge(partial, other)
+        else:
+            out = SUM_BY_KEY.merge(other, partial)
+        assert partial == before and other == other_before
+        assert out is not partial and out is not other
 
     def test_fast_fold_equals_generic_fold(self):
         rng = random.Random(2)
