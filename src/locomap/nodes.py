@@ -22,8 +22,8 @@ class HeapStore:
     """Ordered in-memory ``(key, value)`` records standing in for a file system.
 
     Iteration is deterministic: ascending key, insertion order within a
-    key. ``total_bytes`` is maintained on every extend and always equals the
-    sum of stored key+value sizes.
+    key. ``total_bytes`` adds up the key+value byte counts that callers
+    pass to ``extend``.
     """
 
     def __init__(self):
@@ -31,11 +31,12 @@ class HeapStore:
         self._sorted = True
         self.total_bytes = 0
 
-    def extend(self, records: list[tuple[bytes, bytes]]) -> None:
-        """Store ``(key, value)`` tuples as given."""
+    def extend(self, records: list[tuple[bytes, bytes]], nbytes: int) -> None:
+        """Store ``(key, value)`` tuples as given; ``nbytes`` is their
+        key+value byte count, which the caller has already summed."""
         self._records += records
         self._sorted = False
-        self.total_bytes += sum(map(len, map(itemgetter(0), records))) + sum(map(len, map(itemgetter(1), records)))
+        self.total_bytes += nbytes
 
     def _sorted_records(self) -> list[tuple[bytes, bytes]]:
         if not self._sorted:
@@ -74,17 +75,26 @@ class SensorNode:
 
     def ingest(self, pairs: list[tuple[bytes, bytes]]) -> int:
         """Store the ``(key, value)`` tuples that fit in the memory limit;
-        returns how many stuck."""
+        returns how many stuck.
+
+        A batch that fits is stored as given, the caller's own tuples, with
+        no per-record Python loop. A batch over the limit keeps, in order,
+        each record that still fits after those kept before it.
+        """
         room = self.mem_bytes_limit - self.heap.total_bytes
-        kept = []
-        for record in pairs:
-            size = len(record[0]) + len(record[1])
-            if size <= room:
-                room -= size
-                kept.append(record)
-        self.dropped += len(pairs) - len(kept)
-        self.heap.extend(kept)
-        return len(kept)
+        nbytes = sum(map(len, map(itemgetter(0), pairs))) + sum(map(len, map(itemgetter(1), pairs)))
+        if nbytes > room:
+            kept = []
+            nbytes = 0
+            for record in pairs:
+                size = len(record[0]) + len(record[1])
+                if nbytes + size <= room:
+                    nbytes += size
+                    kept.append(record)
+            self.dropped += len(pairs) - len(kept)
+            pairs = kept
+        self.heap.extend(pairs, nbytes)
+        return len(pairs)
 
     def is_empty(self, selector: bytes = b"") -> bool:
         return not self.heap.has_match(selector)
@@ -128,6 +138,10 @@ class SensorNode:
         return replace(visited, payload=encode_partial(folded))
 
 
+# Every byte value but tab and newline: what the loader's shape check deletes.
+_NOT_TAB_OR_NEWLINE = bytes(b for b in range(256) if b not in b"\t\n")
+
+
 def load_records_tsv(path: str | Path) -> list[tuple[bytes, bytes]]:
     """Read newline-delimited ``key<TAB>value`` records as ``(key, value)``
     pairs.
@@ -136,8 +150,22 @@ def load_records_tsv(path: str | Path) -> list[tuple[bytes, bytes]]:
     empty value. A line with an empty key raises ConfigError naming the
     file and the 1-based line number.
     """
+    data = Path(path).read_bytes()
+    if not data.endswith(b"\n"):
+        data += b"\n"  # the loop skips the empty line this adds
+    # A file with exactly one tab on every line and no blank line keeps
+    # b"\t\n" per line once every other byte is deleted. It splits into
+    # alternating keys and values in C. Any other file, or one with an
+    # empty key, takes the line loop: only it handles blank lines, lines
+    # without a tab and values holding tabs, and names an empty key's line.
+    shape = data.translate(None, _NOT_TAB_OR_NEWLINE)
+    if shape == b"\t\n" * (len(shape) // 2):
+        fields = data.replace(b"\n", b"\t").split(b"\t")
+        keys = fields[0:-1:2]  # the last field is the empty one after the final newline
+        if all(keys):
+            return list(zip(keys, fields[1::2]))
     pairs = []
-    for lineno, line in enumerate(Path(path).read_bytes().split(b"\n"), 1):
+    for lineno, line in enumerate(data.split(b"\n"), 1):
         if not line:
             continue
         key, _, value = line.partition(b"\t")

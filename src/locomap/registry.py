@@ -211,7 +211,8 @@ def _sbk_sample(rng: random.Random) -> dict:
 
 
 def _sbk_fold(partial: dict, emissions: Iterable[Emission]) -> dict:
-    # In-place fast path; equivalent to repeated merge(lift(...)).
+    # Folds into a copy, leaving the input partial unchanged; equivalent to
+    # repeated merge(lift(...)).
     out = dict(partial)
     get = out.get
     for key, value in emissions:

@@ -5,9 +5,11 @@ process is a launcher: it imports the node code and any ``--job-module``
 once, then forks one node process per ``--node-id``, reaps each, tells
 the master with a ``node_exited`` control frame (node id, exit code), and
 exits when every node has. A job module must therefore start no thread
-at import. Each node loads its data file into a heap store, listens for
-framed messages, and handles three kinds of traffic, told apart by the
-first four bytes of each frame:
+at import, and its ``atexit`` handlers never run: the launcher and every
+node leave with ``os._exit``, skipping interpreter finalization. Each
+node loads its data file into a heap store, listens for framed messages,
+and handles three kinds of traffic, told apart by the first four bytes
+of each frame:
 
   - ``LMAP`` agent envelopes: host the agent over the local heap, pick
     the next hop, and forward it on a fresh connection.
@@ -38,7 +40,6 @@ import logging
 import os
 import signal
 import socket
-import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -402,4 +403,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # Skip interpreter finalization once every node_exited report is out;
+    # the nodes themselves end with os._exit too.
+    code = main()
+    logging.shutdown()
+    os._exit(code)

@@ -23,26 +23,28 @@ class TestHeapStore:
     def test_iteration_is_ascending_by_key(self):
         heap = lm.HeapStore()
         for key in (b"m", b"a", b"z", b"b"):
-            heap.extend([(key, b"")])
+            heap.extend([(key, b"")], len(key))
         assert [k for k, _ in heap_pairs(heap)] == [b"a", b"b", b"m", b"z"]
 
     def test_insertion_order_within_a_key(self):
         heap = lm.HeapStore()
-        heap.extend([(b"k", b"1")])
-        heap.extend([(b"k", b"2")])
+        heap.extend([(b"k", b"1")], 2)
+        heap.extend([(b"k", b"2")], 2)
         assert list(heap.records_matching(b"")) == [(b"k", b"1"), (b"k", b"2")]
 
     def test_total_bytes_never_drifts(self):
         rng = random.Random(9)
-        heap = lm.HeapStore()
+        node = lm.SensorNode(id=1, mem_bytes_limit=2000)
         for _ in range(300):
-            heap.extend([(rng.randbytes(rng.randrange(1, 8)), rng.randbytes(rng.randrange(0, 20)))])
-            assert heap.total_bytes == sum(len(k) + len(v) for k, v in heap_pairs(heap))
+            batch = [(rng.randbytes(rng.randrange(1, 8)), rng.randbytes(rng.randrange(0, 20))) for _ in range(rng.randrange(4))]
+            node.ingest(batch)
+            assert node.heap.total_bytes == sum(len(k) + len(v) for k, v in heap_pairs(node.heap))
+        assert node.dropped > 0
 
     def test_prefix_matching(self):
         heap = lm.HeapStore()
-        heap.extend([(b"temp:1", b"a")])
-        heap.extend([(b"hum:1", b"b")])
+        heap.extend([(b"temp:1", b"a")], 7)
+        heap.extend([(b"hum:1", b"b")], 6)
         assert [k for k, _ in heap_pairs(heap, b"temp:")] == [b"temp:1"]
         assert heap.has_match(b"hum:")
         assert not heap.has_match(b"co2:")
@@ -55,8 +57,9 @@ class TestHeapStore:
         buckets: dict[bytes, list[bytes]] = {}
         for i in range(400):
             key = b"".join(rng.choice([b"a", b"b", b"\x00", b"\xfe", b"\xff"]) for _ in range(rng.randrange(1, 4)))
-            heap.extend([(key, b"%d" % i)])
-            buckets.setdefault(key, []).append(b"%d" % i)
+            value = b"%d" % i
+            heap.extend([(key, value)], len(key) + len(value))
+            buckets.setdefault(key, []).append(value)
             if i % 7:
                 continue
             exact = rng.choice(sorted(buckets))
@@ -87,6 +90,23 @@ class TestIngest:
         node = lm.SensorNode(id=1, mem_bytes_limit=8)
         assert node.ingest([(b"abcd", b"efgh")]) == 1
         assert node.ingest([(b"x", b"")]) == 0
+
+    def test_batch_that_fits_is_stored_as_the_callers_tuples(self):
+        node = lm.SensorNode(id=1, mem_bytes_limit=30)
+        batch = [(b"a", b"123"), (b"b", b""), (b"c", b"123456")]
+        assert node.ingest(batch) == 3
+        assert (node.heap.total_bytes, node.dropped) == (12, 0)
+        assert all(stored is given for stored, given in zip(heap_pairs(node.heap), batch))
+
+    def test_over_limit_batch_keeps_later_records_that_still_fit(self):
+        node = lm.SensorNode(id=1, mem_bytes_limit=30)
+        node.ingest([(b"a", b"123"), (b"b", b""), (b"c", b"123456")])
+        # 18 bytes of room: d (5) fits, e (14) does not, f (9) still does, g (5) not.
+        batch = [(b"d", b"1234"), (b"e", b"1234567890123"), (b"f", b"12345678"), (b"g", b"1234")]
+        assert node.ingest(batch) == 2
+        assert (node.heap.total_bytes, node.dropped) == (26, 2)
+        assert [k for k, _ in heap_pairs(node.heap)] == [b"a", b"b", b"c", b"d", b"f"]
+        assert heap_pairs(node.heap)[3] is batch[0] and heap_pairs(node.heap)[4] is batch[2]
 
 
 class TestIsEmpty:
@@ -199,3 +219,60 @@ class TestLoadTsv(object):
         path.write_bytes(b"k1\tv1\n\n\torphan value\n")
         with pytest.raises(lm.ConfigError, match=r"node_2\.tsv, line 3: empty record key"):
             lm.load_records_tsv(path)
+
+    def test_matches_a_line_by_line_reference(self, tmp_path):
+        def reference(path, data):
+            pairs = []
+            for lineno, line in enumerate(data.split(b"\n"), 1):
+                if line:
+                    key, _, value = line.partition(b"\t")
+                    if not key:
+                        return f"{path}, line {lineno}: empty record key"
+                    pairs.append((key, value))
+            return pairs
+
+        def well_formed_line(rng):
+            key = rng.choice([b"k", b"r1.0", b"temp/n1/000", b"\xff\x00", b"a b", b"\r"])
+            return key + b"\t" + rng.choice([b"", b"v", b"w1 w2", b"\x00\xfe", b" "])
+
+        def odd_line(rng):
+            return rng.choice([b"", b"lonelykey", b"\t", b"\tv", b"k\ta\tb", b"k\t\t", b"\r"])
+
+        cases = [
+            b"",
+            b"k\tv",  # no final newline
+            b"k1\tv1\r\nk2\tv2\r\n",  # CRLF
+            b"k\tv\twith tab\n",
+            b"k1\tv1\nlonelykey\n",
+            b"k1\tv1\n\t\n",  # a line that is only a tab: error naming line 2
+            b"\n\nk1\tv1\nk2\tv2\n\n\n",  # blank lines at both ends
+            b"\n",
+        ]
+        rng = random.Random(10)
+        for _ in range(600):
+            lines = [well_formed_line(rng) for _ in range(rng.randrange(1, 8))]
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                lines.insert(rng.randrange(len(lines) + 1), odd_line(rng))
+            if rng.random() < 0.2:
+                lines = [b""] * rng.randrange(1, 3) + lines + [b""] * rng.randrange(1, 3)
+            eol = rng.choice([b"\n", b"\r\n"])
+            data = eol.join(lines)
+            cases.append(data + eol if rng.random() < 0.7 else data)
+
+        shapes = {True: 0, False: 0}
+        for i, data in enumerate(cases):
+            path = tmp_path / f"node_{i}.tsv"
+            path.write_bytes(data)
+            lines = data.split(b"\n")
+            if lines[-1] == b"":
+                del lines[-1]
+            shapes[bool(lines) and all(line.count(b"\t") == 1 for line in lines)] += 1
+            expected = reference(path, data)
+            if isinstance(expected, str):
+                with pytest.raises(lm.ConfigError) as raised:
+                    lm.load_records_tsv(path)
+                assert str(raised.value) == expected
+            else:
+                assert lm.load_records_tsv(path) == expected, data
+        # Both loader paths ran: files with one tab on every line and others.
+        assert shapes[True] > 200 and shapes[False] > 200
