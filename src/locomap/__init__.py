@@ -18,7 +18,6 @@ from .agents import (
     NodeId,
     TaskDescriptor,
     duplicate,
-    next_destination,
     record_visit,
 )
 from .envelope import MigrationOutcome, MigrationPhases, envelope_size, migrate, pack, unpack
@@ -57,6 +56,7 @@ from .orchestration import (
     builtin_job,
     decode_result,
     dispatch,
+    plan_routes,
     retry_policy,
     run_job,
     sequential_oracle,

@@ -1,4 +1,4 @@
-"""Mobile agents: roles, lifecycle hooks, duplication and itinerary routing.
+"""Mobile agents: roles, lifecycle hooks, duplication and itineraries.
 
 An agent is a small immutable value: identity, role, a reference to its job,
 and the partial result it carries as an opaque byte payload. Computation
@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import DuplicateVisit, RoleError
 
@@ -122,27 +122,6 @@ def duplicate(mapper: Agent, n: int, ids: AgentIdAllocator | None = None) -> lis
         )
         for _ in range(n)
     ]
-
-
-def next_destination(
-    agent: Agent,
-    directory: Sequence[NodeId],
-    node_has_data: Callable[[NodeId], bool],
-    reducer_node: NodeId,
-) -> NodeId:
-    """Pick the slave's next hop, or the reducer when the tour is done.
-
-    Candidates are scanned in ascending node id order; the first unvisited
-    node that still holds matching data wins. The reducer is the total
-    fallback, so this never fails.
-    """
-    if agent.role is not AgentRole.SLAVE:
-        raise RoleError(f"only a slave routes via next_destination, got {agent.role.name}")
-    visited = set(agent.itinerary)
-    for node in sorted(directory):
-        if node not in visited and node_has_data(node):
-            return node
-    return reducer_node
 
 
 def record_visit(agent: Agent, node: NodeId) -> Agent:

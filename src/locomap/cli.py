@@ -30,7 +30,6 @@ from .cost import (
 from .errors import AllSlavesFailed, ConfigError, LocomapError
 from .nodes import load_records_tsv
 from .orchestration import Cluster, builtin_job, run_job, sequential_oracle
-from .registry import BUILTIN_JOBS
 from .tcp_cluster import run_tcp_job
 from .tcp_node import FrameServer
 from .transport import SimTransport, TcpTransport, Topology
@@ -102,12 +101,6 @@ def _load_cluster(topology: Topology, data_dir: str | None, mem_limit: int) -> C
     return cluster
 
 
-def _job_spec(job: str, job_id: int = 1, slave_count: int | None = None):
-    if job not in BUILTIN_JOBS:
-        raise ConfigError(f"unknown job {job!r}; available: {sorted(BUILTIN_JOBS)}")
-    return builtin_job(job, job_id=job_id, slave_count=slave_count)
-
-
 # Run options that only one mode reads; giving one in the other mode is an error.
 _MODE_ONLY = {"seed": "sim", "process_master_heap": "sim", "base_port": "tcp", "timeout": "tcp", "node_logs": "tcp"}
 
@@ -121,7 +114,7 @@ def _execute(args) -> tuple[dict, object, int]:
         if args.mode != mode and getattr(args, name) is not None:
             raise ConfigError(f"--{name.replace('_', '-')} applies to {mode} mode only")
     topology, raw = _load_topology(args)
-    spec = _job_spec(args.job, args.job_id, args.slave_count)
+    spec = builtin_job(args.job, job_id=args.job_id, slave_count=args.slave_count)
     code = 0
     try:
         if args.mode == "sim":
@@ -198,7 +191,7 @@ def _cmd_oracle(args) -> int:
     root = Path(args.data_dir)
     if not root.is_dir():
         raise ConfigError(f"data directory {root} does not exist")
-    spec = _job_spec(args.job)
+    spec = builtin_job(args.job)
     pairs = []
     for path in sorted(root.glob("node_*.tsv")):
         pairs.extend(load_records_tsv(path))

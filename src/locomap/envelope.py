@@ -28,6 +28,7 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass
+from zlib import crc32
 
 from .agents import Agent, AgentRole, LifecycleCallbacks, NodeId
 from .errors import (
@@ -40,11 +41,6 @@ from .errors import (
     UnsupportedVersion,
     VerifyFailure,
 )
-
-try:  # zlib is compiled into every CPython we target, but be explicit
-    from zlib import crc32
-except ImportError:  # pragma: no cover
-    from binascii import crc32
 
 MAGIC = b"LMAP"
 VERSION = 1

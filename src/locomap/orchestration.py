@@ -2,10 +2,12 @@
 
 The choreography: the master holds one mapper and one reducer. The mapper
 duplicates itself into slaves; each slave is dispatched to a distinct
-starting node, tours its contiguous slice of the node list (skipping nodes
-with no matching data), then returns to the reducer and hands over its
-partial. The reducer folds partials with the job's commutative combine,
-so arrival order cannot matter.
+starting node, tours its contiguous slice of the node list, then returns
+to the reducer and hands over its partial. The reducer folds partials
+with the job's commutative combine, so arrival order cannot matter.
+Both engines walk the routes ``plan_routes`` fixes up front, one
+``host_and_route`` step per node; the sim adds a modeled clock, TCP
+(``tcp_cluster``, ``tcp_node``) its frames and stats.
 
 Raw records never cross the network. The only wire traffic is agent
 envelopes and result messages, which is the whole point.
@@ -18,6 +20,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable
+from zlib import crc32
 
 from .agents import (
     Agent,
@@ -28,7 +31,6 @@ from .agents import (
     NodeId,
     TaskDescriptor,
     duplicate,
-    next_destination,
 )
 from .envelope import migrate
 from .errors import (
@@ -46,11 +48,6 @@ from .registry import BUILTIN_JOBS, DEFAULT_REGISTRY, FunctionRegistry, decode_p
 from .transport import Topology
 
 logger = logging.getLogger("locomap.orchestration")
-
-try:
-    from zlib import crc32
-except ImportError:  # pragma: no cover
-    from binascii import crc32
 
 
 @dataclass(frozen=True)
@@ -394,28 +391,52 @@ def finish_job(
     return result
 
 
+def plan_routes(assignment: dict[AgentId, tuple[NodeId, ...]], has_data: Callable[[NodeId], bool]) -> dict[AgentId, tuple[NodeId, ...]]:
+    """Each slave's route: its partition's first node, then every later
+    partition node with matching data; () for an empty partition. Heaps
+    do not change during a job, so a route is planned once, up front."""
+    return {agent: nodes[:1] + tuple(n for n in nodes[1:] if has_data(n)) for agent, nodes in assignment.items()}
+
+
+def host_and_route(
+    node: SensorNode, agent: Agent, registry: FunctionRegistry, route: tuple[NodeId, ...], master: NodeId, results_only: bool
+) -> tuple[Agent, NodeId, ResultMessage | None]:
+    """One hop step of either engine: host the agent at ``node`` (a failed
+    map task is logged and the tour goes on), then pick the next hop: the
+    route's node at the agent's itinerary length, or the master once the
+    route is used up. Returns (agent, next hop, result message); the
+    message, sent in the agent's place, is None unless the next hop is the
+    master and ``results_only`` is set."""
+    try:
+        agent = node.host(agent, registry)
+    except ExecutionError as exc:
+        logger.warning("map task failed on node %s, continuing tour: %s", node.id, exc)
+        agent = exc.agent
+    visited = len(agent.itinerary)
+    nxt = route[visited] if visited < len(route) else master
+    if nxt == master and results_only:
+        combine = registry.resolve_combine(registry.job(agent.job_id).combine)
+        return agent, nxt, home_message(agent, combine)
+    return agent, nxt, None
+
+
 def _tour(
     slave: Agent,
     partition: tuple[NodeId, ...],
+    route: tuple[NodeId, ...],
     cluster: Cluster,
     transport,
     registry: FunctionRegistry,
-    spec: JobSpec,
     combine,
     callbacks: LifecycleCallbacks,
     results_only: bool,
 ) -> tuple[SlaveReport, ResultMessage | None, float]:
-    """Walk one slave through its partition and deliver its partial.
+    """Walk one slave along its route and deliver its partial.
 
     Returns the slave's report, its result message (None if it failed)
     and the modeled time it finished at.
     """
     master = cluster.topology.master
-    selector = spec.task.input_selector
-
-    def has_data(node_id: NodeId) -> bool:
-        return not cluster.nodes[node_id].is_empty(selector)
-
     t = 0.0
 
     def attempt(send):
@@ -440,9 +461,10 @@ def _tour(
     migrations = 0
     bytes_sent = 0
     fail = None
+    message = None
 
-    if partition:
-        nxt = partition[0]
+    if route:
+        nxt = route[0]
         while True:
             outcome, fail = send_with_retry(
                 lambda: attempt(lambda at: migrate(agent, loc, nxt, transport, callbacks, at=at)), backoff
@@ -454,20 +476,15 @@ def _tour(
             bytes_sent += outcome.bytes
             if loc == master:
                 break
-            try:
-                agent = cluster.nodes[loc].host(agent, registry)
-            except ExecutionError as exc:
-                logger.warning("map task failed on node %s, continuing tour: %s", loc, exc)
-                agent = exc.agent
-            nxt = next_destination(agent, partition, has_data, master)
-            if nxt == master and results_only:
+            agent, nxt, message = host_and_route(cluster.nodes[loc], agent, registry, route, master, results_only)
+            if message is not None:
                 break
 
-    message = None
     if fail is None:
-        candidate = home_message(agent, combine)
+        if message is None:
+            message = home_message(agent, combine)
         if loc != master:
-            wire = candidate.encode()
+            wire = message.encode()
 
             def send_result(at):
                 report = transport.send(loc, master, wire, at=at)
@@ -476,9 +493,10 @@ def _tour(
                 return report
 
             _, fail = send_with_retry(lambda: attempt(send_result), backoff)
-        if fail is None:
-            bytes_sent += candidate.size_bytes
-            message = candidate
+    if fail is None:
+        bytes_sent += message.size_bytes
+    else:
+        message = None
 
     report = SlaveReport(
         agent_id=slave.id,
@@ -522,8 +540,10 @@ def run_job(
         except ExecutionError as exc:
             logger.warning("mapper could not process the master heap: %s", exc)
 
+    selector = spec.task.input_selector
+    routes = plan_routes(plan.assignment, lambda n: not cluster.nodes[n].is_empty(selector))
     tours = [
-        _tour(slave, plan.assignment[slave.id], cluster, transport, registry, spec, plan.combine, callbacks, results_only)
+        _tour(slave, plan.assignment[slave.id], routes[slave.id], cluster, transport, registry, plan.combine, callbacks, results_only)
         for slave in plan.slaves
     ]
     reports, messages, finished_at = zip(*tours)

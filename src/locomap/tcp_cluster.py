@@ -2,10 +2,12 @@
 
 The master (this process) starts one launcher process, which forks a
 node process per sensor node. The master waits for the nodes to announce
-themselves, registers the job everywhere, injects the slaves, and then
-collects whatever comes back: arriving agents, remote result messages,
-failure notices and forwarding stats. Byte accounting matches the
-simulator's: envelope bytes for every hop plus result message bytes;
+themselves, asks each whether it holds data for the job's selector, plans
+the routes from the answers as the sim does, registers the job with them
+everywhere, injects the slaves, and then collects whatever comes back:
+arriving agents, remote result messages, failure notices and forwarding
+stats. Byte accounting matches the simulator's: envelope bytes for every
+hop plus result message bytes;
 control traffic is not data-plane and is not counted.
 """
 
@@ -35,6 +37,7 @@ from .orchestration import (
     finish_job,
     home_message,
     plan_job,
+    plan_routes,
     send_with_retry,
 )
 from .registry import DEFAULT_REGISTRY
@@ -93,39 +96,36 @@ def _watch_exit(launcher: subprocess.Popen, events: queue.Queue) -> None:
     events.put(encode_control({"type": "launcher_exited", "code": code}))
 
 
-def _await_ready(events: queue.Queue, expected: list[int], deadline: float):
-    """Wait for every node's ready announcement; returns (addresses, raw_bytes).
+def _await_each(events: queue.Queue, kind: str, expected: tuple[int, ...], deadline: float, before: str) -> dict[int, dict]:
+    """Wait for one ``kind`` control frame from every expected node;
+    returns the frames by node.
 
-    A node, or the launcher, that exits first fails the wait at once.
+    A node, or the launcher, that exits first fails the wait at once;
+    ``before`` names the stage in that error.
     """
-    addresses: dict[int, tuple[str, int]] = {}
-    raw_bytes = 0
-    waiting = set(expected)
-    while waiting:
+    docs: dict[int, dict] = {}
+    while len(docs) < len(expected):
         remaining = deadline - time.monotonic()
         if remaining <= 0:
-            raise ConfigError(f"nodes {sorted(waiting)} never announced themselves")
+            raise ConfigError(f"nodes {sorted(set(expected) - set(docs))} sent no {kind} before the deadline")
         try:
             frame = events.get(timeout=remaining)
         except queue.Empty:
             continue
         if classify_frame(frame) != "control":
-            logger.warning("unexpected frame before the cluster was ready; dropping it")
+            logger.warning("unexpected frame before %s; dropping it", before)
             continue
         doc = decode_control(frame)
         if doc.get("type") == "node_exited":
-            raise ConfigError(f"node {doc['node']} exited with code {doc['code']} before the cluster was ready")
+            raise ConfigError(f"node {doc['node']} exited with code {doc['code']} before {before}")
         if doc.get("type") == "launcher_exited":
-            raise ConfigError(f"the node launcher exited with code {doc['code']} before the cluster was ready")
-        if doc.get("type") != "node_ready":
-            logger.warning("unexpected control %r before the cluster was ready", doc.get("type"))
+            raise ConfigError(f"the node launcher exited with code {doc['code']} before {before}")
+        if doc.get("type") != kind:
+            logger.warning("unexpected control %r before %s", doc.get("type"), before)
             continue
-        node = int(doc["node"])
-        addresses[node] = (doc["host"], int(doc["port"]))
-        raw_bytes += int(doc.get("heap_bytes", 0))
-        waiting.discard(node)
-        logger.info("node %s ready at %s:%s (%s heap bytes)", node, doc["host"], doc["port"], doc.get("heap_bytes"))
-    return addresses, raw_bytes
+        docs[int(doc["node"])] = doc
+        logger.info("node %s: %s", doc["node"], doc)
+    return docs
 
 
 def _collect(events: queue.Queue, states: dict[int, "_SlaveState"], callbacks, combine, deadline: float) -> None:
@@ -266,7 +266,9 @@ def run_tcp_job(
         watcher = threading.Thread(target=_watch_exit, args=(launcher, events), daemon=True)
         watcher.start()
 
-        addresses, raw_bytes = _await_ready(events, list(targets), deadline)
+        ready = _await_each(events, "node_ready", targets, deadline, "the cluster was ready")
+        raw_bytes = sum(int(doc.get("heap_bytes", 0)) for doc in ready.values())
+        addresses = {n: (doc["host"], int(doc["port"])) for n, doc in ready.items()}
         transport = TcpTransport({**addresses, master: (server.host, server.port)})
 
         callbacks = LifecycleCallbacks()
@@ -274,36 +276,41 @@ def run_tcp_job(
         def send(dst, payload):
             return send_with_retry(lambda: transport.send(master, dst, payload), time.sleep)
 
-        registration = JobRegistration(
-            spec=spec,
-            results_only=results_only,
-            master=master,
-            addresses=dict(transport.addresses),
-            partitions=plan.assignment,
-        )
-        control = encode_control(registration.register_control())
-        for node_id in targets:
-            _, fail = send(node_id, control)
-            if fail is not None:
-                raise ConfigError(f"could not register the job at node {node_id}: {fail}")
+        def send_everywhere(doc: dict, what: str) -> None:
+            frame = encode_control(doc)
+            for node_id in targets:
+                _, fail = send(node_id, frame)
+                if fail is not None:
+                    raise ConfigError(f"could not {what} at node {node_id}: {fail}")
+
+        # Heaps do not change during a job, so one has-data round fixes every
+        # route; register_job, carrying the routes, is the last control
+        # frame before dispatch.
+        query = {"type": "query_data", "job_id": spec.job_id, "selector_hex": spec.task.input_selector.hex()}
+        send_everywhere(query, "query data")
+        found = _await_each(events, "has_data", targets, deadline, "every node answered the has-data query")
+        routes = plan_routes(plan.assignment, lambda n: found[n]["has_data"])
+        registration = JobRegistration(spec, results_only, master, dict(transport.addresses), routes)
+        send_everywhere(registration.register_control(), "register the job")
 
         states: dict[int, _SlaveState] = {}
         for slave in plan.slaves:
             state = _SlaveState(agent_id=slave.id, partition=plan.assignment[slave.id])
             states[slave.id] = state
-            if not state.partition:
+            route = routes[slave.id]
+            if not route:
                 # Nothing to visit: identity partial, handed over in place.
                 message = home_message(slave, plan.combine)
                 state.deliver(message, message.size_bytes)
                 continue
             envelope = pack(slave, callbacks)
-            _, fail = send(state.partition[0], envelope)
+            _, fail = send(route[0], envelope)
             if fail is None:
                 state.hops[0] = len(envelope)
-                state.holder = state.partition[0]
+                state.holder = route[0]
             else:
                 logger.error("could not dispatch agent %s: %s", slave.id, fail)
-                state.fail_reason = f"could not dispatch to node {state.partition[0]}"
+                state.fail_reason = f"could not dispatch to node {route[0]}"
 
         _collect(events, states, callbacks, plan.combine, deadline)
     finally:

@@ -12,8 +12,9 @@ and handles three kinds of traffic, told apart by the first four bytes
 of each frame:
 
   - ``LMAP`` agent envelopes: host the agent over the local heap, pick
-    the next hop, and forward it on a fresh connection.
-  - ``LCTL`` control JSON: job registration, shutdown.
+    the next hop on the slave's route, and forward it on a fresh connection.
+  - ``LCTL`` control JSON: the has-data query (answered with a ``has_data``
+    frame), job registration with every slave's route, shutdown.
   - anything else is a result message, which only the master receives.
 
 Each frame is acknowledged with a single 0x06 byte once the node has
@@ -44,11 +45,11 @@ import threading
 import time
 from dataclasses import dataclass
 
-from .agents import Agent, LifecycleCallbacks, NodeId, TaskDescriptor, next_destination
+from .agents import Agent, LifecycleCallbacks, NodeId, TaskDescriptor
 from .envelope import pack, unpack
-from .errors import EnvelopeError, ExecutionError, LocomapError
+from .errors import EnvelopeError, LocomapError
 from .nodes import SensorNode, load_records_tsv
-from .orchestration import JobSpec, home_message, send_with_retry
+from .orchestration import JobSpec, host_and_route, send_with_retry
 from .registry import DEFAULT_REGISTRY, FunctionRegistry, build_default_registry
 from .transport import ACK, TcpTransport, read_frame
 
@@ -152,42 +153,40 @@ class FrameServer:
 
 @dataclass
 class JobRegistration:
-    """Everything a node needs to route agents for one job."""
+    """Everything a node needs to route agents for one job: ``routes``
+    maps each slave's agent id to its planned route."""
 
     spec: JobSpec
     results_only: bool
     master: NodeId
     addresses: dict[NodeId, tuple[str, int]]
-    partitions: dict[int, tuple[NodeId, ...]]
+    routes: dict[int, tuple[NodeId, ...]]
 
     @classmethod
     def from_control(cls, doc: dict) -> "JobRegistration":
-        task = TaskDescriptor(
-            map_fn_id=doc["map_fn_id"],
-            reduce_fn_id=doc["reduce_fn_id"],
-            input_selector=bytes.fromhex(doc.get("selector_hex", "")),
-        )
-        spec = JobSpec(job_id=int(doc["job_id"]), task=task, combine=doc["combine"])
+        task = TaskDescriptor(doc["map_fn_id"], doc["reduce_fn_id"], bytes.fromhex(doc["selector_hex"]))
         return cls(
-            spec=spec,
-            results_only=bool(doc.get("results_only", False)),
-            master=int(doc["master"]),
-            addresses={int(k): (v[0], int(v[1])) for k, v in doc["addresses"].items()},
-            partitions={int(k): tuple(int(n) for n in v) for k, v in doc["partitions"].items()},
+            spec=JobSpec(job_id=doc["job_id"], task=task, combine=doc["combine"]),
+            results_only=doc["results_only"],
+            master=doc["master"],
+            addresses={int(k): tuple(v) for k, v in doc["addresses"].items()},
+            routes={int(k): tuple(v) for k, v in doc["routes"].items()},
         )
 
     def register_control(self) -> dict:
+        # JSON turns the int keys of addresses and routes into strings.
+        task = self.spec.task
         return {
             "type": "register_job",
             "job_id": self.spec.job_id,
-            "map_fn_id": self.spec.task.map_fn_id,
-            "reduce_fn_id": self.spec.task.reduce_fn_id,
-            "selector_hex": self.spec.task.input_selector.hex(),
+            "map_fn_id": task.map_fn_id,
+            "reduce_fn_id": task.reduce_fn_id,
+            "selector_hex": task.input_selector.hex(),
             "combine": self.spec.combine,
             "results_only": self.results_only,
             "master": self.master,
-            "addresses": {str(k): [v[0], v[1]] for k, v in self.addresses.items()},
-            "partitions": {str(k): list(v) for k, v in self.partitions.items()},
+            "addresses": self.addresses,
+            "routes": self.routes,
         }
 
 
@@ -230,18 +229,23 @@ class NodeProcess:
     # -- frame handling --
 
     def _on_frame(self, frame: bytes):
-        """FrameServer handler; returns the hosting step of an accepted envelope."""
+        """FrameServer handler; returns what runs after the ack: the hosting
+        step of an accepted envelope, or the answer to a has-data query."""
         kind = classify_frame(frame)
         if kind == "control":
-            self._on_control(decode_control(frame))
+            return self._on_control(decode_control(frame))
         elif kind == "envelope":
             return self._accept_envelope(frame)
         else:
             logger.warning("node %s ignoring unexpected result message", self.node.id)
 
-    def _on_control(self, doc: dict) -> None:
+    def _on_control(self, doc: dict):
         kind = doc.get("type")
-        if kind == "register_job":
+        if kind == "query_data":
+            found = not self.node.is_empty(bytes.fromhex(doc["selector_hex"]))
+            answer = {"type": "has_data", "node": self.node.id, "job_id": doc["job_id"], "has_data": found}
+            return lambda: self._tell_master(answer)
+        elif kind == "register_job":
             reg = JobRegistration.from_control(doc)
             self.registry.register_job(reg.spec)
             with self._lock:
@@ -284,21 +288,12 @@ class NodeProcess:
                 self._tell_master({"type": "slave_failed", **about, "hop": None, "reason": "job not registered at node"})
                 return
 
-            try:
-                agent = self.node.host(agent, self.registry)
-            except ExecutionError as exc:
-                logger.warning("node %s map task failed, continuing: %s", self.node.id, exc)
-                agent = exc.agent
-
-            partition = reg.partitions.get(agent.id, ())
-            # Without a remote emptiness oracle the slave simply visits every
-            # node left in its slice; an empty node is a no-op stop.
-            nxt = next_destination(agent, partition, lambda _n: True, reg.master)
+            route = reg.routes.get(agent.id, ())
+            agent, nxt, message = host_and_route(self.node, agent, self.registry, route, reg.master, reg.results_only)
             transport = TcpTransport(reg.addresses)
-
             hop = len(agent.itinerary)
-            if nxt == reg.master and reg.results_only:
-                payload = home_message(agent, self.registry.resolve_combine(reg.spec.combine)).encode()
+            if message is not None:
+                payload = message.encode()
             else:
                 payload = pack(agent, self.callbacks)
                 # Acked by the master before the hop is made, never after; a

@@ -55,42 +55,6 @@ class TestDuplicate:
                 assert slave.payload == payload
 
 
-class TestNextDestination:
-    def test_moves_to_next_node_with_data(self):
-        slave = mk_slave(itinerary=[1])
-        assert lm.next_destination(slave, [1, 2], lambda n: n == 2, reducer_node=0) == 2
-
-    def test_all_visited_goes_to_reducer(self):
-        slave = mk_slave(itinerary=[1, 2])
-        assert lm.next_destination(slave, [1, 2], lambda n: True, reducer_node=0) == 0
-
-    def test_empty_directory_goes_to_reducer(self):
-        assert lm.next_destination(mk_slave(), [], lambda n: True, reducer_node=0) == 0
-
-    def test_skips_nodes_without_data(self):
-        slave = mk_slave()
-        assert lm.next_destination(slave, [1, 2, 3], lambda n: n == 3, reducer_node=0) == 3
-
-    def test_scans_in_ascending_order_regardless_of_input_order(self):
-        slave = mk_slave()
-        for directory in ([3, 1, 2], [2, 3, 1], [1, 2, 3]):
-            assert lm.next_destination(slave, directory, lambda n: True, reducer_node=0) == 1
-
-    def test_never_returns_a_visited_node(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            directory = rng.sample(range(1, 20), rng.randrange(0, 10))
-            visited = tuple(rng.sample(directory, rng.randrange(0, len(directory) + 1))) if directory else ()
-            slave = mk_slave(itinerary=visited)
-            has_data = lambda n: rng.random() < 0.7  # noqa: E731
-            choice = lm.next_destination(slave, directory, has_data, reducer_node=0)
-            assert choice == 0 or choice not in visited
-
-    def test_requires_slave_role(self):
-        with pytest.raises(lm.RoleError):
-            lm.next_destination(mk_mapper(), [1], lambda n: True, reducer_node=0)
-
-
 class TestRecordVisit:
     def test_first_visit(self):
         assert lm.record_visit(mk_slave(), 1).itinerary == (1,)

@@ -132,6 +132,12 @@ class TestRun:
         assert code == 1
         assert flag in capsys.readouterr().err
 
+    def test_unknown_job_is_exit_1_and_named(self, workspace, capsys):
+        assert run_cli("run", "--topology", workspace / "topo.json", "--seed", "1", "--job", "nosuch") == 1
+        assert "nosuch" in capsys.readouterr().err
+        assert run_cli("oracle", "--data-dir", workspace / "data", "--job", "nosuch") == 1
+        assert "nosuch" in capsys.readouterr().err
+
     def test_all_slaves_failed_is_exit_2(self, workspace, tmp_path, capsys):
         doomed = tmp_path / "doomed.json"
         doomed.write_text(

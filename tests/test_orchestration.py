@@ -5,7 +5,7 @@ import pytest
 
 import locomap as lm
 from locomap import AgentRole
-from locomap.orchestration import RetryAction, send_with_retry
+from locomap.orchestration import RetryAction, host_and_route, send_with_retry
 
 from helpers import RecordingTransport, make_cluster, random_workload, reference_final, sum_reference, wordcount_reference, all_values
 
@@ -46,6 +46,77 @@ class TestDispatch:
     def test_no_slaves_rejected(self):
         with pytest.raises(ValueError):
             lm.dispatch([], [1])
+
+
+class TestPlanRoutes:
+    def test_moves_to_next_node_with_data(self):
+        assert lm.plan_routes({2: (1, 2)}, lambda n: n == 2) == {2: (1, 2)}
+
+    def test_first_node_is_kept_without_data(self):
+        # The sim engine has always dispatched a slave to its partition's
+        # first node, data or not.
+        assert lm.plan_routes({2: (1, 2)}, lambda n: False) == {2: (1,)}
+
+    def test_empty_directory_goes_to_reducer(self):
+        assert lm.plan_routes({2: ()}, lambda n: True) == {2: ()}
+
+    def test_skips_nodes_without_data(self):
+        assert lm.plan_routes({2: (1, 2, 3)}, lambda n: n in (1, 3)) == {2: (1, 3)}
+
+    def test_scans_in_ascending_order_regardless_of_input_order(self):
+        slaves = mk_slaves(2)
+        for targets in ([3, 1, 2, 4], [2, 4, 3, 1], [1, 2, 3, 4]):
+            routes = lm.plan_routes(lm.dispatch(slaves, targets), lambda n: True)
+            assert routes == {slaves[0].id: (1, 2), slaves[1].id: (3, 4)}
+
+    def test_never_returns_a_visited_node(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            slaves = mk_slaves(rng.randrange(1, 5))
+            assignment = lm.dispatch(slaves, rng.sample(range(1, 20), rng.randrange(0, 10)))
+            holding = {n for n in range(1, 20) if rng.random() < 0.7}
+            routes = lm.plan_routes(assignment, holding.__contains__)
+            assert set(routes) == set(assignment)
+            for agent_id, partition in assignment.items():
+                route = routes[agent_id]
+                assert len(set(route)) == len(route)
+                assert route == partition[:1] + tuple(n for n in partition[1:] if n in holding)
+
+
+class TestHostAndRoute:
+    def hosted(self, route, results_only=False, itinerary=(), values=(b"a b",), job="wordcount"):
+        registry = lm.build_default_registry()
+        registry.register_job(lm.builtin_job(job, job_id=1))
+        node = lm.SensorNode(id=route[len(itinerary)])
+        node.ingest([(b"k%d" % i, v) for i, v in enumerate(values)])
+        slave = lm.Agent(id=10, role=AgentRole.SLAVE, job_id=1, itinerary=tuple(itinerary))
+        return host_and_route(node, slave, registry, route, 0, results_only)
+
+    def test_next_hop_is_the_next_node_on_the_route(self):
+        agent, nxt, message = self.hosted((1, 3))
+        assert (agent.itinerary, nxt, message) == ((1,), 3, None)
+        assert lm.decode_partial(agent.payload) == {"a": 1, "b": 1}
+
+    def test_all_visited_goes_to_reducer(self):
+        agent, nxt, message = self.hosted((1, 3), itinerary=(1,))
+        assert (agent.itinerary, nxt, message) == ((1, 3), 0, None)
+
+    def test_results_only_hands_back_the_result_message(self):
+        agent, nxt, message = self.hosted((1,), results_only=True)
+        assert nxt == 0
+        assert message == lm.ResultMessage(from_agent=10, partial=agent.payload)
+        # Only the last hop becomes a result message.
+        assert self.hosted((1, 3), results_only=True)[2] is None
+
+    def test_failed_map_task_continues_with_the_visited_agent(self):
+        agent, nxt, _ = self.hosted((1, 3), values=(b"not a number",), job="sum")
+        assert (agent.itinerary, agent.payload, nxt) == ((1,), b"", 3)
+
+    def test_requires_slave_role(self):
+        registry = lm.build_default_registry()
+        reducer = lm.Agent(id=10, role=AgentRole.REDUCER, job_id=1)
+        with pytest.raises(lm.RoleError):
+            host_and_route(lm.SensorNode(id=1), reducer, registry, (1,), 0, False)
 
 
 class TestRetryPolicy:

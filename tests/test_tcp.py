@@ -2,11 +2,13 @@ import importlib
 import logging
 import os
 import queue
+import shutil
 import socket
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -44,7 +46,7 @@ class TestJobRegistration:
             results_only=True,
             master=0,
             addresses={0: ("127.0.0.1", 9000), 2: ("127.0.0.1", 9002)},
-            partitions={11: (2,), 12: ()},
+            routes={11: (2,), 12: ()},
         )
         back = JobRegistration.from_control(reg.register_control())
         assert back.spec.job_id == 9
@@ -53,7 +55,7 @@ class TestJobRegistration:
         assert back.results_only is True
         assert back.master == 0
         assert back.addresses == reg.addresses
-        assert back.partitions == {11: (2,), 12: ()}
+        assert back.routes == {11: (2,), 12: ()}
 
 
 @pytest.fixture
@@ -89,7 +91,7 @@ class TestNodeProcess:
                 results_only=False,
                 master=0,
                 addresses={0: (server.host, server.port), 1: (proc.server.host, proc.server.port)},
-                partitions={10: (1,)},
+                routes={10: (1,)},
             )
             transport.send(0, 1, encode_control(reg.register_control()))
             slave = lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4)
@@ -123,7 +125,7 @@ class TestNodeProcess:
                 results_only=True,
                 master=0,
                 addresses={0: (server.host, server.port), 1: (proc.server.host, proc.server.port)},
-                partitions={10: (1,)},
+                routes={10: (1,)},
             )
             transport.send(0, 1, encode_control(reg.register_control()))
             transport.send(0, 1, lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4)))
@@ -132,6 +134,21 @@ class TestNodeProcess:
             message = lm.decode_result(frame)
             assert message.from_agent == 10
             assert lm.decode_partial(message.partial) == {"x": 1, "y": 1}
+        finally:
+            proc.shutdown.set()
+            proc.server.stop()
+
+    @pytest.mark.parametrize("selector, expect", [(b"", True), (b"temp/", True), (b"hum/", False)])
+    def test_answers_the_has_data_query(self, master_inbox, selector, expect):
+        server, events = master_inbox
+        node = lm.SensorNode(id=1)
+        node.ingest([(b"temp/1", b"20")])
+        proc = start_node(node, server)
+        try:
+            transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
+            transport.send(0, 1, encode_control({"type": "query_data", "job_id": 4, "selector_hex": selector.hex()}))
+            (frame,) = drain(events, 1)
+            assert decode_control(frame) == {"type": "has_data", "node": 1, "job_id": 4, "has_data": expect}
         finally:
             proc.shutdown.set()
             proc.server.stop()
@@ -157,7 +174,7 @@ class TestNodeProcess:
                     1: (proc.server.host, proc.server.port),
                     2: ("127.0.0.1", dead_port),
                 },
-                partitions={10: (1, 2)},
+                routes={10: (1, 2)},
             )
             transport.send(0, 1, encode_control(reg.register_control()))
             transport.send(0, 1, lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4)))
@@ -209,7 +226,7 @@ class TestNodeProcess:
                     1: (proc1.server.host, proc1.server.port),
                     2: (lossy.host, lossy.port),
                 },
-                partitions={10: (1, 2)},
+                routes={10: (1, 2)},
             )
             transport = lm.TcpTransport({1: (proc1.server.host, proc1.server.port), 2: (proc2.server.host, proc2.server.port)})
             for node_id in (1, 2):
@@ -258,7 +275,7 @@ class TestNodeProcess:
                 results_only=False,
                 master=0,
                 addresses={0: (server.host, server.port), 1: (proc.server.host, proc.server.port)},
-                partitions={10: (1,)},
+                routes={10: (1,)},
             )
             transport.send(0, 1, encode_control(reg.register_control()))
             transport.send(0, 1, lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4)))
@@ -289,7 +306,7 @@ class TestNodeProcess:
                 results_only=False,
                 master=0,
                 addresses={0: (server.host, server.port), 1: (proc.server.host, proc.server.port)},
-                partitions={10: (1,)},
+                routes={10: (1,)},
             )
             transport.send(0, 1, encode_control(reg.register_control()))
             envelope = lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4))
@@ -522,6 +539,43 @@ class TestRunTcpJob:
         assert killed.migrations == 1
         assert killed.fail_reason == "node 2 exited with code 17 while holding the slave"
 
+    @pytest.mark.parametrize(
+        "when, error",
+        [
+            ("before_ack", r"could not query data at node 2"),
+            ("after_ack", r"node 2 exited with code 23 before every node answered the has-data query"),
+        ],
+    )
+    def test_node_killed_by_the_has_data_query_fails_the_job_fast(self, tmp_path, monkeypatch, when, error):
+        # A job module that makes node 2 exit when the has-data query
+        # arrives: before it acks the query, or right after. The launcher
+        # runs locomap.tcp_node as __main__, so that is the module to patch.
+        (tmp_path / "locomap_querykill.py").write_text(
+            "import os\n"
+            "import sys\n"
+            "\n"
+            "NodeProcess = sys.modules['__main__'].NodeProcess\n"
+            "on_control = NodeProcess._on_control\n"
+            "\n"
+            "def die_on_query(self, doc):\n"
+            "    if self.node.id == 2 and doc.get('type') == 'query_data':\n"
+            "        if os.environ['LOCOMAP_DIE_WHEN'] == 'before_ack':\n"
+            "            os._exit(23)\n"
+            "        return lambda: os._exit(23)\n"
+            "    return on_control(self, doc)\n"
+            "\n"
+            "NodeProcess._on_control = die_on_query\n"
+        )
+        monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+        monkeypatch.setenv("LOCOMAP_DIE_WHEN", when)
+        data_dir = write_node_files(tmp_path, {1: [b"a"], 2: [b"b"], 3: [b"c"]})
+        topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
+        spec = lm.builtin_job("wordcount", job_id=1)
+        started = time.monotonic()
+        with pytest.raises(lm.ConfigError, match=error):
+            lm.run_tcp_job(spec, topology, data_dir, timeout_s=30, job_module="locomap_querykill")
+        assert time.monotonic() - started < 4
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
     @pytest.mark.parametrize("bad_data", [False, True])
     def test_no_node_outlives_its_job(self, tmp_path, monkeypatch, bad_data):
@@ -555,6 +609,40 @@ class TestRunTcpJob:
         recorded = [int(p.name) for p in pids.iterdir()]
         assert len(recorded) == 4  # the launcher and three nodes
         assert [pid for pid in recorded if process_running(pid)] == []
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+class TestRoutesMatchTheSimEngine:
+    """TCP slaves skip the nodes that hold nothing for the selector, as
+    sim slaves do, so every count and every slave report is equal."""
+
+    @pytest.fixture(params=["iot3", "iot8"])
+    def node_set(self, request, tmp_path):
+        data_dir = tmp_path / "data"
+        shutil.copytree(CONFIGS / "sample_data", data_dir)
+        if request.param == "iot3":
+            (data_dir / "node_2.tsv").write_bytes(b"")  # node 2 empty
+        # iot8: nodes 4-8 have no data file
+        return lm.Topology.from_file(CONFIGS / f"{request.param}.json"), data_dir
+
+    @pytest.mark.parametrize("selector", [b"", b"k4"])
+    @pytest.mark.parametrize("slave_count", [1, 3])
+    @pytest.mark.parametrize("results_only", [False, True])
+    def test_counts_and_reports_are_equal(self, node_set, selector, slave_count, results_only):
+        topology, data_dir = node_set
+        spec = lm.builtin_job("wordcount", job_id=1, slave_count=slave_count, selector=selector)
+        cluster = lm.Cluster.from_topology(topology)
+        for path in data_dir.glob("node_*.tsv"):
+            cluster.nodes[int(path.stem[5:])].ingest(lm.load_records_tsv(path))
+        sim = lm.run_job(spec, cluster, lm.SimTransport(topology), results_only=results_only)
+        tcp = lm.run_tcp_job(spec, topology, data_dir, results_only=results_only, timeout_s=30.0)
+        assert tcp.final == sim.final
+        assert tcp.migrations_total == sim.migrations_total
+        assert tcp.bytes_transferred_total == sim.bytes_transferred_total
+        by_agent = lambda result: sorted(result.slave_reports, key=lambda r: r.agent_id)  # noqa: E731
+        assert by_agent(tcp) == by_agent(sim)
 
 
 def process_running(pid: int) -> bool:
