@@ -82,7 +82,6 @@ def duplication_experiment(
     sizes: Sequence[int],
     repeats: int = 5,
     mode: str = "sim",
-    cpu_model: SimCpuModel | None = None,
     callbacks: LifecycleCallbacks | None = None,
 ) -> list[CostRecord]:
     """Median duplication cost per agent size, callbacks included.
@@ -96,7 +95,7 @@ def duplication_experiment(
         raise ConfigError("repeats must be at least 1")
     if mode not in ("sim", "measured"):
         raise ConfigError(f"unknown duplication mode {mode!r}")
-    model = cpu_model or SimCpuModel()
+    model = SimCpuModel()
     callbacks = callbacks if callbacks is not None else LifecycleCallbacks()
     ids = AgentIdAllocator()
     records = []

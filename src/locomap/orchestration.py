@@ -7,7 +7,7 @@ to the reducer and hands over its partial. The reducer folds partials
 with the job's commutative combine, so arrival order cannot matter.
 Both engines walk the routes ``plan_routes`` fixes up front, one
 ``host_and_route`` step per node; the sim adds a modeled clock, TCP
-(``tcp_cluster``, ``tcp_node``) its frames and stats.
+(``tcp_cluster``, ``tcp_node``) its frames and arrival reports.
 
 Raw records never cross the network. The only wire traffic is agent
 envelopes and result messages, which is the whole point.

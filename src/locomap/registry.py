@@ -142,10 +142,9 @@ class FunctionRegistry:
     def register_reduce(self, fn_id: str, fn: ReduceFn) -> None:
         self._reduces[fn_id] = fn
 
-    def register_combine(self, op: CombineOp, check: bool = True) -> None:
+    def register_combine(self, op: CombineOp) -> None:
         """Register a combine operation; drops any batch kernel under its name."""
-        if check:
-            check_combine_algebra(op)
+        check_combine_algebra(op)
         self._combines[op.name] = op
         self._batch_maps = {pair: kernel for pair, kernel in self._batch_maps.items() if pair[1] != op.name}
 

@@ -5,10 +5,10 @@ node process per sensor node. The master waits for the nodes to announce
 themselves, asks each whether it holds data for the job's selector, plans
 the routes from the answers as the sim does, registers the job with them
 everywhere, injects the slaves, and then collects whatever comes back:
-arriving agents, remote result messages, failure notices and forwarding
-stats. Byte accounting matches the simulator's: envelope bytes for every
-hop plus result message bytes;
-control traffic is not data-plane and is not counted.
+arriving agents, remote result messages, failure notices and arrival
+reports. Byte accounting matches the simulator's: envelope bytes for every
+hop plus result message bytes; control traffic is not data-plane and is
+not counted.
 """
 
 from __future__ import annotations
@@ -56,11 +56,11 @@ logger = logging.getLogger("locomap.tcp_cluster")
 class _SlaveState:
     """One slave as the master sees it.
 
-    ``hops`` maps a hop number to the envelope bytes sent on that hop. The
-    number is the slave's itinerary length when it left: 0 for the
-    master's dispatch, then one more per node visited. Keying by hop makes
-    a repeated stat count once and lets a failed hop be taken back.
-    ``holder`` is where the last counted hop went.
+    ``hops`` maps a hop number to the envelope bytes that arrived on that
+    hop. The number is the slave's itinerary length when it left: 0 for
+    the master's dispatch, then one more per node visited. Keying by hop
+    makes a repeated arrival count once. ``holder`` is the node that last
+    reported the slave's arrival.
     """
 
     agent_id: int
@@ -96,6 +96,14 @@ def _watch_exit(launcher: subprocess.Popen, events: queue.Queue) -> None:
     events.put(encode_control({"type": "launcher_exited", "code": code}))
 
 
+def _next_frame(events: queue.Queue, deadline: float) -> bytes | None:
+    """The next event frame, or None once the deadline has passed."""
+    try:
+        return events.get(timeout=max(0.0, deadline - time.monotonic()))
+    except queue.Empty:
+        return None
+
+
 def _await_each(events: queue.Queue, kind: str, expected: tuple[int, ...], deadline: float, before: str) -> dict[int, dict]:
     """Wait for one ``kind`` control frame from every expected node;
     returns the frames by node.
@@ -105,13 +113,9 @@ def _await_each(events: queue.Queue, kind: str, expected: tuple[int, ...], deadl
     """
     docs: dict[int, dict] = {}
     while len(docs) < len(expected):
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
+        frame = _next_frame(events, deadline)
+        if frame is None:
             raise ConfigError(f"nodes {sorted(set(expected) - set(docs))} sent no {kind} before the deadline")
-        try:
-            frame = events.get(timeout=remaining)
-        except queue.Empty:
-            continue
         if classify_frame(frame) != "control":
             logger.warning("unexpected frame before %s; dropping it", before)
             continue
@@ -131,19 +135,19 @@ def _await_each(events: queue.Queue, kind: str, expected: tuple[int, ...], deadl
 def _collect(events: queue.Queue, states: dict[int, "_SlaveState"], callbacks, combine, deadline: float) -> None:
     """Consume events until every slave has resolved or the deadline passes.
 
-    A node sends a hop's ``forwarded`` stat, and waits for its ack, before
-    it makes the hop, so every stat of a slave is queued here ahead of the
-    envelope or result message that resolves it. Returning at the last
-    resolution therefore loses no stat. A ``slave_failed`` takes back the
-    stat of the hop it names, and every frame for a slave that has already
+    A hop counts when its receiver reports it. A node sends ``arrived``,
+    and waits for its ack, before it acks the envelope, so every arrival
+    of a slave is queued here ahead of anything the hop causes, and the
+    holder is always the node that has the slave. An envelope coming
+    home counts its last hop here. Returning at the last resolution
+    therefore loses no hop. Every frame for a slave that has already
     resolved is ignored, so repeated and late frames change nothing.
 
     A ``node_exited`` fails every unresolved slave that the node holds.
     The launcher reports an exit only once the node is gone, so every
-    frame the node had acked, and every stat it sent, is queued ahead of
-    the report. One case goes undetected until the deadline: a node that
-    dies between its acked stat and the forward, since the stat has
-    already moved the slave to the next node.
+    arrival the node reported is queued ahead of the report, whether the
+    node died before it hosted the slave, while hosting, or before it
+    forwarded it.
     """
 
     def pending(agent_id: int) -> "_SlaveState | None":
@@ -167,6 +171,7 @@ def _collect(events: queue.Queue, states: dict[int, "_SlaveState"], callbacks, c
             state = pending(agent.id)
             if state is not None:
                 # The slave is home; it hands its partial to the reducer locally.
+                state.hops[len(agent.itinerary)] = len(frame)
                 message = home_message(agent, combine)
                 state.deliver(message, message.size_bytes)
         elif kind == "result":
@@ -181,16 +186,14 @@ def _collect(events: queue.Queue, states: dict[int, "_SlaveState"], callbacks, c
         else:
             doc = decode_control(frame)
             kind = doc.get("type")
-            if kind == "forwarded":
+            if kind == "arrived":
                 state = pending(int(doc["agent_id"]))
                 if state is not None:
                     state.hops[int(doc["hop"])] = int(doc["bytes"])
-                    state.holder = int(doc["dst"])
+                    state.holder = int(doc["node"])
             elif kind == "slave_failed":
                 state = pending(int(doc["agent_id"]))
                 if state is not None:
-                    if doc.get("hop") is not None:
-                        state.hops.pop(int(doc["hop"]), None)
                     state.fail_reason = doc.get("reason") or "remote failure"
             elif kind == "node_exited":
                 for state in states.values():
@@ -200,16 +203,12 @@ def _collect(events: queue.Queue, states: dict[int, "_SlaveState"], callbacks, c
                 logger.warning("ignoring control message %r", kind)
 
     while any(not s.resolved for s in states.values()):
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
+        frame = _next_frame(events, deadline)
+        if frame is None:
             for state in states.values():
                 if not state.resolved:
                     state.fail_reason = "timed out waiting for the slave"
             return
-        try:
-            frame = events.get(timeout=remaining)
-        except queue.Empty:
-            continue
         handle(frame)
 
 
@@ -303,14 +302,12 @@ def run_tcp_job(
                 message = home_message(slave, plan.combine)
                 state.deliver(message, message.size_bytes)
                 continue
-            envelope = pack(slave, callbacks)
-            _, fail = send(route[0], envelope)
-            if fail is None:
-                state.hops[0] = len(envelope)
-                state.holder = route[0]
-            else:
+            _, fail = send(route[0], pack(slave, callbacks))
+            if fail is not None:
+                # Queued behind any arrival the node reported before it failed.
                 logger.error("could not dispatch agent %s: %s", slave.id, fail)
-                state.fail_reason = f"could not dispatch to node {route[0]}"
+                failed = {"type": "slave_failed", "agent_id": slave.id, "reason": f"could not dispatch to node {route[0]}"}
+                events.put(encode_control(failed))
 
         _collect(events, states, callbacks, plan.combine, deadline)
     finally:

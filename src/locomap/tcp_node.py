@@ -23,13 +23,13 @@ at a time, and drops a repeat for the same (job, agent, hop): a sender
 retrying after a lost acknowledgement.
 
 Every frame a node sends, control or data, goes through
-``TcpTransport.send`` and the one retry loop, ``send_with_retry``. A node
-tells the master about a hop before making it: the ``forwarded`` stat,
-keyed by the hop number, is acknowledged by the master before the
-envelope leaves, so the master holds every stat of a slave before
-anything the hop causes can reach it. A node gives a hop up when the
-master does not acknowledge its stat or the envelope cannot be sent, and
-either way reports ``slave_failed`` with the same hop number.
+``TcpTransport.send`` and the one retry loop, ``send_with_retry``. A hop
+counts when its receiver reports it: before a node acks an envelope it
+sends the master an ``arrived`` control (agent, job, hop, envelope bytes,
+node) and waits for the master's ack, so the master knows where every
+slave is before the sender can let go of it. An arrival the master does
+not ack leaves the envelope unacked, and the sender retries or gives the
+hop up. A node that cannot forward reports ``slave_failed``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 from .agents import Agent, LifecycleCallbacks, NodeId, TaskDescriptor
 from .envelope import pack, unpack
-from .errors import EnvelopeError, LocomapError
+from .errors import EnvelopeError, LocomapError, TransportFailure
 from .nodes import SensorNode, load_records_tsv
 from .orchestration import JobSpec, host_and_route, send_with_retry
 from .registry import DEFAULT_REGISTRY, FunctionRegistry, build_default_registry
@@ -259,51 +259,46 @@ class NodeProcess:
     def _accept_envelope(self, frame: bytes):
         """Accept an arriving agent once per (job, agent, hop).
 
-        This runs before the frame is acked, so a sender whose retry was
-        acked knows the repeat has already been dropped. Returns the step
-        that hosts and forwards the agent, which runs after the ack.
+        This runs before the frame is acked: a repeat is dropped, and the
+        master is told of the arrival and has acked it before the sender
+        can be. Raising leaves the envelope unacked. Returns the step that
+        hosts and forwards the agent, which runs after the ack.
         """
         try:
             agent = unpack(frame)
         except EnvelopeError as exc:
             logger.error("node %s rejected an envelope: %s", self.node.id, exc)
             return None
-        key = (agent.job_id, agent.id, len(agent.itinerary))
+        hop = len(agent.itinerary)
+        key = (agent.job_id, agent.id, hop)
+        # Held across the report, so a repeat waits for the first copy's outcome.
         with self._lock:
             if key in self._seen:
                 logger.warning("node %s dropped a repeated envelope for agent %s", self.node.id, agent.id)
                 return None
+            arrived = {"type": "arrived", "agent_id": agent.id, "job_id": agent.job_id, "hop": hop, "bytes": len(frame), "node": self.node.id}
+            if not self._tell_master(arrived):
+                raise TransportFailure(f"master did not ack the arrival of agent {agent.id}")
             self._seen.add(key)
             self.callbacks.fire_arrive(agent)
         return lambda: self._host_and_forward(agent)
 
     def _host_and_forward(self, agent: Agent) -> None:
         """Host the agent and send it on; one agent at a time per node."""
-        about = {"agent_id": agent.id, "job_id": agent.job_id}
+        failed = {"type": "slave_failed", "agent_id": agent.id, "job_id": agent.job_id}
         with self._hosting:
             with self._lock:
                 reg = self._jobs.get(agent.job_id)
             if reg is None:
                 logger.error("node %s has no registration for job %s", self.node.id, agent.job_id)
-                self._tell_master({"type": "slave_failed", **about, "hop": None, "reason": "job not registered at node"})
+                self._tell_master({**failed, "reason": "job not registered at node"})
                 return
 
             route = reg.routes.get(agent.id, ())
             agent, nxt, message = host_and_route(self.node, agent, self.registry, route, reg.master, reg.results_only)
-            transport = TcpTransport(reg.addresses)
-            hop = len(agent.itinerary)
-            if message is not None:
-                payload = message.encode()
-            else:
-                payload = pack(agent, self.callbacks)
-                # Acked by the master before the hop is made, never after; a
-                # stat the master did not take means no hop and a failed slave.
-                if not self._tell_master({"type": "forwarded", **about, "hop": hop, "bytes": len(payload), "dst": nxt}):
-                    self._tell_master({"type": "slave_failed", **about, "hop": hop, "reason": "master did not ack the forwarded stat"})
-                    return
-
-            if not self._send(transport, nxt, payload):
-                self._tell_master({"type": "slave_failed", **about, "hop": hop, "reason": f"could not forward to node {nxt}"})
+            payload = message.encode() if message is not None else pack(agent, self.callbacks)
+            if not self._send(TcpTransport(reg.addresses), nxt, payload):
+                self._tell_master({**failed, "reason": f"could not forward to node {nxt}"})
 
     # -- outbound --
 
@@ -398,8 +393,12 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    # Skip interpreter finalization once every node_exited report is out;
-    # the nodes themselves end with os._exit too.
-    code = main()
+    # Run main from the imported module, not from this __main__ copy, so a
+    # job module's patches to locomap.tcp_node reach the forked nodes. Skip
+    # interpreter finalization once every node_exited report is out; the
+    # nodes themselves end with os._exit too.
+    from locomap import tcp_node
+
+    code = tcp_node.main()
     logging.shutdown()
     os._exit(code)

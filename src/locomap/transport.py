@@ -236,9 +236,9 @@ class SimTransport:
     delay shows up in ``started_at``, never inside ``elapsed_s``.
     """
 
-    def __init__(self, topology: Topology, cpu_model: SimCpuModel | None = None):
+    def __init__(self, topology: Topology):
         self.topology = topology
-        self.cpu_model = cpu_model or SimCpuModel()
+        self.cpu_model = SimCpuModel()
         self._rng = random.Random(topology.rng_seed)
         self._link_free_at: dict[tuple[NodeId, NodeId], float] = {}
         self._horizon = 0.0

@@ -94,20 +94,19 @@ class TestNodeProcess:
                 routes={10: (1,)},
             )
             transport.send(0, 1, encode_control(reg.register_control()))
-            slave = lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4)
-            transport.send(0, 1, lm.pack(slave))
+            dispatched = lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4))
+            transport.send(0, 1, dispatched)
 
-            # The stat for a hop is acked by the master before the hop is made.
-            stat_frame, envelope = drain(events, 2)
+            # The arrival is acked by the master before the envelope is.
+            arrived_frame, envelope = drain(events, 2)
+            assert decode_control(arrived_frame) == {
+                "type": "arrived", "agent_id": 10, "job_id": 4, "hop": 0, "bytes": len(dispatched), "node": 1,
+            }
             assert classify_frame(envelope) == "envelope"
             agent = lm.unpack(envelope)
             assert agent.id == 10
             assert agent.itinerary == (1,)
             assert lm.decode_partial(agent.payload) == {"a": 2, "b": 1}
-            stat = decode_control(stat_frame)
-            assert stat["type"] == "forwarded"
-            assert stat["hop"] == 1
-            assert stat["bytes"] == len(envelope)
         finally:
             proc.shutdown.set()
             proc.server.stop()
@@ -129,7 +128,8 @@ class TestNodeProcess:
             )
             transport.send(0, 1, encode_control(reg.register_control()))
             transport.send(0, 1, lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4)))
-            (frame,) = drain(events, 1)
+            arrived, frame = drain(events, 2)
+            assert (decode_control(arrived)["type"], decode_control(arrived)["hop"]) == ("arrived", 0)
             assert classify_frame(frame) == "result"
             message = lm.decode_result(frame)
             assert message.from_agent == 10
@@ -178,9 +178,11 @@ class TestNodeProcess:
             )
             transport.send(0, 1, encode_control(reg.register_control()))
             transport.send(0, 1, lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4)))
-            stat, failure = (decode_control(f) for f in drain(events, 2, timeout=15.0))
-            assert (stat["type"], stat["agent_id"], stat["hop"]) == ("forwarded", 10, 1)
-            assert (failure["type"], failure["agent_id"], failure["hop"]) == ("slave_failed", 10, 1)
+            arrived, failure = (decode_control(f) for f in drain(events, 2, timeout=15.0))
+            assert (arrived["type"], arrived["agent_id"], arrived["hop"], arrived["node"]) == ("arrived", 10, 0, 1)
+            assert (failure["type"], failure["agent_id"]) == ("slave_failed", 10)
+            assert failure["reason"] == "could not forward to node 2"
+            assert "hop" not in failure
         finally:
             proc.shutdown.set()
             proc.server.stop()
@@ -234,7 +236,7 @@ class TestNodeProcess:
             transport.send(0, 1, lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4)))
 
             first, second, envelope = drain(events, 3)
-            assert [decode_control(f)["hop"] for f in (first, second)] == [1, 2]
+            assert [(decode_control(f)["hop"], decode_control(f)["node"]) for f in (first, second)] == [(0, 1), (1, 2)]
             agent = lm.unpack(envelope)
             assert agent.itinerary == (1, 2)
             assert lm.decode_partial(agent.payload) == {"a": 2, "b": 1}
@@ -252,21 +254,23 @@ class TestNodeProcess:
                 proc.server.stop()
             lossy.stop()
 
-    def test_refused_stat_stops_the_hop(self):
-        # A master that refuses every forwarded stat: the node retries the
-        # stat under the retry policy, then reports the slave failed at that
-        # hop and gives the hop up without sending the envelope.
+    def test_refused_arrival_leaves_the_envelope_unacked(self, monkeypatch):
+        # A master that refuses every arrival: the node retries its arrived
+        # control under the retry policy, then leaves the envelope unacked
+        # and never hosts the agent. The sender's retry is reported afresh.
         events: queue.Queue = queue.Queue()
 
-        def refuse_stats(frame):
+        def refuse_arrivals(frame):
             events.put(frame)
-            if classify_frame(frame) == "control" and decode_control(frame)["type"] == "forwarded":
-                raise ConnectionRefusedError("stat refused")
+            if classify_frame(frame) == "control" and decode_control(frame)["type"] == "arrived":
+                raise ConnectionRefusedError("arrival refused")
 
-        server = FrameServer("127.0.0.1", 0, refuse_stats)
+        server = FrameServer("127.0.0.1", 0, refuse_arrivals)
         server.start()
         node = lm.SensorNode(id=1)
         node.ingest([(b"r", b"a")])
+        hosted = []
+        monkeypatch.setattr(node, "host", lambda agent, registry: hosted.append(agent.id))
         proc = start_node(node, server)
         try:
             transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
@@ -278,15 +282,16 @@ class TestNodeProcess:
                 routes={10: (1,)},
             )
             transport.send(0, 1, encode_control(reg.register_control()))
-            transport.send(0, 1, lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4)))
-
-            attempts = [decode_control(f) for f in drain(events, 4)]  # 1 attempt, 3 retries
-            assert [(d["type"], d["hop"]) for d in attempts] == [("forwarded", 1)] * 4
-            failed = decode_control(events.get(timeout=5.0))
-            assert (failed["type"], failed["hop"]) == ("slave_failed", 1)
-            assert "forwarded stat" in failed["reason"]
+            envelope = lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4))
+            for _ in range(2):
+                with pytest.raises(lm.TransportFailure, match="closed without acknowledging"):
+                    transport.send(0, 1, envelope)
+                attempts = [decode_control(f) for f in drain(events, 4)]  # 1 attempt, 3 retries
+                assert [(d["type"], d["hop"]) for d in attempts] == [("arrived", 0)] * 4
             with pytest.raises(queue.Empty):
                 events.get(timeout=1.0)
+            assert hosted == []
+            assert proc.callbacks.arrive_count == 0
         finally:
             proc.shutdown.set()
             proc.server.stop()
@@ -317,8 +322,8 @@ class TestNodeProcess:
                 sender.join(timeout=10.0)
                 assert not sender.is_alive()
 
-            stat, home = drain(events, 2)
-            assert decode_control(stat)["hop"] == 1
+            arrived, home = drain(events, 2)
+            assert decode_control(arrived)["hop"] == 0
             assert lm.unpack(home).itinerary == (1,)
             assert proc.callbacks.arrive_count == 1
             assert events.empty()
@@ -333,33 +338,34 @@ class TestNodeProcess:
         try:
             transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
             transport.send(0, 1, lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=404)))
-            (frame,) = drain(events, 1)
-            doc = decode_control(frame)
-            assert doc["type"] == "slave_failed"
+            arrived, failed = (decode_control(f) for f in drain(events, 2))
+            assert arrived["type"] == "arrived"
+            assert (failed["type"], failed["reason"]) == ("slave_failed", "job not registered at node")
         finally:
             proc.shutdown.set()
             proc.server.stop()
 
 
 class TestMasterAccounting:
-    def test_collect_keys_stats_by_hop_and_ignores_resolved_slaves(self):
+    def test_collect_keys_arrivals_by_hop_and_ignores_resolved_slaves(self):
         registry = lm.build_default_registry()
         combine = registry.resolve_combine(lm.builtin_job("wordcount", job_id=4).combine)
-        failing = _SlaveState(agent_id=10, partition=(1, 2, 3), hops={0: 40})
-        healthy = _SlaveState(agent_id=11, partition=(3,), hops={0: 40})
+        failing = _SlaveState(agent_id=10, partition=(1, 2, 3))
+        healthy = _SlaveState(agent_id=11, partition=(3,))
         states = {10: failing, 11: healthy}
 
-        def control(doc):
-            return encode_control({"agent_id": 10, "job_id": 4, **doc})
+        def control(doc, agent_id=10):
+            return encode_control({"agent_id": agent_id, "job_id": 4, **doc})
 
         late = lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4, itinerary=(1, 2), payload=lm.encode_partial({"a": 1}))
         result = lm.ResultMessage(from_agent=11, partial=lm.encode_partial({"b": 2})).encode()
         events: queue.Queue = queue.Queue()
         for frame in (
-            control({"type": "forwarded", "hop": 1, "bytes": 50, "dst": 2}),
-            control({"type": "forwarded", "hop": 1, "bytes": 50, "dst": 2}),  # repeated stat
-            control({"type": "forwarded", "hop": 2, "bytes": 60, "dst": 3}),
-            control({"type": "slave_failed", "hop": 2, "reason": "could not forward to node 3"}),
+            control({"type": "arrived", "hop": 0, "bytes": 40, "node": 1}),
+            control({"type": "arrived", "hop": 0, "bytes": 40, "node": 3}, agent_id=11),
+            control({"type": "arrived", "hop": 1, "bytes": 50, "node": 2}),
+            control({"type": "arrived", "hop": 1, "bytes": 50, "node": 2}),  # repeated arrival
+            control({"type": "slave_failed", "reason": "could not forward to node 3"}),
             lm.pack(late),  # arrives after the slave failed
             result,
         ):
@@ -369,7 +375,7 @@ class TestMasterAccounting:
 
         assert events.empty()
         failed = failing.report()
-        assert failed.migrations == 2  # the dispatch and hop 1, once; hop 2 failed
+        assert failed.migrations == 2  # the dispatch and hop 1, once; hop 2 never arrived
         assert failed.bytes_sent == 40 + 50
         assert not failed.delivered
         assert failed.fail_reason == "could not forward to node 3"
@@ -380,15 +386,33 @@ class TestMasterAccounting:
         reports = [failed, delivered]
         assert sum(r.delivered for r in reports) + sum(r.fail_reason is not None for r in reports) == len(states)
 
+    def test_an_envelope_coming_home_counts_its_hop(self):
+        registry = lm.build_default_registry()
+        combine = registry.resolve_combine(lm.builtin_job("wordcount", job_id=4).combine)
+        state = _SlaveState(agent_id=10, partition=(1,))
+        home = lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4, itinerary=(1,), payload=lm.encode_partial({"a": 1})))
+        events: queue.Queue = queue.Queue()
+        events.put(encode_control({"type": "arrived", "agent_id": 10, "job_id": 4, "hop": 0, "bytes": 40, "node": 1}))
+        events.put(home)
+
+        _collect(events, {10: state}, lm.LifecycleCallbacks(), combine, time.monotonic() + 5.0)
+
+        report = state.report()
+        assert report.delivered
+        assert report.migrations == 2
+        assert report.bytes_sent == 40 + len(home) + state.message_bytes
+
     def test_node_exit_fails_only_the_slaves_it_holds(self):
         registry = lm.build_default_registry()
         combine = registry.resolve_combine(lm.builtin_job("wordcount", job_id=4).combine)
-        moved_on = _SlaveState(agent_id=10, partition=(1, 2), hops={0: 40}, holder=1)
-        held = _SlaveState(agent_id=11, partition=(1,), hops={0: 40}, holder=1)
+        moved_on = _SlaveState(agent_id=10, partition=(1, 2))
+        held = _SlaveState(agent_id=11, partition=(1,))
         states = {10: moved_on, 11: held}
         events: queue.Queue = queue.Queue()
         for frame in (
-            encode_control({"type": "forwarded", "agent_id": 10, "job_id": 4, "hop": 1, "bytes": 50, "dst": 2}),
+            encode_control({"type": "arrived", "agent_id": 10, "job_id": 4, "hop": 0, "bytes": 40, "node": 1}),
+            encode_control({"type": "arrived", "agent_id": 11, "job_id": 4, "hop": 0, "bytes": 40, "node": 1}),
+            encode_control({"type": "arrived", "agent_id": 10, "job_id": 4, "hop": 1, "bytes": 50, "node": 2}),
             encode_control({"type": "node_exited", "node": 1, "code": -9}),
             lm.ResultMessage(from_agent=10, partial=lm.encode_partial({"a": 1})).encode(),
         ):
@@ -548,13 +572,11 @@ class TestRunTcpJob:
     )
     def test_node_killed_by_the_has_data_query_fails_the_job_fast(self, tmp_path, monkeypatch, when, error):
         # A job module that makes node 2 exit when the has-data query
-        # arrives: before it acks the query, or right after. The launcher
-        # runs locomap.tcp_node as __main__, so that is the module to patch.
+        # arrives: before it acks the query, or right after.
         (tmp_path / "locomap_querykill.py").write_text(
             "import os\n"
-            "import sys\n"
             "\n"
-            "NodeProcess = sys.modules['__main__'].NodeProcess\n"
+            "from locomap.tcp_node import NodeProcess\n"
             "on_control = NodeProcess._on_control\n"
             "\n"
             "def die_on_query(self, doc):\n"
@@ -575,6 +597,68 @@ class TestRunTcpJob:
         with pytest.raises(lm.ConfigError, match=error):
             lm.run_tcp_job(spec, topology, data_dir, timeout_s=30, job_module="locomap_querykill")
         assert time.monotonic() - started < 4
+
+    @pytest.mark.parametrize(
+        "where, results_only, migrations",
+        [
+            ("accept", False, 0),  # on envelope accept, before the arrival is reported
+            ("arrival_acked", False, 1),  # the master acked the arrival; the sender has no ack
+            ("hosting", False, 1),
+            ("send", False, 1),  # hosted, about to forward the envelope home
+            ("send", True, 1),  # hosted, about to send the result message
+        ],
+    )
+    def test_node_death_fails_its_slave_at_once(self, tmp_path, monkeypatch, where, results_only, migrations):
+        # A job module that makes node 2 exit at one step of its part of
+        # the protocol. The killed slave counts only the hops that arrived.
+        (tmp_path / "locomap_nodedeath.py").write_text(
+            "import os\n"
+            "\n"
+            "from locomap.tcp_node import NodeProcess, classify_frame\n"
+            "\n"
+            "WHERE = os.environ['LOCOMAP_DIE_WHERE']\n"
+            "accept, host, send = NodeProcess._accept_envelope, NodeProcess._host_and_forward, NodeProcess._send\n"
+            "\n"
+            "def die_at(self, where):\n"
+            "    if self.node.id == 2 and where == WHERE:\n"
+            "        os._exit(29)\n"
+            "\n"
+            "def wrapped_accept(self, frame):\n"
+            "    die_at(self, 'accept')\n"
+            "    then = accept(self, frame)\n"
+            "    die_at(self, 'arrival_acked')\n"
+            "    return then\n"
+            "\n"
+            "def wrapped_host(self, agent):\n"
+            "    die_at(self, 'hosting')\n"
+            "    return host(self, agent)\n"
+            "\n"
+            "def wrapped_send(self, transport, dst, payload):\n"
+            "    if classify_frame(payload) != 'control':\n"
+            "        die_at(self, 'send')\n"
+            "    return send(self, transport, dst, payload)\n"
+            "\n"
+            "NodeProcess._accept_envelope = wrapped_accept\n"
+            "NodeProcess._host_and_forward = wrapped_host\n"
+            "NodeProcess._send = wrapped_send\n"
+        )
+        monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+        monkeypatch.setenv("LOCOMAP_DIE_WHERE", where)
+        node_values = {1: [b"a b", b"c"], 2: [b"a"], 3: [b"b b c"]}
+        data_dir = write_node_files(tmp_path, node_values)
+        topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
+        spec = lm.builtin_job("wordcount", job_id=1)
+        started = time.monotonic()
+        result = lm.run_tcp_job(spec, topology, data_dir, results_only=results_only, timeout_s=30, job_module="locomap_nodedeath")
+        assert time.monotonic() - started < 4
+
+        assert (result.partials_received, result.slaves_failed, result.slave_count) == (2, 1, 3)
+        survivors = [r for n in (1, 3) for r in lm.load_records_tsv(data_dir / f"node_{n}.tsv")]
+        assert result.final == lm.sequential_oracle(spec.task, spec.combine, survivors)
+        (killed,) = [r for r in result.slave_reports if r.nodes == (2,)]
+        assert not killed.delivered
+        assert "node 2" in killed.fail_reason
+        assert killed.migrations == migrations
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
     @pytest.mark.parametrize("bad_data", [False, True])
