@@ -1,14 +1,14 @@
 """Master-side supervision for TCP mode.
 
-The master (this process) starts one launcher process, which forks a
-node process per sensor node. The master waits for the nodes to announce
-themselves, asks each whether it holds data for the job's selector, plans
-the routes from the answers as the sim does, registers the job with them
-everywhere, injects the slaves, and then collects whatever comes back:
-arriving agents, remote result messages, failure notices and arrival
-reports. Byte accounting matches the simulator's: envelope bytes for every
-hop plus result message bytes; control traffic is not data-plane and is
-not counted.
+The master (this process) forks itself into one launcher process per job,
+which forks a node process per sensor node. The master waits for the
+nodes to announce themselves, asks each whether it holds data for the
+job's selector, plans the routes from the answers as the sim does,
+registers the job with them everywhere, injects the slaves, and then
+collects whatever comes back: arriving agents, remote result messages,
+failure notices and arrival reports. Byte accounting matches the
+simulator's: envelope bytes for every hop plus result message bytes;
+control traffic is not data-plane and is not counted.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ import logging
 import os
 import queue
 import signal
-import subprocess
 import sys
 import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,7 +41,7 @@ from .orchestration import (
     send_with_retry,
 )
 from .registry import DEFAULT_REGISTRY
-from .tcp_node import FrameServer, JobRegistration, classify_frame, decode_control, encode_control
+from .tcp_node import FrameServer, JobRegistration, classify_frame, decode_control, encode_control, launch
 from .transport import TcpTransport, Topology
 
 # perfbench's tracer patches these names here as well as in orchestration,
@@ -90,10 +90,47 @@ class _SlaveState:
         )
 
 
-def _watch_exit(launcher: subprocess.Popen, events: queue.Queue) -> None:
+def _fork_launcher(server: FrameServer, nodes: list[tuple[int, int, str]], host: str, mem_limit: int, job_module: str, log_dir: str | Path | None) -> int:
+    """Fork this process into the node launcher, ``tcp_node.launch``; its pid.
+
+    The child keeps every module the master imported and puts the
+    ``PYTHONPATH`` entries in front of ``sys.path``, as a new interpreter
+    would. It leads a new session, so ``killpg`` on its pid reaches every
+    node, and its stderr is ``launcher.log`` under ``log_dir`` or nothing.
+    """
+    if log_dir is not None:
+        Path(log_dir).mkdir(parents=True, exist_ok=True)
+    stderr = os.open(os.devnull if log_dir is None else Path(log_dir) / "launcher.log", os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid:
+        os.close(stderr)
+        return pid
+    # The child never returns into the master's code: it always leaves
+    # with os._exit, and an uncaught error prints its traceback and exits 1.
+    code = 1
+    try:
+        os.setsid()
+        os.dup2(stderr, 2)
+        os.close(stderr)
+        sys.stderr = open(2, "w", buffering=1, errors="backslashreplace", closefd=False)
+        # Dropping the master's handlers lets launch's basicConfig log to fd 2.
+        for handler in logging.root.handlers[:]:
+            logging.root.removeHandler(handler)
+        server._sock.close()  # the child's copy; the master's stays open
+        sys.path[:0] = [entry for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep) if entry]
+        code = launch(nodes, (server.host, server.port), host, mem_limit, job_module, "" if log_dir is None else str(log_dir))
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
+def _watch_exit(launcher: int, events: queue.Queue) -> None:
     """Block until the launcher exits, then report it on ``events``."""
-    code = launcher.wait()
-    events.put(encode_control({"type": "launcher_exited", "code": code}))
+    _, status = os.waitpid(launcher, 0)
+    events.put(encode_control({"type": "launcher_exited", "code": os.waitstatus_to_exitcode(status)}))
 
 
 def _next_frame(events: queue.Queue, deadline: float) -> bytes | None:
@@ -240,30 +277,23 @@ def run_tcp_job(
 
     events: queue.Queue = queue.Queue()
     server = FrameServer(host, base_port, events.put)
-    server.start()
-    launcher: subprocess.Popen | None = None
+    launcher: int | None = None
     transport: TcpTransport | None = None
     started = time.monotonic()
     deadline = started + timeout_s
 
     try:
-        cmd = [sys.executable, "-m", "locomap.tcp_node", "--host", host, "--master", f"{server.host}:{server.port}"]
-        cmd += ["--mem-limit", str(node_mem_limit), "--job-module", job_module]
+        nodes = []
         for index, node_id in enumerate(targets):
             data_file = Path(data_dir) / f"node_{node_id}.tsv" if data_dir is not None else None
-            cmd += ["--node-id", str(node_id), "--port", str(0 if base_port == 0 else base_port + 1 + index)]
-            cmd += ["--data-file", str(data_file) if data_file is not None and data_file.exists() else ""]
-        pkg_root = str(Path(__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = pkg_root + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-        if log_dir is None:
-            launcher = subprocess.Popen(cmd, stderr=subprocess.DEVNULL, env=env, start_new_session=True)
-        else:
-            Path(log_dir).mkdir(parents=True, exist_ok=True)
-            with open(Path(log_dir) / "launcher.log", "w") as stderr:
-                launcher = subprocess.Popen(cmd + ["--log-dir", str(log_dir)], stderr=stderr, env=env, start_new_session=True)
+            port = 0 if base_port == 0 else base_port + 1 + index
+            nodes.append((node_id, port, str(data_file) if data_file is not None and data_file.exists() else ""))
+        # Forked before any thread of this job starts; the listening socket
+        # already queues the nodes' node_ready connections.
+        launcher = _fork_launcher(server, nodes, host, node_mem_limit, job_module, log_dir)
         watcher = threading.Thread(target=_watch_exit, args=(launcher, events), daemon=True)
         watcher.start()
+        server.start()
 
         ready = _await_each(events, "node_ready", targets, deadline, "the cluster was ready")
         raw_bytes = sum(int(doc.get("heap_bytes", 0)) for doc in ready.values())
@@ -317,7 +347,7 @@ def run_tcp_job(
                 # frame. SIGTERM stops the nodes; the launcher ignores it, reaps
                 # them and exits. The group is gone when the launcher exited first.
                 with contextlib.suppress(ProcessLookupError):
-                    os.killpg(launcher.pid, signal.SIGTERM)
+                    os.killpg(launcher, signal.SIGTERM)
             else:
                 shutdown = encode_control({"type": "shutdown"})
                 for node_id in targets:
@@ -330,7 +360,7 @@ def run_tcp_job(
             # is in this process's RUSAGE_CHILDREN.
             watcher.join(timeout=5.0)
             if watcher.is_alive():
-                os.killpg(launcher.pid, signal.SIGKILL)
+                os.killpg(launcher, signal.SIGKILL)
                 watcher.join()
         server.stop()
 

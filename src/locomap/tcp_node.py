@@ -1,11 +1,12 @@
 """Sensor node processes for TCP mode.
 
-Run as ``python -m locomap.tcp_node --node-id N [--node-id M ...]``. The
-process is a launcher: it imports the node code and any ``--job-module``
-once, then forks one node process per ``--node-id``, reaps each, tells
-the master with a ``node_exited`` control frame (node id, exit code), and
-exits when every node has. A job module must therefore start no thread
-at import, and its ``atexit`` handlers never run: the launcher and every
+``launch`` is the launcher: it imports any job module, then forks one
+node process per node, reaps each, tells the master with a
+``node_exited`` control frame (node id, exit code), and exits when every
+node has. The TCP master forks itself into a launcher for each job;
+``python -m locomap.tcp_node --node-id N [--node-id M ...]`` runs one
+from the command line. A job module must therefore start no thread at
+import, and its ``atexit`` handlers never run: the launcher and every
 node leave with ``os._exit``, skipping interpreter finalization. Each
 node loads its data file into a heap store, listens for framed messages,
 and handles three kinds of traffic, told apart by the first four bytes
@@ -104,7 +105,8 @@ class FrameServer:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        self._thread.join(timeout=2.0)
+        if self._thread.is_alive():
+            self._thread.join(timeout=2.0)
         self._sock.close()
 
     def _accept_loop(self) -> None:
@@ -230,7 +232,8 @@ class NodeProcess:
 
     def _on_frame(self, frame: bytes):
         """FrameServer handler; returns what runs after the ack: the hosting
-        step of an accepted envelope, or the answer to a has-data query."""
+        step of an accepted envelope, the answer to a has-data query, or
+        the shutdown."""
         kind = classify_frame(frame)
         if kind == "control":
             return self._on_control(decode_control(frame))
@@ -252,7 +255,8 @@ class NodeProcess:
                 self._jobs[reg.spec.job_id] = reg
             logger.info("node %s registered job %s", self.node.id, reg.spec.job_id)
         elif kind == "shutdown":
-            self.shutdown.set()
+            # Set after the ack: once it is set the node may exit at any time.
+            return self.shutdown.set
         else:
             logger.warning("node %s ignoring control message %r", self.node.id, kind)
 
@@ -314,19 +318,19 @@ class NodeProcess:
         return self._send(self._master, "master", encode_control(doc))
 
 
-def _serve(args, node_id: int, port: int, data_file: str, master: tuple[str, int]) -> int:
+def _serve(node_id: int, port: int, data_file: str, master: tuple[str, int], host: str, mem_limit: int, log_dir: str) -> int:
     """One forked node: load its data file, serve until shutdown; the exit code."""
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    node = SensorNode(id=node_id, mem_bytes_limit=args.mem_limit)
+    node = SensorNode(id=node_id, mem_bytes_limit=mem_limit)
     try:
-        if args.log_dir:
-            log = os.open(os.path.join(args.log_dir, f"node_{node_id}.log"), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+        if log_dir:
+            log = os.open(os.path.join(log_dir, f"node_{node_id}.log"), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
             os.dup2(log, 2)
             os.close(log)
         if data_file:
             stored = node.ingest(load_records_tsv(data_file))
             logger.info("node %s ingested %d records (%d bytes, %d dropped)", node.id, stored, node.heap.total_bytes, node.dropped)
-        proc = NodeProcess(node, args.host, port, master, registry=DEFAULT_REGISTRY)
+        proc = NodeProcess(node, host, port, master, registry=DEFAULT_REGISTRY)
         proc.run_until_shutdown()
     except LocomapError as exc:
         logger.error("node %s aborting: %s", node_id, exc)
@@ -335,6 +339,46 @@ def _serve(args, node_id: int, port: int, data_file: str, master: tuple[str, int
         logger.exception("node %s crashed", node_id)
         return 1
     return 0
+
+
+def launch(nodes: list[tuple[int, int, str]], master: tuple[str, int], host="127.0.0.1", mem_limit=1 << 30, job_module="", log_dir="") -> int:
+    """Be the launcher: fork one node per ``(node_id, port, data_file)``
+    (no data file when empty), reap them all and report each exit to
+    ``master``; the exit code. With ``log_dir``, each node's stderr goes
+    to ``node_<id>.log`` there."""
+    logging.basicConfig(
+        level=os.environ.get("LOCOMAP_LOG", "INFO").upper(),
+        format="%(asctime)s %(name)s %(levelname)s %(message)s",
+    )
+    if job_module:
+        importlib.import_module(job_module)
+
+    # A SIGTERM to the process group stops the nodes but not the launcher,
+    # which then reaps them and reports their exits like any other.
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    children: dict[int, int] = {}
+    for node_id, port, data_file in nodes:
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = _serve(node_id, port, data_file, master, host, mem_limit, log_dir)
+            finally:
+                os._exit(code)
+        children[pid] = node_id
+
+    transport = TcpTransport({"master": master})
+    failed = False
+    while children:
+        pid, status = os.wait()
+        node_id = children.pop(pid)
+        code = os.waitstatus_to_exitcode(status)
+        failed = failed or code != 0
+        exited = encode_control({"type": "node_exited", "node": node_id, "code": code})
+        _, fail = send_with_retry(lambda: transport.send("launcher", "master", exited), time.sleep)
+        if fail is not None:
+            logger.error("could not tell the master that node %s exited: %s", node_id, fail)
+    return int(failed)
 
 
 def main(argv=None) -> int:
@@ -353,43 +397,8 @@ def main(argv=None) -> int:
     data_files = args.data_file or [""] * len(nodes)
     if len(ports) != len(nodes) or len(data_files) != len(nodes):
         parser.error("give --port and --data-file once per --node-id, or not at all")
-
-    logging.basicConfig(
-        level=os.environ.get("LOCOMAP_LOG", "INFO").upper(),
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-    )
-
-    if args.job_module:
-        importlib.import_module(args.job_module)
     host, _, master_port = args.master.partition(":")
-    master = (host, int(master_port))
-
-    # A SIGTERM to the process group stops the nodes but not the launcher,
-    # which then reaps them and reports their exits like any other.
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    children: dict[int, int] = {}
-    for node_id, port, data_file in zip(nodes, ports, data_files):
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                code = _serve(args, node_id, port, data_file, master)
-            finally:
-                os._exit(code)
-        children[pid] = node_id
-
-    transport = TcpTransport({"master": master})
-    failed = False
-    while children:
-        pid, status = os.wait()
-        node_id = children.pop(pid)
-        code = os.waitstatus_to_exitcode(status)
-        failed = failed or code != 0
-        exited = encode_control({"type": "node_exited", "node": node_id, "code": code})
-        _, fail = send_with_retry(lambda: transport.send("launcher", "master", exited), time.sleep)
-        if fail is not None:
-            logger.error("could not tell the master that node %s exited: %s", node_id, fail)
-    return int(failed)
+    return launch(list(zip(nodes, ports, data_files)), (host, int(master_port)), args.host, args.mem_limit, args.job_module, args.log_dir)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import locomap as lm
-from locomap import AgentRole
+from locomap import AgentRole, tcp_cluster
 from locomap.tcp_cluster import _collect, _SlaveState
 from locomap.tcp_node import (
     FrameServer,
@@ -345,6 +345,18 @@ class TestNodeProcess:
             proc.shutdown.set()
             proc.server.stop()
 
+    def test_shutdown_is_set_only_after_the_ack(self, master_inbox):
+        server, _ = master_inbox
+        proc = start_node(lm.SensorNode(id=1), server)
+        try:
+            then = proc._on_control({"type": "shutdown"})
+            # Setting it in the handler would let the node exit before it acks.
+            assert not proc.shutdown.is_set()
+            then()
+            assert proc.shutdown.is_set()
+        finally:
+            proc.server.stop()
+
 
 class TestMasterAccounting:
     def test_collect_keys_arrivals_by_hop_and_ignores_resolved_slaves(self):
@@ -489,6 +501,55 @@ class TestRunTcpJob:
             assert got.final == expect.final
             assert got.migrations_total == expect.migrations_total
             assert got.bytes_transferred_total == expect.bytes_transferred_total
+
+    def test_runs_without_starting_an_interpreter(self, tmp_path, monkeypatch):
+        def no_popen(*args, **kwargs):
+            raise AssertionError("run_tcp_job started a subprocess")
+
+        monkeypatch.setattr(subprocess, "Popen", no_popen)
+        node_values = {1: [b"a b", b"c"], 2: [b"a"], 3: [b"b b c"]}
+        data_dir = write_node_files(tmp_path, node_values)
+        topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
+        spec = lm.builtin_job("wordcount", job_id=1)
+        result = lm.run_tcp_job(spec, topology, data_dir, timeout_s=30.0)
+        records = [r for n in node_values for r in lm.load_records_tsv(data_dir / f"node_{n}.tsv")]
+        assert result.final == lm.sequential_oracle(spec.task, spec.combine, records)
+
+    def test_a_job_module_imported_by_the_master_reaches_the_nodes(self, tmp_path, monkeypatch):
+        # Found through sys.path only: no PYTHONPATH names its directory.
+        (tmp_path / "locomap_masteronly.py").write_text(
+            "import locomap as lm\n"
+            "\n"
+            "def shout(key, value):\n"
+            "    for word in value.split():\n"
+            "        yield word.decode().upper(), 1\n"
+            "\n"
+            "lm.DEFAULT_REGISTRY.register_map('shout-wordcount', shout)\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        importlib.import_module("locomap_masteronly")
+        data_dir = write_node_files(tmp_path, {1: [b"a b", b"c"], 2: [b"a"], 3: [b"b b c"]})
+        topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
+        spec = lm.JobSpec(job_id=1, task=lm.TaskDescriptor("shout-wordcount", "identity"), combine="sum-by-key")
+        result = lm.run_tcp_job(spec, topology, data_dir, timeout_s=30.0, job_module="locomap_masteronly")
+        assert result.final == {"A": 2, "B": 3, "C": 2}
+
+    def test_forks_before_any_thread_of_the_job_starts(self, tmp_path, monkeypatch):
+        counts = []
+        fork = os.fork
+
+        def counting_fork():
+            counts.append(threading.active_count())
+            return fork()
+
+        monkeypatch.setattr(tcp_cluster.os, "fork", counting_fork)
+        data_dir = write_node_files(tmp_path, {1: [b"a"], 2: [b"b"]})
+        topology = lm.Topology.full_mesh(0, [1, 2], bandwidth_bytes_per_s=1e6)
+        spec = lm.builtin_job("wordcount", job_id=1)
+        before = threading.active_count()
+        assert lm.run_tcp_job(spec, topology, data_dir, timeout_s=30.0).final == {"a": 1, "b": 1}
+        assert counts == [before]
 
     def test_master_as_target_is_rejected(self):
         topology = lm.Topology.full_mesh(0, [1, 2], bandwidth_bytes_per_s=1e6)
