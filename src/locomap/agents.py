@@ -8,7 +8,7 @@ moves by shipping agents between nodes, never by shipping raw records.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import Callable
 
@@ -73,18 +73,13 @@ class TaskDescriptor:
 
 @dataclass(frozen=True)
 class Agent:
-    """One mobile unit of computation.
-
-    ``origin`` is local bookkeeping and is not carried on the wire, so
-    equality compares only the wire-carried state.
-    """
+    """One mobile unit of computation."""
 
     id: AgentId
     role: AgentRole
     job_id: int
     payload: bytes = b""
     itinerary: tuple[NodeId, ...] = ()
-    origin: NodeId = field(default=0, compare=False)
 
 
 class AgentIdAllocator:
@@ -118,7 +113,6 @@ def duplicate(mapper: Agent, n: int, ids: AgentIdAllocator | None = None) -> lis
             job_id=mapper.job_id,
             payload=mapper.payload,
             itinerary=(),
-            origin=mapper.origin,
         )
         for _ in range(n)
     ]

@@ -112,7 +112,7 @@ def unpack(data: bytes, callbacks: LifecycleCallbacks | None = None) -> Agent:
     """Reconstruct an agent, firing its arrival hook after decoding.
 
     Any structural or integrity problem rejects the envelope before the
-    hook runs. ``origin`` is not carried on the wire and comes back as 0.
+    hook runs.
     """
     count, payload_len = check_structure(data)
     check_integrity(data)

@@ -7,7 +7,9 @@ to the reducer and hands over its partial. The reducer folds partials
 with the job's commutative combine, so arrival order cannot matter.
 Both engines walk the routes ``plan_routes`` fixes up front, one
 ``host_and_route`` step per node; the sim adds a modeled clock, TCP
-(``tcp_cluster``, ``tcp_node``) its frames and arrival reports.
+(``tcp_cluster``, ``tcp_node``) its frames and arrival reports. Both
+account for each slave only through its ``SlaveLedger``, and
+``finish_job`` builds the result from the ledgers.
 
 Raw records never cross the network. The only wire traffic is agent
 envelopes and result messages, which is the whole point.
@@ -180,6 +182,62 @@ class SlaveReport:
         }
 
 
+@dataclass
+class SlaveLedger:
+    """One slave's account, kept the same way by both engines.
+
+    The engines only report events to it: ``arrived`` for each envelope a
+    node (or the master) received, then ``deliver`` or ``fail``, and
+    ``node_exited`` for every node that died. ``hops`` maps a hop number
+    to the envelope bytes that arrived on that hop. The number is the
+    slave's itinerary length when it left: 0 for the master's dispatch,
+    then one more per node visited. Keying by hop makes a repeated arrival
+    count once. ``holder`` is the node that reported the latest hop, so a
+    repeat of an earlier one does not move it. Once the slave has resolved
+    (delivered or failed) every method does nothing, so repeated and late
+    events change nothing.
+    """
+
+    agent_id: AgentId
+    partition: tuple[NodeId, ...]
+    hops: dict[int, int] = field(default_factory=dict)
+    holder: NodeId | None = None
+    message: ResultMessage | None = None
+    fail_reason: str | None = None
+
+    @property
+    def resolved(self) -> bool:
+        return self.message is not None or self.fail_reason is not None
+
+    def arrived(self, hop: int, nbytes: int, node: NodeId | None) -> None:
+        if not self.resolved:
+            if hop >= max(self.hops, default=0):
+                self.holder = node
+            self.hops[hop] = nbytes
+
+    def deliver(self, message: ResultMessage) -> None:
+        if not self.resolved:
+            self.message = message
+
+    def fail(self, reason: str) -> None:
+        if not self.resolved:
+            self.fail_reason = reason
+
+    def node_exited(self, node: NodeId, code: int) -> None:
+        if self.holder == node:
+            self.fail(f"node {node} exited with code {code} while holding the slave")
+
+    def report(self) -> SlaveReport:
+        return SlaveReport(
+            agent_id=self.agent_id,
+            nodes=self.partition,
+            delivered=self.message is not None,
+            migrations=len(self.hops),
+            bytes_sent=sum(self.hops.values()) + (self.message.size_bytes if self.message is not None else 0),
+            fail_reason=self.fail_reason,
+        )
+
+
 @dataclass(frozen=True)
 class JobResult:
     """What a run produced and what it cost.
@@ -342,21 +400,21 @@ def plan_job(spec: JobSpec, topology: Topology, registry: FunctionRegistry) -> J
         raise NoNodes("no target nodes and no explicit slave count; the aggregate would be empty")
 
     ids = AgentIdAllocator()
-    mapper = Agent(id=ids.next(), role=AgentRole.MAPPER, job_id=spec.job_id, origin=master)
-    reducer = Agent(id=ids.next(), role=AgentRole.REDUCER, job_id=spec.job_id, origin=master)
+    mapper = Agent(id=ids.next(), role=AgentRole.MAPPER, job_id=spec.job_id)
+    reducer = Agent(id=ids.next(), role=AgentRole.REDUCER, job_id=spec.job_id)
     slaves = tuple(duplicate(mapper, slave_count, ids))
     return JobPlan(master, targets, mapper, reducer, slaves, dispatch(slaves, targets), combine, reduce_fn)
 
 
 def finish_job(
     plan: JobPlan,
-    reports: Iterable[SlaveReport],
-    messages: list[ResultMessage],
+    ledgers: Iterable[SlaveLedger],
     wall_time_s: float,
     raw_data_bytes: int,
     extra_partial: Any = None,
 ) -> JobResult:
-    """Fold the delivered partials, reduce, and account for every slave.
+    """Fold the delivered partials, reduce, and report every slave from
+    its ledger.
 
     ``extra_partial`` is folded in outside the slave accounting (the
     mapper's pass over the master heap). Raises AllSlavesFailed, carrying
@@ -369,10 +427,12 @@ def finish_job(
         decode_failures += 1
         logger.warning("discarding malformed partial from agent %s: %s", message.from_agent, exc)
 
+    ledgers = tuple(ledgers)
+    messages = [ledger.message for ledger in ledgers if ledger.message is not None]
     folded = aggregate(plan.reducer, messages, plan.combine, on_decode_error=on_bad)
     if extra_partial is not None:
         folded = plan.combine.merge(folded, extra_partial)
-    reports = tuple(reports)
+    reports = tuple(ledger.report() for ledger in ledgers)
     slave_count = len(plan.slaves)
     partials_received = len(messages) - decode_failures
     result = JobResult(
@@ -430,11 +490,10 @@ def _tour(
     combine,
     callbacks: LifecycleCallbacks,
     results_only: bool,
-) -> tuple[SlaveReport, ResultMessage | None, float]:
+) -> tuple[SlaveLedger, float]:
     """Walk one slave along its route and deliver its partial.
 
-    Returns the slave's report, its result message (None if it failed)
-    and the modeled time it finished at.
+    Returns the slave's ledger and the modeled time it finished at.
     """
     master = cluster.topology.master
     t = 0.0
@@ -456,10 +515,9 @@ def _tour(
         nonlocal t
         t += seconds
 
+    ledger = SlaveLedger(slave.id, partition)
     agent = slave
     loc = master
-    migrations = 0
-    bytes_sent = 0
     fail = None
     message = None
 
@@ -471,9 +529,8 @@ def _tour(
             )
             if fail is not None:
                 break
+            ledger.arrived(len(agent.itinerary), outcome.bytes, nxt)
             agent, loc = outcome.agent, nxt
-            migrations += 1
-            bytes_sent += outcome.bytes
             if loc == master:
                 break
             agent, nxt, message = host_and_route(cluster.nodes[loc], agent, registry, route, master, results_only)
@@ -494,19 +551,10 @@ def _tour(
 
             _, fail = send_with_retry(lambda: attempt(send_result), backoff)
     if fail is None:
-        bytes_sent += message.size_bytes
+        ledger.deliver(message)
     else:
-        message = None
-
-    report = SlaveReport(
-        agent_id=slave.id,
-        nodes=partition,
-        delivered=message is not None,
-        migrations=migrations,
-        bytes_sent=bytes_sent,
-        fail_reason=fail,
-    )
-    return report, message, t
+        ledger.fail(fail)
+    return ledger, t
 
 
 def run_job(
@@ -546,9 +594,8 @@ def run_job(
         _tour(slave, plan.assignment[slave.id], routes[slave.id], cluster, transport, registry, plan.combine, callbacks, results_only)
         for slave in plan.slaves
     ]
-    reports, messages, finished_at = zip(*tours)
-    delivered = [m for m in messages if m is not None]
-    return finish_job(plan, reports, delivered, max(finished_at), raw_bytes, extra_partial=mapper_partial)
+    ledgers, finished_at = zip(*tours)
+    return finish_job(plan, ledgers, max(finished_at), raw_bytes, extra_partial=mapper_partial)
 
 
 def sequential_oracle(

@@ -6,9 +6,10 @@ nodes to announce themselves, asks each whether it holds data for the
 job's selector, plans the routes from the answers as the sim does,
 registers the job with them everywhere, injects the slaves, and then
 collects whatever comes back: arriving agents, remote result messages,
-failure notices and arrival reports. Byte accounting matches the
-simulator's: envelope bytes for every hop plus result message bytes;
-control traffic is not data-plane and is not counted.
+failure notices, arrival reports and node exits. Collecting only decodes
+these frames and reports them to each slave's ``SlaveLedger``, the same
+accounting the simulator keeps: envelope bytes for every hop plus result
+message bytes; control traffic is not data-plane and is not counted.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import sys
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .agents import LifecycleCallbacks
@@ -31,8 +31,7 @@ from .errors import ConfigError, DecodeError, EnvelopeError, TransportFailure
 from .orchestration import (
     JobResult,
     JobSpec,
-    ResultMessage,
-    SlaveReport,
+    SlaveLedger,
     decode_result,
     finish_job,
     home_message,
@@ -50,44 +49,6 @@ from .orchestration import aggregate, retry_policy  # noqa: F401
 from .registry import encode_partial  # noqa: F401
 
 logger = logging.getLogger("locomap.tcp_cluster")
-
-
-@dataclass
-class _SlaveState:
-    """One slave as the master sees it.
-
-    ``hops`` maps a hop number to the envelope bytes that arrived on that
-    hop. The number is the slave's itinerary length when it left: 0 for
-    the master's dispatch, then one more per node visited. Keying by hop
-    makes a repeated arrival count once. ``holder`` is the node that last
-    reported the slave's arrival.
-    """
-
-    agent_id: int
-    partition: tuple
-    hops: dict[int, int] = field(default_factory=dict)
-    holder: int | None = None
-    message: ResultMessage | None = None
-    message_bytes: int = 0
-    fail_reason: str | None = None
-
-    @property
-    def resolved(self) -> bool:
-        return self.message is not None or self.fail_reason is not None
-
-    def deliver(self, message: ResultMessage, nbytes: int) -> None:
-        self.message = message
-        self.message_bytes = nbytes
-
-    def report(self) -> SlaveReport:
-        return SlaveReport(
-            agent_id=self.agent_id,
-            nodes=self.partition,
-            delivered=self.message is not None,
-            migrations=len(self.hops),
-            bytes_sent=sum(self.hops.values()) + self.message_bytes,
-            fail_reason=self.fail_reason,
-        )
 
 
 def _fork_launcher(server: FrameServer, nodes: list[tuple[int, int, str]], host: str, mem_limit: int, job_module: str, log_dir: str | Path | None) -> int:
@@ -169,7 +130,7 @@ def _await_each(events: queue.Queue, kind: str, expected: tuple[int, ...], deadl
     return docs
 
 
-def _collect(events: queue.Queue, states: dict[int, "_SlaveState"], callbacks, combine, deadline: float) -> None:
+def _collect(events: queue.Queue, ledgers: dict[int, SlaveLedger], callbacks, combine, deadline: float) -> None:
     """Consume events until every slave has resolved or the deadline passes.
 
     A hop counts when its receiver reports it. A node sends ``arrived``,
@@ -177,8 +138,8 @@ def _collect(events: queue.Queue, states: dict[int, "_SlaveState"], callbacks, c
     of a slave is queued here ahead of anything the hop causes, and the
     holder is always the node that has the slave. An envelope coming
     home counts its last hop here. Returning at the last resolution
-    therefore loses no hop. Every frame for a slave that has already
-    resolved is ignored, so repeated and late frames change nothing.
+    therefore loses no hop. A resolved ledger ignores every later event,
+    so repeated and late frames change nothing.
 
     A ``node_exited`` fails every unresolved slave that the node holds.
     The launcher reports an exit only once the node is gone, so every
@@ -187,15 +148,11 @@ def _collect(events: queue.Queue, states: dict[int, "_SlaveState"], callbacks, c
     forwarded it.
     """
 
-    def pending(agent_id: int) -> "_SlaveState | None":
-        state = states.get(agent_id)
-        if state is None:
+    def ledger_for(agent_id: int) -> SlaveLedger | None:
+        ledger = ledgers.get(agent_id)
+        if ledger is None:
             logger.warning("frame for unknown agent %s", agent_id)
-            return None
-        if state.resolved:
-            logger.info("ignoring a frame for agent %s, which has already resolved", agent_id)
-            return None
-        return state
+        return ledger
 
     def handle(frame: bytes) -> None:
         kind = classify_frame(frame)
@@ -205,46 +162,42 @@ def _collect(events: queue.Queue, states: dict[int, "_SlaveState"], callbacks, c
             except EnvelopeError as exc:
                 logger.error("rejected an arriving envelope: %s", exc)
                 return
-            state = pending(agent.id)
-            if state is not None:
-                # The slave is home; it hands its partial to the reducer locally.
-                state.hops[len(agent.itinerary)] = len(frame)
-                message = home_message(agent, combine)
-                state.deliver(message, message.size_bytes)
+            ledger = ledger_for(agent.id)
+            if ledger is not None:
+                # The slave is home, at no node; it hands its partial to the reducer locally.
+                ledger.arrived(len(agent.itinerary), len(frame), None)
+                ledger.deliver(home_message(agent, combine))
         elif kind == "result":
             try:
                 message = decode_result(frame)
             except DecodeError as exc:
                 logger.error("discarding malformed result message: %s", exc)
                 return
-            state = pending(message.from_agent)
-            if state is not None:
-                state.deliver(message, len(frame))
+            ledger = ledger_for(message.from_agent)
+            if ledger is not None:
+                ledger.deliver(message)
         else:
             doc = decode_control(frame)
             kind = doc.get("type")
             if kind == "arrived":
-                state = pending(int(doc["agent_id"]))
-                if state is not None:
-                    state.hops[int(doc["hop"])] = int(doc["bytes"])
-                    state.holder = int(doc["node"])
+                ledger = ledger_for(int(doc["agent_id"]))
+                if ledger is not None:
+                    ledger.arrived(int(doc["hop"]), int(doc["bytes"]), int(doc["node"]))
             elif kind == "slave_failed":
-                state = pending(int(doc["agent_id"]))
-                if state is not None:
-                    state.fail_reason = doc.get("reason") or "remote failure"
+                ledger = ledger_for(int(doc["agent_id"]))
+                if ledger is not None:
+                    ledger.fail(doc.get("reason") or "remote failure")
             elif kind == "node_exited":
-                for state in states.values():
-                    if not state.resolved and state.holder == doc["node"]:
-                        state.fail_reason = f"node {doc['node']} exited with code {doc['code']} while holding the slave"
+                for ledger in ledgers.values():
+                    ledger.node_exited(doc["node"], doc["code"])
             elif kind != "node_ready":
                 logger.warning("ignoring control message %r", kind)
 
-    while any(not s.resolved for s in states.values()):
+    while not all(ledger.resolved for ledger in ledgers.values()):
         frame = _next_frame(events, deadline)
         if frame is None:
-            for state in states.values():
-                if not state.resolved:
-                    state.fail_reason = "timed out waiting for the slave"
+            for ledger in ledgers.values():
+                ledger.fail("timed out waiting for the slave")
             return
         handle(frame)
 
@@ -322,15 +275,12 @@ def run_tcp_job(
         registration = JobRegistration(spec, results_only, master, dict(transport.addresses), routes)
         send_everywhere(registration.register_control(), "register the job")
 
-        states: dict[int, _SlaveState] = {}
+        ledgers = {slave.id: SlaveLedger(slave.id, plan.assignment[slave.id]) for slave in plan.slaves}
         for slave in plan.slaves:
-            state = _SlaveState(agent_id=slave.id, partition=plan.assignment[slave.id])
-            states[slave.id] = state
             route = routes[slave.id]
             if not route:
                 # Nothing to visit: identity partial, handed over in place.
-                message = home_message(slave, plan.combine)
-                state.deliver(message, message.size_bytes)
+                ledgers[slave.id].deliver(home_message(slave, plan.combine))
                 continue
             _, fail = send(route[0], pack(slave, callbacks))
             if fail is not None:
@@ -339,7 +289,7 @@ def run_tcp_job(
                 failed = {"type": "slave_failed", "agent_id": slave.id, "reason": f"could not dispatch to node {route[0]}"}
                 events.put(encode_control(failed))
 
-        _collect(events, states, callbacks, plan.combine, deadline)
+        _collect(events, ledgers, callbacks, plan.combine, deadline)
     finally:
         if launcher is not None:
             if transport is None:
@@ -364,6 +314,4 @@ def run_tcp_job(
                 watcher.join()
         server.stop()
 
-    wall_time_s = time.monotonic() - started
-    messages = [state.message for state in states.values() if state.message is not None]
-    return finish_job(plan, [state.report() for state in states.values()], messages, wall_time_s, raw_bytes)
+    return finish_job(plan, ledgers.values(), time.monotonic() - started, raw_bytes)

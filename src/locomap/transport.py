@@ -241,7 +241,6 @@ class SimTransport:
         self.cpu_model = SimCpuModel()
         self._rng = random.Random(topology.rng_seed)
         self._link_free_at: dict[tuple[NodeId, NodeId], float] = {}
-        self._horizon = 0.0
 
     def send(self, src: NodeId, dst: NodeId, payload: bytes, at: float = 0.0) -> DeliveryReport:
         link = self.topology.link(src, dst)
@@ -249,15 +248,10 @@ class SimTransport:
         started = max(at, self._link_free_at.get((src, dst), 0.0))
         completed = started + report.elapsed_s
         self._link_free_at[(src, dst)] = completed
-        self._horizon = max(self._horizon, completed)
         return replace(report, started_at=started, completed_at=completed)
 
     def cpu_phase_times(self, envelope_bytes: int) -> tuple[float, float, float]:
         return self.cpu_model.migration_cpu_times(envelope_bytes)
-
-    def clock(self) -> float:
-        """Simulated time: the latest completion seen so far (0 with no events)."""
-        return self._horizon
 
 
 # --- TCP framing -----------------------------------------------------------

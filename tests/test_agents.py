@@ -86,8 +86,3 @@ class TestAgentValue:
     def test_padding_is_equivalent_to_trailing_zero_payload(self):
         # Once on the wire the two are the same bytes, so they are the same agent.
         assert mk_mapper(payload=b"ab\x00") == mk_mapper(payload=b"ab", padding=1)
-
-    def test_origin_is_local_bookkeeping(self):
-        a = lm.Agent(id=1, role=AgentRole.SLAVE, job_id=1, origin=0)
-        b = lm.Agent(id=1, role=AgentRole.SLAVE, job_id=1, origin=9)
-        assert a == b

@@ -5,7 +5,7 @@ import pytest
 
 import locomap as lm
 from locomap import AgentRole
-from locomap.orchestration import RetryAction, host_and_route, send_with_retry
+from locomap.orchestration import RetryAction, SlaveLedger, host_and_route, send_with_retry
 
 from helpers import RecordingTransport, make_cluster, random_workload, reference_final, sum_reference, wordcount_reference, all_values
 
@@ -217,6 +217,72 @@ class TestAggregate:
         final = lm.aggregate(self.reducer(), [bad, self.msg({"a": 1})], self.combine(), on_decode_error=lambda m, e: seen.append(m))
         assert final == {"a": 1}
         assert seen == [bad]
+
+
+class TestSlaveLedger:
+    """The accounting rule both engines share, over random orders of the
+    events one slave can cause, with no sockets."""
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_report_follows_the_causal_events_and_freezes_once_resolved(self, seed):
+        rng = random.Random(seed)
+        route = tuple(rng.sample(range(1, 9), rng.randrange(5)))
+        # Hop h arrives at route[h]; the hop past the route comes home to the master.
+        sizes = [rng.randrange(20, 200) for _ in range(len(route) + 1)]
+        at = lambda hop: route[hop] if hop < len(route) else None
+        reached = rng.randrange(len(route) + 2)  # hops 0..reached-1 arrive
+        holder = at(reached - 1) if reached else None
+        message = lm.ResultMessage(from_agent=10, partial=bytes(rng.randrange(40)))
+
+        events = []
+        for hop in range(reached):
+            events.append(("arrived", hop, sizes[hop], at(hop)))
+            if rng.random() < 0.4:
+                repeat = rng.randrange(hop + 1)
+                events.append(("arrived", repeat, sizes[repeat], at(repeat)))
+            if hop and rng.random() < 0.3:
+                events.append(("node_exited", at(hop - 1), -9))  # a node the slave has left
+        ending = rng.choice(["deliver", "fail", "deadline"] + (["holder_exited"] if holder is not None else []))
+        events.append(
+            {
+                "deliver": ("deliver", message),
+                "fail": ("fail", "could not forward"),
+                "deadline": ("fail", "timed out waiting for the slave"),
+                "holder_exited": ("node_exited", holder, -9),
+            }[ending]
+        )
+        late = [
+            ("arrived", reached, sizes[-1], at(min(reached, len(route)))),
+            ("deliver", lm.ResultMessage(from_agent=10, partial=b"late")),
+            ("fail", "late failure"),
+            ("node_exited", holder, 1),
+            ("node_exited", 9, 1),
+        ]
+        rng.shuffle(late)
+
+        ledger = SlaveLedger(agent_id=10, partition=route)
+        for name, *args in events:
+            assert not ledger.resolved
+            getattr(ledger, name)(*args)
+        assert ledger.resolved
+
+        expected = lm.SlaveReport(
+            agent_id=10,
+            nodes=route,
+            delivered=ending == "deliver",
+            migrations=reached,
+            bytes_sent=sum(sizes[:reached]) + (message.size_bytes if ending == "deliver" else 0),
+            fail_reason={
+                "deliver": None,
+                "fail": "could not forward",
+                "deadline": "timed out waiting for the slave",
+                "holder_exited": f"node {holder} exited with code -9 while holding the slave",
+            }[ending],
+        )
+        assert ledger.report() == expected
+        for name, *args in late:
+            getattr(ledger, name)(*args)
+            assert ledger.report() == expected
 
 
 class TestRunJob:

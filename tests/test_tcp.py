@@ -14,7 +14,8 @@ import pytest
 
 import locomap as lm
 from locomap import AgentRole, tcp_cluster
-from locomap.tcp_cluster import _collect, _SlaveState
+from locomap.orchestration import SlaveLedger
+from locomap.tcp_cluster import _collect
 from locomap.tcp_node import (
     FrameServer,
     JobRegistration,
@@ -362,8 +363,8 @@ class TestMasterAccounting:
     def test_collect_keys_arrivals_by_hop_and_ignores_resolved_slaves(self):
         registry = lm.build_default_registry()
         combine = registry.resolve_combine(lm.builtin_job("wordcount", job_id=4).combine)
-        failing = _SlaveState(agent_id=10, partition=(1, 2, 3))
-        healthy = _SlaveState(agent_id=11, partition=(3,))
+        failing = SlaveLedger(agent_id=10, partition=(1, 2, 3))
+        healthy = SlaveLedger(agent_id=11, partition=(3,))
         states = {10: failing, 11: healthy}
 
         def control(doc, agent_id=10):
@@ -401,7 +402,7 @@ class TestMasterAccounting:
     def test_an_envelope_coming_home_counts_its_hop(self):
         registry = lm.build_default_registry()
         combine = registry.resolve_combine(lm.builtin_job("wordcount", job_id=4).combine)
-        state = _SlaveState(agent_id=10, partition=(1,))
+        state = SlaveLedger(agent_id=10, partition=(1,))
         home = lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4, itinerary=(1,), payload=lm.encode_partial({"a": 1})))
         events: queue.Queue = queue.Queue()
         events.put(encode_control({"type": "arrived", "agent_id": 10, "job_id": 4, "hop": 0, "bytes": 40, "node": 1}))
@@ -412,13 +413,13 @@ class TestMasterAccounting:
         report = state.report()
         assert report.delivered
         assert report.migrations == 2
-        assert report.bytes_sent == 40 + len(home) + state.message_bytes
+        assert report.bytes_sent == 40 + len(home) + state.message.size_bytes
 
     def test_node_exit_fails_only_the_slaves_it_holds(self):
         registry = lm.build_default_registry()
         combine = registry.resolve_combine(lm.builtin_job("wordcount", job_id=4).combine)
-        moved_on = _SlaveState(agent_id=10, partition=(1, 2))
-        held = _SlaveState(agent_id=11, partition=(1,))
+        moved_on = SlaveLedger(agent_id=10, partition=(1, 2))
+        held = SlaveLedger(agent_id=11, partition=(1,))
         states = {10: moved_on, 11: held}
         events: queue.Queue = queue.Queue()
         for frame in (
@@ -439,7 +440,7 @@ class TestMasterAccounting:
     def test_deadline_fails_the_unresolved_slaves(self):
         registry = lm.build_default_registry()
         combine = registry.resolve_combine(lm.builtin_job("wordcount", job_id=4).combine)
-        state = _SlaveState(agent_id=10, partition=(1,), hops={0: 40})
+        state = SlaveLedger(agent_id=10, partition=(1,), hops={0: 40})
         _collect(queue.Queue(), {10: state}, lm.LifecycleCallbacks(), combine, time.monotonic())
         assert state.fail_reason == "timed out waiting for the slave"
         assert state.report().migrations == 1

@@ -124,16 +124,12 @@ class TestSimTransportClock:
         topo = lm.Topology.full_mesh(0, [1, 2], bandwidth_bytes_per_s=bandwidth, latency_s=latency, failure_prob=failure, rng_seed=seed)
         return lm.SimTransport(topo)
 
-    def test_clock_starts_at_zero(self):
-        assert self.mk().clock() == 0.0
-
     def test_sequential_sends_accumulate_on_one_path(self):
         transport = self.mk()
         first = transport.send(0, 1, b"x" * 1_000_000, at=0.0)
         assert first.completed_at == 1.0
         second = transport.send(1, 2, b"x" * 500_000, at=first.completed_at)
         assert second.completed_at == 1.5
-        assert transport.clock() == 1.5
 
     def test_parallel_paths_take_the_max_not_the_sum(self):
         transport = self.mk()
@@ -141,7 +137,6 @@ class TestSimTransportClock:
         b = transport.send(0, 2, b"x" * 1_000_000, at=0.0)
         assert a.completed_at == 1.0
         assert b.completed_at == 1.0
-        assert transport.clock() == 1.0
 
     def test_one_envelope_per_link_at_a_time(self):
         transport = self.mk()
