@@ -200,7 +200,14 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+# Bench options that only one migration mode reads; giving one elsewhere is an error.
+_BENCH_ONLY = {"topology": "sim", "seed": "sim", "timeout": "tcp"}
+
+
 def _cmd_bench(args) -> int:
+    for name, mode in _BENCH_ONLY.items():
+        if getattr(args, name) is not None and (args.kind, args.mode) != ("migration", mode):
+            raise ConfigError(f"--{name} applies to bench migration --mode {mode} only")
     sizes = parse_sizes(args.sizes)
     if args.kind == "duplication":
         mode = "sim" if args.mode == "sim" else "measured"
@@ -220,7 +227,7 @@ def _cmd_bench(args) -> int:
             sink = FrameServer("127.0.0.1", 0, lambda frame: None)
             sink.start()
             try:
-                transport = TcpTransport({1: (sink.host, sink.port)}, timeout_s=args.timeout)
+                transport = TcpTransport({1: (sink.host, sink.port)}, timeout_s=5.0 if args.timeout is None else args.timeout)
                 records = migration_experiment(sizes, args.repeats, transport, src=0, dst=1)
             finally:
                 sink.stop()
@@ -270,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeats", type=int, default=5)
     bench.add_argument("--mode", choices=("sim", "tcp"), default="sim", help="sim models times; tcp measures them")
     bench.add_argument("--topology", help="sim migration: topology JSON (default: 2-node iot preset)")
-    bench.add_argument("--seed", type=int, default=None)
-    bench.add_argument("--timeout", type=float, default=5.0)
+    bench.add_argument("--seed", type=int, default=None, help="sim migration: rng seed")
+    bench.add_argument("--timeout", type=float, default=None, help="tcp migration: per-send timeout in seconds (default 5)")
     bench.add_argument("--output", help="CSV file (default stdout)")
     bench.set_defaults(fn=_cmd_bench)
 

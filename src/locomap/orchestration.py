@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Callable, Iterable
 from zlib import crc32
@@ -417,14 +417,15 @@ def finish_job(
     its ledger.
 
     ``extra_partial`` is folded in outside the slave accounting (the
-    mapper's pass over the master heap). Raises AllSlavesFailed, carrying
-    the result, when no partial could be used.
+    mapper's pass over the master heap). A slave whose partial cannot be
+    decoded is reported as failed, with the decode error as its reason.
+    Raises AllSlavesFailed, carrying the result, when no partial could be
+    used.
     """
-    decode_failures = 0
+    discarded: dict[AgentId, str] = {}
 
     def on_bad(message, exc):
-        nonlocal decode_failures
-        decode_failures += 1
+        discarded[message.from_agent] = f"malformed partial: {exc}"
         logger.warning("discarding malformed partial from agent %s: %s", message.from_agent, exc)
 
     ledgers = tuple(ledgers)
@@ -432,9 +433,12 @@ def finish_job(
     folded = aggregate(plan.reducer, messages, plan.combine, on_decode_error=on_bad)
     if extra_partial is not None:
         folded = plan.combine.merge(folded, extra_partial)
-    reports = tuple(ledger.report() for ledger in ledgers)
+    reports = tuple(
+        replace(r, delivered=False, fail_reason=discarded[r.agent_id]) if r.agent_id in discarded else r
+        for r in (ledger.report() for ledger in ledgers)
+    )
     slave_count = len(plan.slaves)
-    partials_received = len(messages) - decode_failures
+    partials_received = len(messages) - len(discarded)
     result = JobResult(
         final=plan.reduce_fn(folded),
         partials_received=partials_received,

@@ -1,12 +1,13 @@
 """Master-side supervision for TCP mode.
 
-The master (this process) forks itself into one launcher process per job,
-which forks a node process per sensor node. The master waits for the
-nodes to announce themselves, asks each whether it holds data for the
-job's selector, plans the routes from the answers as the sim does,
-registers the job with them everywhere, injects the slaves, and then
-collects whatever comes back: arriving agents, remote result messages,
-failure notices, arrival reports and node exits. Collecting only decodes
+The master (this process) forks one node process per sensor node for
+each job, reaps each in a watcher thread, and queues its exit as a
+``node_exited`` event. The master waits for the nodes to announce
+themselves, asks each whether it holds data for the job's selector,
+plans the routes from the answers as the sim does, registers the job
+with them everywhere, injects the slaves, and then collects whatever
+comes back: arriving agents, remote result messages, failure notices,
+arrival reports and node exits. Collecting only decodes
 these frames and reports them to each slave's ``SlaveLedger``, the same
 accounting the simulator keeps: envelope bytes for every hop plus result
 message bytes; control traffic is not data-plane and is not counted.
@@ -40,7 +41,7 @@ from .orchestration import (
     send_with_retry,
 )
 from .registry import DEFAULT_REGISTRY
-from .tcp_node import FrameServer, JobRegistration, classify_frame, decode_control, encode_control, launch
+from .tcp_node import FrameServer, JobRegistration, classify_frame, decode_control, encode_control, serve
 from .transport import TcpTransport, Topology
 
 # perfbench's tracer patches these names here as well as in orchestration,
@@ -51,47 +52,62 @@ from .registry import encode_partial  # noqa: F401
 logger = logging.getLogger("locomap.tcp_cluster")
 
 
-def _fork_launcher(server: FrameServer, nodes: list[tuple[int, int, str]], host: str, mem_limit: int, job_module: str, log_dir: str | Path | None) -> int:
-    """Fork this process into the node launcher, ``tcp_node.launch``; its pid.
-
-    The child keeps every module the master imported and puts the
-    ``PYTHONPATH`` entries in front of ``sys.path``, as a new interpreter
-    would. It leads a new session, so ``killpg`` on its pid reaches every
-    node, and its stderr is ``launcher.log`` under ``log_dir`` or nothing.
-    """
-    if log_dir is not None:
-        Path(log_dir).mkdir(parents=True, exist_ok=True)
-    stderr = os.open(os.devnull if log_dir is None else Path(log_dir) / "launcher.log", os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+def _fork_node(server: FrameServer, node: tuple[int, int, str], host: str, mem_limit: int, job_module: str, log_dir: str) -> int:
+    """Fork a process that runs ``tcp_node.serve`` for ``node``, a
+    ``(node_id, port, data_file)``; its pid. The child keeps every module
+    the master imported and puts the ``PYTHONPATH`` entries in front of
+    ``sys.path``, as a new interpreter would."""
     sys.stdout.flush()
     sys.stderr.flush()
     pid = os.fork()
     if pid:
-        os.close(stderr)
         return pid
     # The child never returns into the master's code: it always leaves
     # with os._exit, and an uncaught error prints its traceback and exits 1.
     code = 1
     try:
-        os.setsid()
-        os.dup2(stderr, 2)
-        os.close(stderr)
-        sys.stderr = open(2, "w", buffering=1, errors="backslashreplace", closefd=False)
-        # Dropping the master's handlers lets launch's basicConfig log to fd 2.
-        for handler in logging.root.handlers[:]:
-            logging.root.removeHandler(handler)
         server._sock.close()  # the child's copy; the master's stays open
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 2)
+        os.close(devnull)
+        sys.stderr = open(2, "w", buffering=1, errors="backslashreplace", closefd=False)
         sys.path[:0] = [entry for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep) if entry]
-        code = launch(nodes, (server.host, server.port), host, mem_limit, job_module, "" if log_dir is None else str(log_dir))
+        code = serve(*node, (server.host, server.port), host, mem_limit, job_module, log_dir)
     except BaseException:
         traceback.print_exc()
     finally:
         os._exit(code)
 
 
-def _watch_exit(launcher: int, events: queue.Queue) -> None:
-    """Block until the launcher exits, then report it on ``events``."""
-    _, status = os.waitpid(launcher, 0)
-    events.put(encode_control({"type": "launcher_exited", "code": os.waitstatus_to_exitcode(status)}))
+def _watch_exit(pid: int, node_id: int, events: queue.Queue) -> None:
+    """Reap node ``node_id``, then report its exit on ``events``."""
+    _, status = os.waitpid(pid, 0)
+    events.put(encode_control({"type": "node_exited", "node": node_id, "code": os.waitstatus_to_exitcode(status)}))
+
+
+# The fields, and their types, of each control frame the master reads.
+_CONTROL_FIELDS = {
+    "node_ready": {"node": int, "host": str, "port": int, "heap_bytes": int},
+    "has_data": {"node": int, "has_data": bool},
+    "arrived": {"agent_id": int, "hop": int, "bytes": int, "node": int},
+    "slave_failed": {"agent_id": int},
+    "node_exited": {"node": int, "code": int},
+}
+
+
+def _read_control(frame: bytes) -> dict | None:
+    """A control frame's document, or None, logged, if it is unreadable.
+    Any local process can connect to the master, so no frame may raise."""
+    try:
+        doc = decode_control(frame)
+        fields = _CONTROL_FIELDS[doc["type"]]
+    except (ValueError, TypeError, KeyError) as exc:
+        logger.error("dropping an unreadable control frame: %r", exc)
+        return None
+    if not all(isinstance(doc.get(name), kind) for name, kind in fields.items()):
+        logger.error("dropping a malformed control frame: %.200r", doc)
+        return None
+    return doc
 
 
 def _next_frame(events: queue.Queue, deadline: float) -> bytes | None:
@@ -106,8 +122,8 @@ def _await_each(events: queue.Queue, kind: str, expected: tuple[int, ...], deadl
     """Wait for one ``kind`` control frame from every expected node;
     returns the frames by node.
 
-    A node, or the launcher, that exits first fails the wait at once;
-    ``before`` names the stage in that error.
+    A node that exits first fails the wait at once; ``before`` names the
+    stage in that error.
     """
     docs: dict[int, dict] = {}
     while len(docs) < len(expected):
@@ -117,15 +133,15 @@ def _await_each(events: queue.Queue, kind: str, expected: tuple[int, ...], deadl
         if classify_frame(frame) != "control":
             logger.warning("unexpected frame before %s; dropping it", before)
             continue
-        doc = decode_control(frame)
-        if doc.get("type") == "node_exited":
-            raise ConfigError(f"node {doc['node']} exited with code {doc['code']} before {before}")
-        if doc.get("type") == "launcher_exited":
-            raise ConfigError(f"the node launcher exited with code {doc['code']} before {before}")
-        if doc.get("type") != kind:
-            logger.warning("unexpected control %r before %s", doc.get("type"), before)
+        doc = _read_control(frame)
+        if doc is None:
             continue
-        docs[int(doc["node"])] = doc
+        if doc["type"] == "node_exited":
+            raise ConfigError(f"node {doc['node']} exited with code {doc['code']} before {before}")
+        if doc["type"] != kind or doc["node"] not in expected:
+            logger.warning("unexpected control %r from node %s before %s", doc["type"], doc.get("node"), before)
+            continue
+        docs[doc["node"]] = doc
         logger.info("node %s: %s", doc["node"], doc)
     return docs
 
@@ -142,8 +158,9 @@ def _collect(events: queue.Queue, ledgers: dict[int, SlaveLedger], callbacks, co
     so repeated and late frames change nothing.
 
     A ``node_exited`` fails every unresolved slave that the node holds.
-    The launcher reports an exit only once the node is gone, so every
-    arrival the node reported is queued ahead of the report, whether the
+    The master acks an ``arrived`` only after it is queued, and queues a
+    node's exit only once ``waitpid`` has reaped the node, so every
+    arrival the node saw acked is queued ahead of its exit, whether the
     node died before it hosted the slave, while hosting, or before it
     forwarded it.
     """
@@ -177,21 +194,19 @@ def _collect(events: queue.Queue, ledgers: dict[int, SlaveLedger], callbacks, co
             if ledger is not None:
                 ledger.deliver(message)
         else:
-            doc = decode_control(frame)
-            kind = doc.get("type")
+            doc = _read_control(frame)
+            kind = None if doc is None else doc["type"]
             if kind == "arrived":
-                ledger = ledger_for(int(doc["agent_id"]))
+                ledger = ledger_for(doc["agent_id"])
                 if ledger is not None:
-                    ledger.arrived(int(doc["hop"]), int(doc["bytes"]), int(doc["node"]))
+                    ledger.arrived(doc["hop"], doc["bytes"], doc["node"])
             elif kind == "slave_failed":
-                ledger = ledger_for(int(doc["agent_id"]))
+                ledger = ledger_for(doc["agent_id"])
                 if ledger is not None:
                     ledger.fail(doc.get("reason") or "remote failure")
             elif kind == "node_exited":
                 for ledger in ledgers.values():
                     ledger.node_exited(doc["node"], doc["code"])
-            elif kind != "node_ready":
-                logger.warning("ignoring control message %r", kind)
 
     while not all(ledger.resolved for ledger in ledgers.values()):
         frame = _next_frame(events, deadline)
@@ -220,37 +235,43 @@ def run_tcp_job(
     With ``base_port`` 0 every listener picks a free ephemeral port and
     the master learns node ports from their ready announcements; a
     nonzero value puts the master at base_port and node i at
-    base_port+1+i. With ``log_dir``, node stderr goes there (one file per
-    node) and the launcher's to ``launcher.log``. Data files are looked
-    up as ``node_<id>.tsv`` under ``data_dir`` and loaded by the node
-    processes themselves.
+    base_port+1+i. With ``log_dir``, each node's stderr goes to
+    ``node_<id>.log`` there. Data files are looked up as
+    ``node_<id>.tsv`` under ``data_dir`` and loaded by the node processes
+    themselves.
     """
     plan = plan_job(spec, topology, DEFAULT_REGISTRY)
     master, targets = plan.master, plan.targets
 
     events: queue.Queue = queue.Queue()
     server = FrameServer(host, base_port, events.put)
-    launcher: int | None = None
+    pids: dict[int, int] = {}  # node ids by pid
+    watchers: dict[int, threading.Thread] = {}
     transport: TcpTransport | None = None
     started = time.monotonic()
     deadline = started + timeout_s
 
     try:
-        nodes = []
-        for index, node_id in enumerate(targets):
-            data_file = Path(data_dir) / f"node_{node_id}.tsv" if data_dir is not None else None
-            port = 0 if base_port == 0 else base_port + 1 + index
-            nodes.append((node_id, port, str(data_file) if data_file is not None and data_file.exists() else ""))
-        # Forked before any thread of this job starts; the listening socket
-        # already queues the nodes' node_ready connections.
-        launcher = _fork_launcher(server, nodes, host, node_mem_limit, job_module, log_dir)
-        watcher = threading.Thread(target=_watch_exit, args=(launcher, events), daemon=True)
-        watcher.start()
+        if log_dir is not None:
+            Path(log_dir).mkdir(parents=True, exist_ok=True)
+        try:
+            for index, node_id in enumerate(targets):
+                data_file = Path(data_dir) / f"node_{node_id}.tsv" if data_dir is not None else None
+                port = 0 if base_port == 0 else base_port + 1 + index
+                node = (node_id, port, str(data_file) if data_file is not None and data_file.exists() else "")
+                # Forked before any thread of this job starts; the listening
+                # socket already queues the nodes' node_ready connections.
+                pids[_fork_node(server, node, host, node_mem_limit, job_module, "" if log_dir is None else str(log_dir))] = node_id
+        finally:
+            # Every forked node gets its watcher, also when a later fork failed.
+            for pid, node_id in pids.items():
+                watchers[pid] = threading.Thread(target=_watch_exit, args=(pid, node_id, events), daemon=True)
+                watchers[pid].start()
         server.start()
 
         ready = _await_each(events, "node_ready", targets, deadline, "the cluster was ready")
-        raw_bytes = sum(int(doc.get("heap_bytes", 0)) for doc in ready.values())
-        addresses = {n: (doc["host"], int(doc["port"])) for n, doc in ready.items()}
+        raw_bytes = sum(doc["heap_bytes"] for doc in ready.values())
+        addresses = {n: (doc["host"], doc["port"]) for n, doc in ready.items()}
         transport = TcpTransport({**addresses, master: (server.host, server.port)})
 
         callbacks = LifecycleCallbacks()
@@ -291,27 +312,26 @@ def run_tcp_job(
 
         _collect(events, ledgers, callbacks, plan.combine, deadline)
     finally:
-        if launcher is not None:
-            if transport is None:
-                # The cluster never came up, so no node can be sent a shutdown
-                # frame. SIGTERM stops the nodes; the launcher ignores it, reaps
-                # them and exits. The group is gone when the launcher exited first.
-                with contextlib.suppress(ProcessLookupError):
-                    os.killpg(launcher, signal.SIGTERM)
-            else:
-                shutdown = encode_control({"type": "shutdown"})
-                for node_id in targets:
-                    try:
-                        transport.send(master, node_id, shutdown)
-                    except TransportFailure:
-                        pass
-            # The launcher reaps every node before it exits, so once it is
-            # reaped here no node outlives the job and the nodes' CPU time
-            # is in this process's RUSAGE_CHILDREN.
-            watcher.join(timeout=5.0)
+        if transport is not None:
+            shutdown = encode_control({"type": "shutdown"})
+            for node_id in targets:
+                try:
+                    transport.send(master, node_id, shutdown)
+                except TransportFailure:
+                    pass
+        # Nodes sent a shutdown frame have 5 s to exit; if the cluster never
+        # came up, none could be sent one. A node still running is killed: it
+        # holds nothing it must save, and SIGKILL cannot be ignored.
+        stop_by = time.monotonic() + (0.0 if transport is None else 5.0)
+        for watcher in watchers.values():
+            watcher.join(timeout=max(0.0, stop_by - time.monotonic()))
+        # Every node is reaped before this returns, so none outlives the job
+        # and the nodes' CPU time is in this process's RUSAGE_CHILDREN.
+        for pid, watcher in watchers.items():
             if watcher.is_alive():
-                os.killpg(launcher, signal.SIGKILL)
-                watcher.join()
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            watcher.join()
         server.stop()
 
     return finish_job(plan, ledgers.values(), time.monotonic() - started, raw_bytes)

@@ -1,16 +1,16 @@
 """Sensor node processes for TCP mode.
 
-``launch`` is the launcher: it imports any job module, then forks one
-node process per node, reaps each, tells the master with a
-``node_exited`` control frame (node id, exit code), and exits when every
-node has. The TCP master forks itself into a launcher for each job;
-``python -m locomap.tcp_node --node-id N [--node-id M ...]`` runs one
-from the command line. A job module must therefore start no thread at
-import, and its ``atexit`` handlers never run: the launcher and every
-node leave with ``os._exit``, skipping interpreter finalization. Each
-node loads its data file into a heap store, listens for framed messages,
-and handles three kinds of traffic, told apart by the first four bytes
-of each frame:
+``serve`` runs one node in the calling process. The TCP master forks
+one process per node and runs ``serve`` in each; ``python -m
+locomap.tcp_node --node-id N --master HOST:PORT`` runs one from the
+command line. Each node imports any job module first, so the module's
+patches to this module reach that node and nothing else. A job module
+that the master imports too must start no thread at import, since the
+master forks after it; no node runs ``atexit`` handlers, because every
+node leaves with ``os._exit``, skipping interpreter finalization. Each
+node loads its data file into a heap store, listens for framed
+messages, and handles three kinds of traffic, told apart by the first
+four bytes of each frame:
 
   - ``LMAP`` agent envelopes: host the agent over the local heap, pick
     the next hop on the slave's route, and forward it on a fresh connection.
@@ -40,10 +40,8 @@ import importlib
 import json
 import logging
 import os
-import signal
 import socket
 import threading
-import time
 from dataclasses import dataclass
 
 from .agents import Agent, LifecycleCallbacks, NodeId, TaskDescriptor
@@ -318,20 +316,27 @@ class NodeProcess:
         return self._send(self._master, "master", encode_control(doc))
 
 
-def _serve(node_id: int, port: int, data_file: str, master: tuple[str, int], host: str, mem_limit: int, log_dir: str) -> int:
-    """One forked node: load its data file, serve until shutdown; the exit code."""
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+def serve(node_id: int, port: int, data_file: str, master: tuple[str, int], host="127.0.0.1", mem_limit=1 << 30, job_module="", log_dir="") -> int:
+    """Run one node in this process: import any job module, load the data
+    file (none when empty), serve until shutdown; the exit code. With
+    ``log_dir``, stderr goes to ``node_<id>.log`` there."""
+    if log_dir:
+        log = os.open(os.path.join(log_dir, f"node_{node_id}.log"), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+        os.dup2(log, 2)
+        os.close(log)
+    logging.basicConfig(
+        level=os.environ.get("LOCOMAP_LOG", "INFO").upper(),
+        format="%(asctime)s %(name)s %(levelname)s %(message)s",
+        force=True,
+    )
     node = SensorNode(id=node_id, mem_bytes_limit=mem_limit)
     try:
-        if log_dir:
-            log = os.open(os.path.join(log_dir, f"node_{node_id}.log"), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-            os.dup2(log, 2)
-            os.close(log)
+        if job_module:
+            importlib.import_module(job_module)
         if data_file:
             stored = node.ingest(load_records_tsv(data_file))
             logger.info("node %s ingested %d records (%d bytes, %d dropped)", node.id, stored, node.heap.total_bytes, node.dropped)
-        proc = NodeProcess(node, host, port, master, registry=DEFAULT_REGISTRY)
-        proc.run_until_shutdown()
+        NodeProcess(node, host, port, master, registry=DEFAULT_REGISTRY).run_until_shutdown()
     except LocomapError as exc:
         logger.error("node %s aborting: %s", node_id, exc)
         return 1
@@ -341,71 +346,27 @@ def _serve(node_id: int, port: int, data_file: str, master: tuple[str, int], hos
     return 0
 
 
-def launch(nodes: list[tuple[int, int, str]], master: tuple[str, int], host="127.0.0.1", mem_limit=1 << 30, job_module="", log_dir="") -> int:
-    """Be the launcher: fork one node per ``(node_id, port, data_file)``
-    (no data file when empty), reap them all and report each exit to
-    ``master``; the exit code. With ``log_dir``, each node's stderr goes
-    to ``node_<id>.log`` there."""
-    logging.basicConfig(
-        level=os.environ.get("LOCOMAP_LOG", "INFO").upper(),
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-    )
-    if job_module:
-        importlib.import_module(job_module)
-
-    # A SIGTERM to the process group stops the nodes but not the launcher,
-    # which then reaps them and reports their exits like any other.
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    children: dict[int, int] = {}
-    for node_id, port, data_file in nodes:
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                code = _serve(node_id, port, data_file, master, host, mem_limit, log_dir)
-            finally:
-                os._exit(code)
-        children[pid] = node_id
-
-    transport = TcpTransport({"master": master})
-    failed = False
-    while children:
-        pid, status = os.wait()
-        node_id = children.pop(pid)
-        code = os.waitstatus_to_exitcode(status)
-        failed = failed or code != 0
-        exited = encode_control({"type": "node_exited", "node": node_id, "code": code})
-        _, fail = send_with_retry(lambda: transport.send("launcher", "master", exited), time.sleep)
-        if fail is not None:
-            logger.error("could not tell the master that node %s exited: %s", node_id, fail)
-    return int(failed)
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="locomap-node", description="Launcher that forks one sensor node process per --node-id")
-    parser.add_argument("--node-id", type=int, action="append", required=True, help="repeat once per node")
+    parser = argparse.ArgumentParser(prog="locomap-node", description="Run one sensor node process")
+    parser.add_argument("--node-id", type=int, action="append", required=True, help="the one node this process serves")
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, action="append", help="once per --node-id, in order; 0 (the default) picks a free port")
+    parser.add_argument("--port", type=int, default=0, help="0 (the default) picks a free port")
     parser.add_argument("--master", required=True, help="host:port of the master listener")
-    parser.add_argument("--data-file", action="append", help="once per --node-id, in order: TSV records to ingest at startup, or ''")
+    parser.add_argument("--data-file", default="", help="TSV records to ingest at startup")
     parser.add_argument("--mem-limit", type=int, default=1 << 30)
-    parser.add_argument("--job-module", default="", help="module imported before the fork to register custom functions")
-    parser.add_argument("--log-dir", default="", help="each node's stderr goes to node_<id>.log here")
+    parser.add_argument("--job-module", default="", help="module imported at startup to register custom functions")
+    parser.add_argument("--log-dir", default="", help="stderr goes to node_<id>.log here")
     args = parser.parse_args(argv)
-    nodes = args.node_id
-    ports = args.port or [0] * len(nodes)
-    data_files = args.data_file or [""] * len(nodes)
-    if len(ports) != len(nodes) or len(data_files) != len(nodes):
-        parser.error("give --port and --data-file once per --node-id, or not at all")
+    if len(args.node_id) > 1:
+        parser.error("give --node-id once: a process serves one node")
     host, _, master_port = args.master.partition(":")
-    return launch(list(zip(nodes, ports, data_files)), (host, int(master_port)), args.host, args.mem_limit, args.job_module, args.log_dir)
+    return serve(args.node_id[0], args.port, args.data_file, (host, int(master_port)), args.host, args.mem_limit, args.job_module, args.log_dir)
 
 
 if __name__ == "__main__":
     # Run main from the imported module, not from this __main__ copy, so a
-    # job module's patches to locomap.tcp_node reach the forked nodes. Skip
-    # interpreter finalization once every node_exited report is out; the
-    # nodes themselves end with os._exit too.
+    # job module's patches to locomap.tcp_node reach the node. Skip
+    # interpreter finalization, as a node forked by the master does.
     from locomap import tcp_node
 
     code = tcp_node.main()

@@ -104,13 +104,15 @@ class TestRun:
         code = run_cli(
             "run", "--mode", "tcp", "--topology", workspace / "topo.json",
             "--data-dir", workspace / "data", "--job", "wordcount",
-            "--timeout", "30", "--output", out,
+            "--timeout", "30", "--output", out, "--node-logs", workspace / "logs",
         )
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["final"] == {"a": 2, "b": 1}
         assert doc["mode"] == "tcp"
         assert doc["partials_received"] == 2
+        # One log per node, and no launcher's.
+        assert sorted(p.name for p in (workspace / "logs").iterdir()) == ["node_1.log", "node_2.log"]
 
     def test_tcp_mode_rejects_process_master_heap(self, workspace, capsys):
         code = run_cli(
@@ -204,6 +206,20 @@ class TestBench:
 
     def test_bad_sizes_is_exit_1(self, capsys):
         assert run_cli("bench", "migration", "--sizes", "1q") == 1
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (("duplication", "--topology", "/nonexistent.json", "--seed", "3", "--timeout", "9"), "--topology"),
+            (("duplication", "--timeout", "9"), "--timeout"),
+            (("migration", "--mode", "tcp", "--topology", "/nonexistent.json"), "--topology"),
+            (("migration", "--mode", "tcp", "--seed", "3"), "--seed"),
+            (("migration", "--mode", "sim", "--timeout", "0.001"), "--timeout"),
+        ],
+    )
+    def test_option_that_does_not_apply_is_rejected(self, capsys, args, flag):
+        assert run_cli("bench", *args, "--sizes", "1k", "--repeats", "1") == 1
+        assert flag in capsys.readouterr().err
 
 
 class TestCompare:

@@ -5,7 +5,7 @@ import pytest
 
 import locomap as lm
 from locomap import AgentRole
-from locomap.orchestration import RetryAction, SlaveLedger, host_and_route, send_with_retry
+from locomap.orchestration import RetryAction, SlaveLedger, finish_job, host_and_route, plan_job, send_with_retry
 
 from helpers import RecordingTransport, make_cluster, random_workload, reference_final, sum_reference, wordcount_reference, all_values
 
@@ -283,6 +283,29 @@ class TestSlaveLedger:
         for name, *args in late:
             getattr(ledger, name)(*args)
             assert ledger.report() == expected
+
+
+class TestFinishJob:
+    def test_a_slave_whose_partial_is_discarded_is_reported_failed(self):
+        topology = lm.Topology.full_mesh(0, [1, 2], bandwidth_bytes_per_s=1e6)
+        plan = plan_job(lm.builtin_job("wordcount", job_id=1), topology, lm.build_default_registry())
+        good, bad = plan.slaves
+        ledgers = [SlaveLedger(good.id, (1,)), SlaveLedger(bad.id, (2,))]
+        messages = [lm.ResultMessage(from_agent=good.id, partial=lm.encode_partial({"a": 1})), lm.ResultMessage(from_agent=bad.id, partial=b"not json")]
+        for ledger, message in zip(ledgers, messages):
+            ledger.arrived(0, 40, ledger.partition[0])
+            ledger.deliver(message)
+
+        result = finish_job(plan, ledgers, 0.0, 0)
+
+        assert result.final == {"a": 1}
+        assert (result.partials_received, result.slaves_failed) == (1, 1)
+        delivered, discarded = result.slave_reports
+        assert delivered.delivered and delivered.fail_reason is None
+        assert not discarded.delivered
+        assert discarded.fail_reason.startswith("malformed partial: ")
+        assert discarded.bytes_sent == 40 + messages[1].size_bytes
+        assert result.bytes_transferred_total == 80 + messages[0].size_bytes + messages[1].size_bytes
 
 
 class TestRunJob:

@@ -15,7 +15,7 @@ import pytest
 import locomap as lm
 from locomap import AgentRole, tcp_cluster
 from locomap.orchestration import SlaveLedger
-from locomap.tcp_cluster import _collect
+from locomap.tcp_cluster import _await_each, _collect
 from locomap.tcp_node import (
     FrameServer,
     JobRegistration,
@@ -24,6 +24,7 @@ from locomap.tcp_node import (
     decode_control,
     encode_control,
 )
+from locomap.transport import write_frame
 
 from helpers import wordcount_reference
 
@@ -437,6 +438,28 @@ class TestMasterAccounting:
         assert held.report().migrations == 1
         assert moved_on.fail_reason is None and moved_on.report().delivered
 
+    def test_collect_drops_control_frames_it_cannot_read(self, caplog):
+        registry = lm.build_default_registry()
+        combine = registry.resolve_combine(lm.builtin_job("wordcount", job_id=4).combine)
+        state = SlaveLedger(agent_id=10, partition=(1,))
+        events: queue.Queue = queue.Queue()
+        for frame in UNREADABLE_CONTROLS + (encode_control({"type": "slave_failed", "agent_id": 10, "reason": "gave up"}),):
+            events.put(frame)
+
+        _collect(events, {10: state}, lm.LifecycleCallbacks(), combine, time.monotonic() + 5.0)
+
+        assert events.empty()
+        assert state.fail_reason == "gave up"
+        assert len([r for r in caplog.records if "dropping" in r.message]) == len(UNREADABLE_CONTROLS)
+
+    def test_await_each_drops_control_frames_it_cannot_read(self):
+        events: queue.Queue = queue.Queue()
+        ready = {"type": "node_ready", "node": 1, "host": "127.0.0.1", "port": 1234, "heap_bytes": 5}
+        for frame in UNREADABLE_CONTROLS + (encode_control(ready),):
+            events.put(frame)
+        assert _await_each(events, "node_ready", (1,), time.monotonic() + 5.0, "the cluster was ready") == {1: ready}
+        assert events.empty()
+
     def test_deadline_fails_the_unresolved_slaves(self):
         registry = lm.build_default_registry()
         combine = registry.resolve_combine(lm.builtin_job("wordcount", job_id=4).combine)
@@ -444,6 +467,14 @@ class TestMasterAccounting:
         _collect(queue.Queue(), {10: state}, lm.LifecycleCallbacks(), combine, time.monotonic())
         assert state.fail_reason == "timed out waiting for the slave"
         assert state.report().migrations == 1
+
+
+# Not JSON; an arrival without its agent; a ready node without its id.
+UNREADABLE_CONTROLS = (
+    b"LCTL{not json",
+    encode_control({"type": "arrived"}),
+    encode_control({"type": "node_ready"}),
+)
 
 
 def write_node_files(tmp_path, node_values):
@@ -550,7 +581,7 @@ class TestRunTcpJob:
         spec = lm.builtin_job("wordcount", job_id=1)
         before = threading.active_count()
         assert lm.run_tcp_job(spec, topology, data_dir, timeout_s=30.0).final == {"a": 1, "b": 1}
-        assert counts == [before]
+        assert counts == [before, before]  # one fork per node
 
     def test_master_as_target_is_rejected(self):
         topology = lm.Topology.full_mesh(0, [1, 2], bandwidth_bytes_per_s=1e6)
@@ -578,15 +609,46 @@ class TestRunTcpJob:
         log = (tmp_path / "logs" / "node_2.log").read_text()
         assert "node 2 aborting" in log and "node_2.tsv, line 2: empty record key" in log
 
-    def test_launcher_that_cannot_start_fails_fast(self, tmp_path):
+    def test_job_module_that_cannot_be_imported_fails_fast(self, tmp_path):
         data_dir = write_node_files(tmp_path, {1: [b"a"], 2: [b"b"]})
         topology = lm.Topology.full_mesh(0, [1, 2], bandwidth_bytes_per_s=1e6)
         spec = lm.builtin_job("wordcount", job_id=1)
         started = time.monotonic()
-        with pytest.raises(lm.ConfigError, match=r"the node launcher exited with code 1 before the cluster was ready"):
+        with pytest.raises(lm.ConfigError, match=r"node [12] exited with code 1 before the cluster was ready") as exc:
             lm.run_tcp_job(spec, topology, data_dir, timeout_s=30.0, job_module="locomap_no_such_job", log_dir=tmp_path / "logs")
         assert time.monotonic() - started < 4
-        assert "No module named 'locomap_no_such_job'" in (tmp_path / "logs" / "launcher.log").read_text()
+        node = str(exc.value).split()[1]
+        assert "No module named 'locomap_no_such_job'" in (tmp_path / "logs" / f"node_{node}.log").read_text()
+        assert not (tmp_path / "logs" / "launcher.log").exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+    def test_a_node_slow_to_start_is_stopped_when_the_job_fails_early(self, tmp_path, monkeypatch):
+        # The child of each process's third fork (node 3's, when the master
+        # forks every node) sleeps before it starts; node 2 fails at once.
+        seen, forks = [], {}
+        fork = os.fork
+
+        def slow_third_fork():
+            caller = os.getpid()
+            forks[caller] = forks.get(caller, 0) + 1
+            pid = fork()
+            if pid:
+                seen.append(pid)
+            elif forks[caller] == 3:
+                time.sleep(1.0)
+            return pid
+
+        monkeypatch.setattr(tcp_cluster.os, "fork", slow_third_fork)
+        data_dir = write_node_files(tmp_path, {1: [b"a"], 2: [b"b"], 3: [b"c"]})
+        (data_dir / "node_2.tsv").write_bytes(b"\tno key\n")
+        topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
+        spec = lm.builtin_job("wordcount", job_id=1)
+        started = time.monotonic()
+        with pytest.raises(lm.ConfigError, match="node 2 exited"):
+            lm.run_tcp_job(spec, topology, data_dir, timeout_s=30)
+        assert time.monotonic() - started < 2
+        assert len(seen) == 3  # one fork per node
+        assert [pid for pid in seen if process_running(pid)] == []
 
     def test_node_killed_mid_tour_fails_only_its_slave(self, tmp_path, monkeypatch):
         # A map function that kills its node process on a "die" record. The
@@ -614,7 +676,7 @@ class TestRunTcpJob:
         spec = lm.JobSpec(job_id=1, task=lm.TaskDescriptor("die-wordcount", "identity"), combine="sum-by-key")
         started = time.monotonic()
         result = lm.run_tcp_job(spec, topology, data_dir, timeout_s=30, job_module="locomap_killjob")
-        # The launcher's exit report fails the slave at once, not at the deadline.
+        # The node's exit report fails the slave at once, not at the deadline.
         assert time.monotonic() - started < 4
 
         assert (result.partials_received, result.slaves_failed, result.slave_count) == (2, 1, 3)
@@ -725,22 +787,17 @@ class TestRunTcpJob:
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
     @pytest.mark.parametrize("bad_data", [False, True])
     def test_no_node_outlives_its_job(self, tmp_path, monkeypatch, bad_data):
-        # A job module that records the launcher's pid at import and each
-        # node's pid right after its fork.
-        pids = tmp_path / "pids"
-        pids.mkdir()
-        (tmp_path / "locomap_pidjob.py").write_text(
-            "import os\n"
-            "\n"
-            "def record_pid():\n"
-            "    with open(os.path.join(os.environ['LOCOMAP_PID_DIR'], str(os.getpid())), 'w'):\n"
-            "        pass\n"
-            "\n"
-            "record_pid()\n"
-            "os.register_at_fork(after_in_child=record_pid)\n"
-        )
-        monkeypatch.setenv("PYTHONPATH", str(tmp_path))
-        monkeypatch.setenv("LOCOMAP_PID_DIR", str(pids))
+        # Records each node's pid in the master, as the fork returns it.
+        pids = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(tcp_cluster.os, "fork", recording_fork)
         data_dir = write_node_files(tmp_path, {1: [b"a"], 2: [b"b"], 3: [b"c"]})
         if bad_data:
             (data_dir / "node_2.tsv").write_bytes(b"\tno key\n")
@@ -748,13 +805,12 @@ class TestRunTcpJob:
         spec = lm.builtin_job("wordcount", job_id=1)
         if bad_data:
             with pytest.raises(lm.ConfigError, match="node 2 exited"):
-                lm.run_tcp_job(spec, topology, data_dir, timeout_s=30.0, job_module="locomap_pidjob")
+                lm.run_tcp_job(spec, topology, data_dir, timeout_s=30.0)
         else:
-            assert lm.run_tcp_job(spec, topology, data_dir, timeout_s=30.0, job_module="locomap_pidjob").final == {"a": 1, "b": 1, "c": 1}
+            assert lm.run_tcp_job(spec, topology, data_dir, timeout_s=30.0).final == {"a": 1, "b": 1, "c": 1}
 
-        recorded = [int(p.name) for p in pids.iterdir()]
-        assert len(recorded) == 4  # the launcher and three nodes
-        assert [pid for pid in recorded if process_running(pid)] == []
+        assert len(pids) == 3  # one per node
+        assert [pid for pid in pids if process_running(pid)] == []
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -821,9 +877,30 @@ class TestNodeStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_ports_and_data_files_must_match_the_node_ids(self):
-        from locomap.tcp_node import main
+    def test_command_line_serves_one_node_until_shutdown(self, tmp_path):
+        data_file = tmp_path / "node_1.tsv"
+        data_file.write_bytes(b"k1\ta b\nk22\tc\n")
+        events: queue.Queue = queue.Queue()
+        master = FrameServer("127.0.0.1", 0, events.put)
+        master.start()
+        src = os.path.dirname(os.path.dirname(lm.__file__))
+        cmd = [sys.executable, "-m", "locomap.tcp_node", "--node-id", "1", "--master", f"{master.host}:{master.port}", "--data-file", str(data_file)]
+        node = subprocess.Popen(cmd, env=dict(os.environ, PYTHONPATH=src), stderr=subprocess.DEVNULL)
+        try:
+            ready = decode_control(events.get(timeout=30))
+            assert (ready["type"], ready["node"]) == ("node_ready", 1)
+            assert ready["heap_bytes"] == len(b"k1a b") + len(b"k22c")
+            with socket.create_connection((ready["host"], ready["port"]), timeout=10) as sock:
+                write_frame(sock, encode_control({"type": "shutdown"}))
+                assert sock.recv(1) == b"\x06"
+            assert node.wait(timeout=10) == 0
+        finally:
+            if node.poll() is None:
+                node.kill()
+                node.wait()
+            master.stop()
 
-        with pytest.raises(SystemExit) as exc:
-            main(["--node-id", "1", "--node-id", "2", "--port", "0", "--master", "127.0.0.1:1"])
-        assert exc.value.code == 2
+    def test_a_second_node_id_is_rejected(self):
+        proc = self.run_python("-m", "locomap.tcp_node", "--node-id", "1", "--node-id", "2", "--master", "127.0.0.1:1")
+        assert proc.returncode == 2
+        assert "--node-id once" in proc.stderr
