@@ -87,22 +87,26 @@ def _resolve_seed(args, raw_topology: dict, topology: Topology) -> int:
     raise ConfigError("sim mode needs a seed: pass --seed or put rng_seed in the topology file")
 
 
-def _load_cluster(topology: Topology, data_dir: str | None, mem_limit: int) -> Cluster:
-    cluster = Cluster.from_topology(topology, mem_bytes_limit=mem_limit)
+def _data_files(topology: Topology, data_dir: str | None) -> dict[int, Path]:
+    """The data file of each sensor node that has one, by node id. Any
+    other ``node_*.tsv`` is a ConfigError, so no mode ignores a file that
+    the oracle folds."""
     if data_dir is None:
-        return cluster
+        return {}
     root = Path(data_dir)
     if not root.is_dir():
         raise ConfigError(f"data directory {root} does not exist")
-    for node_id, node in cluster.nodes.items():
-        data_file = root / f"node_{node_id}.tsv"
-        if data_file.exists():
-            node.ingest(load_records_tsv(data_file))
-    return cluster
+    names = {f"node_{n}.tsv": n for n in topology.nodes}
+    files = {}
+    for path in sorted(root.glob("node_*.tsv")):
+        if path.name not in names:
+            raise ConfigError(f"data file {path} belongs to no sensor node of the topology")
+        files[names[path.name]] = path
+    return files
 
 
 # Run options that only one mode reads; giving one in the other mode is an error.
-_MODE_ONLY = {"seed": "sim", "process_master_heap": "sim", "base_port": "tcp", "timeout": "tcp", "node_logs": "tcp"}
+_MODE_ONLY = {"seed": "sim", "base_port": "tcp", "timeout": "tcp", "node_logs": "tcp"}
 
 
 def _execute(args) -> tuple[dict, object, int]:
@@ -114,23 +118,18 @@ def _execute(args) -> tuple[dict, object, int]:
         if args.mode != mode and getattr(args, name) is not None:
             raise ConfigError(f"--{name.replace('_', '-')} applies to {mode} mode only")
     topology, raw = _load_topology(args)
+    files = _data_files(topology, args.data_dir)
     spec = builtin_job(args.job, job_id=args.job_id, slave_count=args.slave_count)
     code = 0
     try:
         if args.mode == "sim":
             seed = _resolve_seed(args, raw, topology)
-            cluster = _load_cluster(topology, args.data_dir, args.mem_limit)
-            result = run_job(
-                spec,
-                cluster,
-                SimTransport(topology),
-                results_only=args.results_only,
-                process_master_heap=bool(args.process_master_heap),
-            )
+            cluster = Cluster.from_topology(topology, mem_bytes_limit=args.mem_limit)
+            for node_id, path in files.items():
+                cluster.nodes[node_id].ingest(load_records_tsv(path))
+            result = run_job(spec, cluster, SimTransport(topology), results_only=args.results_only)
         else:
             seed = None
-            if args.data_dir is not None and not Path(args.data_dir).is_dir():
-                raise ConfigError(f"data directory {args.data_dir} does not exist")
             result = run_tcp_job(
                 spec,
                 topology,
@@ -221,8 +220,8 @@ def _cmd_bench(args) -> int:
             if args.seed is not None:
                 topology.rng_seed = args.seed
             transport = SimTransport(topology)
-            pair = topology.all_nodes[:2]
-            records = migration_experiment(sizes, args.repeats, transport, src=pair[0], dst=pair[1])
+            src, dst = sorted((topology.master,) + topology.nodes)[:2]
+            records = migration_experiment(sizes, args.repeats, transport, src=src, dst=dst)
         else:
             sink = FrameServer("127.0.0.1", 0, lambda frame: None)
             sink.start()
@@ -251,9 +250,6 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--slave-count", type=int, default=None)
     sub.add_argument("--results-only", action="store_true", help="skip the final migration; ship only the result message")
     # Mode-specific options default to None so a stray one can be rejected.
-    sub.add_argument(
-        "--process-master-heap", action="store_true", default=None, help="sim mode: let the mapper fold the master node's own heap"
-    )
     sub.add_argument("--seed", type=int, default=None, help="sim mode: rng seed; overrides the topology file")
     sub.add_argument("--mem-limit", type=int, default=1 << 30, help="per-node heap limit in bytes")
     sub.add_argument("--base-port", type=int, default=None, help="tcp mode: master port; 0 (the default) picks ephemeral ports")

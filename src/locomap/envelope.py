@@ -162,12 +162,12 @@ class MigrationPhases:
 @dataclass(frozen=True)
 class MigrationOutcome:
     """What a completed migration produced: the agent as it exists at the
-    destination, the phase breakdown, and where it sits on the timeline."""
+    destination, the phase breakdown, and when it completed on the sim
+    clock."""
 
     agent: Agent
     phases: MigrationPhases
     bytes: int
-    started_at: float
     completed_at: float
 
 
@@ -232,6 +232,5 @@ def migrate(
         agent=arrived,
         phases=phases,
         bytes=len(data),
-        started_at=report.started_at,
         completed_at=report.completed_at + unpack_s + verify_s,
     )

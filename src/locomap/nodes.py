@@ -109,7 +109,7 @@ class SensorNode:
         blows up, so a tour can continue past a bad node (ExecutionError
         carries the visited agent).
         """
-        if agent.role not in (AgentRole.SLAVE, AgentRole.MAPPER):
+        if agent.role is not AgentRole.SLAVE:
             raise RoleError(f"a {agent.role.name} agent cannot process node data")
         spec = registry.job(agent.job_id)
         map_fn = registry.resolve_map(spec.task.map_fn_id)

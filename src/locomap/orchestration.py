@@ -1,15 +1,17 @@
 """End-to-end job execution over a cluster of sensor nodes.
 
-The choreography: the master holds one mapper and one reducer. The mapper
-duplicates itself into slaves; each slave is dispatched to a distinct
-starting node, tours its contiguous slice of the node list, then returns
-to the reducer and hands over its partial. The reducer folds partials
-with the job's commutative combine, so arrival order cannot matter.
-Both engines walk the routes ``plan_routes`` fixes up front, one
-``host_and_route`` step per node; the sim adds a modeled clock, TCP
-(``tcp_cluster``, ``tcp_node``) its frames and arrival reports. Both
-account for each slave only through its ``SlaveLedger``, and
-``finish_job`` builds the result from the ledgers.
+The choreography: the master holds one mapper and one reducer, and no
+data: only the sensor nodes hold records. The mapper duplicates itself
+into slaves; each slave is dispatched to a distinct starting node, tours
+its contiguous slice of the node list, then returns to the reducer and
+hands over its partial. The reducer folds partials with the job's
+commutative combine, so arrival order cannot matter. Both engines walk
+the routes ``plan_routes`` fixes up front, one ``host_and_route`` step
+per node; the sim adds a modeled clock, TCP (``tcp_cluster``,
+``tcp_node``) its frames and arrival reports. Both account for each
+slave only through its ``SlaveLedger``, and ``finish_job`` builds the
+result from the ledgers. ``raw_data_bytes`` is the targets' heap bytes
+in both engines.
 
 Raw records never cross the network. The only wire traffic is agent
 envelopes and result messages, which is the whole point.
@@ -272,19 +274,15 @@ class JobResult:
 
 @dataclass
 class Cluster:
-    """A topology plus the live node runtimes keyed by node id."""
+    """A topology plus the live sensor node runtimes keyed by node id."""
 
     topology: Topology
     nodes: dict[NodeId, SensorNode] = field(default_factory=dict)
 
     @classmethod
     def from_topology(cls, topology: Topology, mem_bytes_limit: int = 1 << 30) -> "Cluster":
-        nodes = {n: SensorNode(id=n, mem_bytes_limit=mem_bytes_limit) for n in topology.all_nodes}
+        nodes = {n: SensorNode(id=n, mem_bytes_limit=mem_bytes_limit) for n in topology.nodes}
         return cls(topology=topology, nodes=nodes)
-
-    @property
-    def raw_data_bytes(self) -> int:
-        return sum(node.heap.total_bytes for node in self.nodes.values())
 
 
 # --- the engine ---------------------------------------------------------------
@@ -369,7 +367,6 @@ class JobPlan:
 
     master: NodeId
     targets: tuple[NodeId, ...]
-    mapper: Agent
     reducer: Agent
     slaves: tuple[Agent, ...]
     assignment: dict[AgentId, tuple[NodeId, ...]]
@@ -403,7 +400,7 @@ def plan_job(spec: JobSpec, topology: Topology, registry: FunctionRegistry) -> J
     mapper = Agent(id=ids.next(), role=AgentRole.MAPPER, job_id=spec.job_id)
     reducer = Agent(id=ids.next(), role=AgentRole.REDUCER, job_id=spec.job_id)
     slaves = tuple(duplicate(mapper, slave_count, ids))
-    return JobPlan(master, targets, mapper, reducer, slaves, dispatch(slaves, targets), combine, reduce_fn)
+    return JobPlan(master, targets, reducer, slaves, dispatch(slaves, targets), combine, reduce_fn)
 
 
 def finish_job(
@@ -411,16 +408,13 @@ def finish_job(
     ledgers: Iterable[SlaveLedger],
     wall_time_s: float,
     raw_data_bytes: int,
-    extra_partial: Any = None,
 ) -> JobResult:
     """Fold the delivered partials, reduce, and report every slave from
     its ledger.
 
-    ``extra_partial`` is folded in outside the slave accounting (the
-    mapper's pass over the master heap). A slave whose partial cannot be
-    decoded is reported as failed, with the decode error as its reason.
-    Raises AllSlavesFailed, carrying the result, when no partial could be
-    used.
+    A slave whose partial cannot be decoded is reported as failed, with
+    the decode error as its reason. Raises AllSlavesFailed, carrying the
+    result, when no partial could be used.
     """
     discarded: dict[AgentId, str] = {}
 
@@ -431,8 +425,6 @@ def finish_job(
     ledgers = tuple(ledgers)
     messages = [ledger.message for ledger in ledgers if ledger.message is not None]
     folded = aggregate(plan.reducer, messages, plan.combine, on_decode_error=on_bad)
-    if extra_partial is not None:
-        folded = plan.combine.merge(folded, extra_partial)
     reports = tuple(
         replace(r, delivered=False, fail_reason=discarded[r.agent_id]) if r.agent_id in discarded else r
         for r in (ledger.report() for ledger in ledgers)
@@ -568,29 +560,17 @@ def run_job(
     *,
     registry: FunctionRegistry | None = None,
     results_only: bool = False,
-    process_master_heap: bool = False,
     callbacks: LifecycleCallbacks | None = None,
 ) -> JobResult:
     """Execute one job end to end over a simulated transport.
 
     ``results_only`` skips the slaves' final migration and ships only the
-    result message over the last hop. ``process_master_heap`` additionally
-    lets the mapper fold the master node's own heap into the final result,
-    outside the slave accounting.
+    result message over the last hop.
     """
     registry = registry or DEFAULT_REGISTRY
     plan = plan_job(spec, cluster.topology, registry)
     callbacks = callbacks if callbacks is not None else LifecycleCallbacks()
-    raw_bytes = cluster.raw_data_bytes
-
-    mapper_partial = None
-    if process_master_heap and plan.master in cluster.nodes:
-        try:
-            mapper = cluster.nodes[plan.master].host(plan.mapper, registry)
-            if mapper.payload:
-                mapper_partial = decode_partial(mapper.payload)
-        except ExecutionError as exc:
-            logger.warning("mapper could not process the master heap: %s", exc)
+    raw_bytes = sum(cluster.nodes[n].heap.total_bytes for n in plan.targets)
 
     selector = spec.task.input_selector
     routes = plan_routes(plan.assignment, lambda n: not cluster.nodes[n].is_empty(selector))
@@ -599,7 +579,7 @@ def run_job(
         for slave in plan.slaves
     ]
     ledgers, finished_at = zip(*tours)
-    return finish_job(plan, ledgers, max(finished_at), raw_bytes, extra_partial=mapper_partial)
+    return finish_job(plan, ledgers, max(finished_at), raw_bytes)
 
 
 def sequential_oracle(

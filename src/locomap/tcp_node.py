@@ -30,7 +30,8 @@ sends the master an ``arrived`` control (agent, job, hop, envelope bytes,
 node) and waits for the master's ack, so the master knows where every
 slave is before the sender can let go of it. An arrival the master does
 not ack leaves the envelope unacked, and the sender retries or gives the
-hop up. A node that cannot forward reports ``slave_failed``.
+hop up. A node that cannot forward reports ``slave_failed``; one that
+cannot deliver its ``node_ready`` or ``has_data`` frame exits with code 1.
 """
 
 from __future__ import annotations
@@ -203,6 +204,7 @@ class NodeProcess:
         self._hosting = threading.Lock()
         self._master = TcpTransport({"master": master_addr})
         self.shutdown = threading.Event()
+        self.exit_code = 0
         self.server = FrameServer(host, port, self._on_frame)
 
     # -- lifecycle --
@@ -210,21 +212,29 @@ class NodeProcess:
     def start(self) -> None:
         self.server.start()
 
-    def run_until_shutdown(self) -> None:
+    def run_until_shutdown(self) -> int:
+        """Announce the node, then serve until shutdown; the exit code."""
         self.start()
-        self.announce_ready()
-        self.shutdown.wait()
-        self.server.stop()
-
-    def announce_ready(self) -> None:
-        doc = {
+        ready = {
             "type": "node_ready",
             "node": self.node.id,
             "host": self.server.host,
             "port": self.server.port,
             "heap_bytes": self.node.heap.total_bytes,
         }
-        self._tell_master(doc)
+        self._announce(ready)
+        self.shutdown.wait()
+        self.server.stop()
+        return self.exit_code
+
+    def _announce(self, doc: dict) -> None:
+        """Send the master a frame it waits for. A node that cannot, after
+        the retry policy, shuts down with exit code 1, whose exit the
+        master learns of at once."""
+        if not self._tell_master(doc):
+            logger.error("node %s could not tell the master %r; exiting", self.node.id, doc["type"])
+            self.exit_code = 1
+            self.shutdown.set()
 
     # -- frame handling --
 
@@ -245,7 +255,7 @@ class NodeProcess:
         if kind == "query_data":
             found = not self.node.is_empty(bytes.fromhex(doc["selector_hex"]))
             answer = {"type": "has_data", "node": self.node.id, "job_id": doc["job_id"], "has_data": found}
-            return lambda: self._tell_master(answer)
+            return lambda: self._announce(answer)
         elif kind == "register_job":
             reg = JobRegistration.from_control(doc)
             self.registry.register_job(reg.spec)
@@ -336,14 +346,12 @@ def serve(node_id: int, port: int, data_file: str, master: tuple[str, int], host
         if data_file:
             stored = node.ingest(load_records_tsv(data_file))
             logger.info("node %s ingested %d records (%d bytes, %d dropped)", node.id, stored, node.heap.total_bytes, node.dropped)
-        NodeProcess(node, host, port, master, registry=DEFAULT_REGISTRY).run_until_shutdown()
+        return NodeProcess(node, host, port, master, registry=DEFAULT_REGISTRY).run_until_shutdown()
     except LocomapError as exc:
         logger.error("node %s aborting: %s", node_id, exc)
-        return 1
     except Exception:
         logger.exception("node %s crashed", node_id)
-        return 1
-    return 0
+    return 1
 
 
 def main(argv=None) -> int:

@@ -60,7 +60,8 @@ class SimLink:
 
 @dataclass(frozen=True)
 class DeliveryReport:
-    """Outcome of one send. On failure, ``bytes`` were attempted, not delivered."""
+    """Outcome of one send. On failure, ``bytes`` were attempted, not delivered.
+    ``started_at`` and ``completed_at`` are on the sim clock; TCP leaves them 0."""
 
     delivered: bool
     elapsed_s: float
@@ -112,10 +113,6 @@ class Topology:
             raise TopologyError("duplicate node ids in topology")
         if self.master in self.nodes:
             raise TopologyError("master must not appear in the sensor node list")
-
-    @property
-    def all_nodes(self) -> tuple[NodeId, ...]:
-        return tuple(sorted((self.master,) + self.nodes))
 
     def link(self, src: NodeId, dst: NodeId) -> SimLink:
         try:
@@ -297,7 +294,6 @@ class TcpTransport:
     def __init__(self, addresses: dict[NodeId, tuple[str, int]], timeout_s: float = 5.0):
         self.addresses = dict(addresses)
         self.timeout_s = timeout_s
-        self._epoch = time.monotonic()
 
     def send(self, src: NodeId, dst: NodeId, payload: bytes, at: float = 0.0) -> DeliveryReport:
         try:
@@ -326,19 +322,13 @@ class TcpTransport:
         if ack != ACK:
             raise SendTimeout(f"node {dst} closed without acknowledging")
         elapsed = time.perf_counter() - t0
-        now = self.clock()
         return DeliveryReport(
             delivered=True,
             elapsed_s=elapsed,
             bytes=len(payload),
             connect_s=connect_s,
             transfer_s=elapsed - connect_s,
-            started_at=now - elapsed,
-            completed_at=now,
         )
 
     def cpu_phase_times(self, envelope_bytes: int) -> None:
         return None
-
-    def clock(self) -> float:
-        return time.monotonic() - self._epoch

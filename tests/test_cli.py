@@ -79,8 +79,11 @@ class TestRun:
         assert run_cli("run", "--topology", bare) == 1
         assert run_cli("run", "--topology", bare, "--seed", "3") == 0
 
-    def test_missing_data_dir_is_exit_1(self, workspace):
-        assert run_cli("run", "--topology", workspace / "topo.json", "--data-dir", workspace / "absent", "--seed", "1") == 1
+    @pytest.mark.parametrize("mode, option", [("sim", "--seed"), ("tcp", "--timeout")])
+    def test_missing_data_dir_is_exit_1(self, workspace, capsys, mode, option):
+        code = run_cli("run", "--mode", mode, "--topology", workspace / "topo.json", "--data-dir", workspace / "absent", option, "1")
+        assert code == 1
+        assert "absent" in capsys.readouterr().err
 
     def test_output_to_stdout(self, workspace, capsys):
         assert run_cli("run", "--topology", workspace / "topo.json", "--data-dir", workspace / "data", "--seed", "1") == 0
@@ -114,13 +117,15 @@ class TestRun:
         # One log per node, and no launcher's.
         assert sorted(p.name for p in (workspace / "logs").iterdir()) == ["node_1.log", "node_2.log"]
 
-    def test_tcp_mode_rejects_process_master_heap(self, workspace, capsys):
-        code = run_cli(
-            "run", "--mode", "tcp", "--topology", workspace / "topo.json",
-            "--data-dir", workspace / "data", "--process-master-heap",
-        )
+    @pytest.mark.parametrize("mode, option", [("sim", "--seed"), ("tcp", "--timeout")])
+    @pytest.mark.parametrize("name", ["node_0.tsv", "node_9.tsv"])
+    def test_data_file_of_no_sensor_node_is_rejected(self, workspace, capsys, mode, option, name):
+        # node_0.tsv is the master's, node_9.tsv a node the topology lacks:
+        # run would read neither, and the oracle would fold both.
+        (workspace / "data" / name).write_bytes(b"m\tzeta\n")
+        code = run_cli("run", "--mode", mode, "--topology", workspace / "topo.json", "--data-dir", workspace / "data", option, "1")
         assert code == 1
-        assert "--process-master-heap" in capsys.readouterr().err
+        assert name in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "mode, flag, value",

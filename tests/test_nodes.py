@@ -196,11 +196,13 @@ class TestHost:
         assert info.value.agent.payload == prior
         assert info.value.agent.itinerary == (4,)
 
-    def test_reducer_cannot_host(self):
+    @pytest.mark.parametrize("role", [AgentRole.REDUCER, AgentRole.MAPPER])
+    def test_reducer_cannot_host(self, role):
+        # Only slaves process node data; the mapper stays on the master.
         registry = fresh_registry_with_job()
-        reducer = lm.Agent(id=9, role=AgentRole.REDUCER, job_id=5)
+        agent = lm.Agent(id=9, role=role, job_id=5)
         with pytest.raises(lm.RoleError):
-            lm.SensorNode(id=4).host(reducer, registry)
+            lm.SensorNode(id=4).host(agent, registry)
 
 
 class TestLoadTsv(object):

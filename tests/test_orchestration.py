@@ -393,14 +393,6 @@ class TestRunJob:
         assert trimmed.bytes_transferred_total < default.bytes_transferred_total
         assert trimmed.migrations_total < default.migrations_total
 
-    def test_process_master_heap_folds_master_data(self):
-        cluster, topo = make_cluster({1: [b"a"]})
-        cluster.nodes[0].ingest([(b"m", b"zeta")])
-        spec = lm.builtin_job("wordcount", job_id=1)
-        with_flag = lm.run_job(spec, cluster, lm.SimTransport(topo), process_master_heap=True)
-        assert with_flag.final == {"a": 1, "zeta": 1}
-        assert with_flag.partials_received == with_flag.slave_count == 1
-
     def test_map_crash_skips_that_node_and_continues(self):
         registry = lm.build_default_registry()
 

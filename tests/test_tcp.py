@@ -722,6 +722,34 @@ class TestRunTcpJob:
             lm.run_tcp_job(spec, topology, data_dir, timeout_s=30, job_module="locomap_querykill")
         assert time.monotonic() - started < 4
 
+    def test_node_that_cannot_answer_the_has_data_query_fails_the_job_fast(self, tmp_path, monkeypatch):
+        # A job module whose node 2 finds the master refusing every attempt
+        # to deliver its has_data answer; the node gives up and exits 1.
+        (tmp_path / "locomap_hasdatalost.py").write_text(
+            "from locomap.errors import ConnectRefused\n"
+            "from locomap.tcp_node import NodeProcess, classify_frame, decode_control\n"
+            "send = NodeProcess._send\n"
+            "\n"
+            "class Refusing:\n"
+            "    def send(self, src, dst, payload, at=0.0):\n"
+            "        raise ConnectRefused('master refused the has_data answer')\n"
+            "\n"
+            "def lose_has_data(self, transport, dst, payload):\n"
+            "    if self.node.id == 2 and classify_frame(payload) == 'control' and decode_control(payload)['type'] == 'has_data':\n"
+            "        transport = Refusing()\n"
+            "    return send(self, transport, dst, payload)\n"
+            "\n"
+            "NodeProcess._send = lose_has_data\n"
+        )
+        monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+        data_dir = write_node_files(tmp_path, {1: [b"a"], 2: [b"b"], 3: [b"c"]})
+        topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
+        spec = lm.builtin_job("wordcount", job_id=1)
+        started = time.monotonic()
+        with pytest.raises(lm.ConfigError, match=r"node 2 exited with code 1 before every node answered the has-data query"):
+            lm.run_tcp_job(spec, topology, data_dir, timeout_s=30, job_module="locomap_hasdatalost")
+        assert time.monotonic() - started < 4
+
     @pytest.mark.parametrize(
         "where, results_only, migrations",
         [
@@ -829,12 +857,8 @@ class TestRoutesMatchTheSimEngine:
         # iot8: nodes 4-8 have no data file
         return lm.Topology.from_file(CONFIGS / f"{request.param}.json"), data_dir
 
-    @pytest.mark.parametrize("selector", [b"", b"k4"])
-    @pytest.mark.parametrize("slave_count", [1, 3])
-    @pytest.mark.parametrize("results_only", [False, True])
-    def test_counts_and_reports_are_equal(self, node_set, selector, slave_count, results_only):
-        topology, data_dir = node_set
-        spec = lm.builtin_job("wordcount", job_id=1, slave_count=slave_count, selector=selector)
+    @staticmethod
+    def assert_engines_agree(spec, topology, data_dir, results_only=False):
         cluster = lm.Cluster.from_topology(topology)
         for path in data_dir.glob("node_*.tsv"):
             cluster.nodes[int(path.stem[5:])].ingest(lm.load_records_tsv(path))
@@ -843,8 +867,29 @@ class TestRoutesMatchTheSimEngine:
         assert tcp.final == sim.final
         assert tcp.migrations_total == sim.migrations_total
         assert tcp.bytes_transferred_total == sim.bytes_transferred_total
+        assert tcp.raw_data_bytes == sim.raw_data_bytes
         by_agent = lambda result: sorted(result.slave_reports, key=lambda r: r.agent_id)  # noqa: E731
         assert by_agent(tcp) == by_agent(sim)
+        return sim
+
+    @pytest.mark.parametrize("selector", [b"", b"k4"])
+    @pytest.mark.parametrize("slave_count", [1, 3])
+    @pytest.mark.parametrize("results_only", [False, True])
+    def test_counts_and_reports_are_equal(self, node_set, selector, slave_count, results_only):
+        topology, data_dir = node_set
+        spec = lm.builtin_job("wordcount", job_id=1, slave_count=slave_count, selector=selector)
+        self.assert_engines_agree(spec, topology, data_dir, results_only)
+
+    def test_raw_data_is_the_targets_heap_bytes(self, tmp_path):
+        # Node 3 holds data but is no target: neither engine reads it.
+        data_dir = tmp_path / "data"
+        shutil.copytree(CONFIGS / "sample_data", data_dir)
+        topology = lm.Topology.from_file(CONFIGS / "iot3.json")
+        spec = lm.builtin_job("wordcount", job_id=1, target_nodes=[1, 2])
+        sim = self.assert_engines_agree(spec, topology, data_dir)
+        targets = [r for n in (1, 2) for r in lm.load_records_tsv(data_dir / f"node_{n}.tsv")]
+        assert sim.raw_data_bytes == sum(len(k) + len(v) for k, v in targets)
+        assert sim.final == lm.sequential_oracle(spec.task, spec.combine, targets)
 
 
 def process_running(pid: int) -> bool:
@@ -858,10 +903,10 @@ def process_running(pid: int) -> bool:
 
 
 class TestNodeStartup:
-    def run_python(self, *args):
+    def run_python(self, *args, timeout=60):
         src = os.path.dirname(os.path.dirname(lm.__file__))
         env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="error::RuntimeWarning")
-        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
 
     def test_module_runs_once_without_a_warning(self):
         proc = self.run_python("-m", "locomap.tcp_node", "--help")
@@ -899,6 +944,12 @@ class TestNodeStartup:
                 node.kill()
                 node.wait()
             master.stop()
+
+    def test_command_line_exits_1_when_the_master_is_unreachable(self):
+        # Nothing listens on port 1: the node_ready announcement is refused.
+        proc = self.run_python("-m", "locomap.tcp_node", "--node-id", "1", "--master", "127.0.0.1:1", timeout=5)
+        assert proc.returncode == 1
+        assert "could not tell the master 'node_ready'" in proc.stderr
 
     def test_a_second_node_id_is_rejected(self):
         proc = self.run_python("-m", "locomap.tcp_node", "--node-id", "1", "--node-id", "2", "--master", "127.0.0.1:1")
