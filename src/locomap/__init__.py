@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedVersion,
     VerifyFailure,
 )
-from .nodes import HeapStore, SensorNode, load_records_tsv
+from .nodes import HeapStore, Records, SensorNode, load_records_tsv
 from .orchestration import (
     Cluster,
     JobResult,

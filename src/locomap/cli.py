@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 from .cost import (
@@ -191,10 +192,8 @@ def _cmd_oracle(args) -> int:
     if not root.is_dir():
         raise ConfigError(f"data directory {root} does not exist")
     spec = builtin_job(args.job)
-    pairs = []
-    for path in sorted(root.glob("node_*.tsv")):
-        pairs.extend(load_records_tsv(path))
-    final = sequential_oracle(spec.task, spec.combine, pairs)
+    records = chain.from_iterable(map(load_records_tsv, sorted(root.glob("node_*.tsv"))))
+    final = sequential_oracle(spec.task, spec.combine, records)
     _write_output({"job": args.job, "final": final}, args.output)
     return 0
 

@@ -2,12 +2,15 @@
 
 Sensor networks here have no shared file system, so every node keeps its
 sensed records in an in-memory heap store and agents come to the data.
-Hosting an agent is strictly read-only over the heap: slaves compute and
-carry results away, they never mutate what the node sensed.
+The loader hands a node its file as key and value columns with their byte
+count, so ingestion builds no object per record. Hosting an agent is
+strictly read-only over the heap: slaves compute and carry results away,
+they never mutate what the node sensed.
 """
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
@@ -18,46 +21,73 @@ from .errors import ConfigError, ExecutionError, RoleError, UnknownFunction
 from .registry import FunctionRegistry, decode_partial, encode_partial
 
 
-class HeapStore:
-    """Ordered in-memory ``(key, value)`` records standing in for a file system.
+@dataclass
+class Records:
+    """Records as parallel ``keys`` and ``values`` lists, and ``nbytes``,
+    their key+value byte count. Iterates as ``(key, value)`` pairs."""
 
-    Iteration is deterministic: ascending key, insertion order within a
-    key. ``total_bytes`` adds up the key+value byte counts that callers
-    pass to ``extend``.
+    keys: list[bytes]
+    values: list[bytes]
+    nbytes: int
+
+    @classmethod
+    def of(cls, pairs: list[tuple[bytes, bytes]]) -> Records:
+        keys, values = list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))
+        return cls(keys, values, sum(map(len, keys)) + sum(map(len, values)))
+
+    def __iter__(self):
+        return zip(self.keys, self.values)
+
+
+class HeapStore:
+    """Ordered in-memory records standing in for a file system: two
+    parallel lists, ``keys`` and ``values``.
+
+    The first scan after an extend sorts both in place by key alone,
+    stably, so scans see ascending keys, insertion order within a key.
+    ``total_bytes`` adds up the ``nbytes`` of every extend.
     """
 
     def __init__(self):
-        self._records: list[tuple[bytes, bytes]] = []
+        self.keys: list[bytes] = []
+        self.values: list[bytes] = []
         self._sorted = True
         self.total_bytes = 0
 
-    def extend(self, records: list[tuple[bytes, bytes]], nbytes: int) -> None:
-        """Store ``(key, value)`` tuples as given; ``nbytes`` is their
-        key+value byte count, which the caller has already summed."""
-        self._records += records
+    def extend(self, records: Records) -> None:
+        """Append the records' key and value objects as they are, into new
+        lists: a scan handed out earlier keeps reading the old ones."""
+        self.keys = self.keys + records.keys
+        self.values = self.values + records.values
         self._sorted = False
-        self.total_bytes += nbytes
+        self.total_bytes += records.nbytes
 
-    def _sorted_records(self) -> list[tuple[bytes, bytes]]:
+    def _sort(self) -> list[bytes]:
         if not self._sorted:
-            # Stable and by key alone: records under one key keep insertion order.
-            self._records.sort(key=itemgetter(0))
+            # Stable and by key alone: records under one key keep insertion
+            # order. list.sort calls the key function once per item, in order,
+            # so each value takes its key from an iterator over the keys.
+            self.values.sort(key=functools.partial(next, iter(self.keys)))
+            self.keys.sort()
             self._sorted = True
-        return self._records
+        return self.keys
 
-    def records_matching(self, selector: bytes) -> list[tuple[bytes, bytes]]:
-        """Records whose key starts with ``selector`` (empty matches all)."""
-        records = self._sorted_records()
+    def records_matching(self, selector: bytes):
+        """``(key, value)`` pairs whose key starts with ``selector`` (empty matches all)."""
+        keys = self._sort()
         # Keys with the prefix are contiguous in sorted order, and cutting
         # every key to the selector's length keeps the list sorted.
-        lo = bisect_left(records, selector, key=itemgetter(0))
-        hi = bisect_right(records, selector, lo, key=lambda record: record[0][: len(selector)])
-        return records[lo:hi]
+        lo = bisect_left(keys, selector)
+        hi = bisect_right(keys, selector, lo, key=lambda key: key[: len(selector)])
+        if hi - lo == len(keys):
+            # Every record: no copy needed, as only the sort, before any scan, changes a list in place.
+            return zip(keys, self.values)
+        return zip(keys[lo:hi], self.values[lo:hi])
 
     def has_match(self, selector: bytes) -> bool:
-        records = self._sorted_records()
-        i = bisect_left(records, selector, key=itemgetter(0))
-        return i < len(records) and records[i][0].startswith(selector)
+        keys = self._sort()
+        i = bisect_left(keys, selector)
+        return i < len(keys) and keys[i].startswith(selector)
 
 
 @dataclass
@@ -73,28 +103,30 @@ class SensorNode:
     mem_bytes_limit: int = 1 << 30
     dropped: int = 0
 
-    def ingest(self, pairs: list[tuple[bytes, bytes]]) -> int:
-        """Store the ``(key, value)`` tuples that fit in the memory limit;
-        returns how many stuck.
+    def ingest(self, records: Records | list[tuple[bytes, bytes]]) -> int:
+        """Store the loader's ``Records``, or a list of ``(key, value)``
+        pairs made into columns once, as far as they fit in the memory
+        limit; returns how many stuck.
 
-        A batch that fits is stored as given, the caller's own tuples, with
-        no per-record Python loop. A batch over the limit keeps, in order,
-        each record that still fits after those kept before it.
+        A batch that fits is checked by its ``nbytes`` alone and stored as
+        its own key and value objects, with no per-record Python work. A
+        batch over the limit keeps, in order, each record that still fits
+        after those kept before it.
         """
+        if not isinstance(records, Records):
+            records = Records.of(records)
         room = self.mem_bytes_limit - self.heap.total_bytes
-        nbytes = sum(map(len, map(itemgetter(0), pairs))) + sum(map(len, map(itemgetter(1), pairs)))
-        if nbytes > room:
+        if records.nbytes > room:
             kept = []
-            nbytes = 0
-            for record in pairs:
+            for record in records:
                 size = len(record[0]) + len(record[1])
-                if nbytes + size <= room:
-                    nbytes += size
+                if size <= room:
+                    room -= size
                     kept.append(record)
-            self.dropped += len(pairs) - len(kept)
-            pairs = kept
-        self.heap.extend(pairs, nbytes)
-        return len(pairs)
+            self.dropped += len(records.keys) - len(kept)
+            records = Records.of(kept)
+        self.heap.extend(records)
+        return len(records.keys)
 
     def is_empty(self, selector: bytes = b"") -> bool:
         return not self.heap.has_match(selector)
@@ -142,9 +174,9 @@ class SensorNode:
 _NOT_TAB_OR_NEWLINE = bytes(b for b in range(256) if b not in b"\t\n")
 
 
-def load_records_tsv(path: str | Path) -> list[tuple[bytes, bytes]]:
-    """Read newline-delimited ``key<TAB>value`` records as ``(key, value)``
-    pairs.
+def load_records_tsv(path: str | Path) -> Records:
+    """Read newline-delimited ``key<TAB>value`` records as ``Records``:
+    the key and value columns in file order, and their byte count.
 
     Blank lines are skipped; a line without a tab is a record with an
     empty value. A line with an empty key raises ConfigError naming the
@@ -152,24 +184,21 @@ def load_records_tsv(path: str | Path) -> list[tuple[bytes, bytes]]:
     """
     data = Path(path).read_bytes()
     if not data.endswith(b"\n"):
-        data += b"\n"  # the loop skips the empty line this adds
+        data += b"\n"  # so the last line of the split is always the empty one
     # A file with exactly one tab on every line and no blank line keeps
     # b"\t\n" per line once every other byte is deleted. It splits into
-    # alternating keys and values in C. Any other file, or one with an
-    # empty key, takes the line loop: only it handles blank lines, lines
-    # without a tab and values holding tabs, and names an empty key's line.
+    # alternating keys and values in C, and its key+value bytes are all the
+    # other bytes. Any other file, or one with an empty key, takes the line
+    # split: only it handles blank lines, lines without a tab and values
+    # holding tabs, and names an empty key's line.
     shape = data.translate(None, _NOT_TAB_OR_NEWLINE)
     if shape == b"\t\n" * (len(shape) // 2):
         fields = data.replace(b"\n", b"\t").split(b"\t")
         keys = fields[0:-1:2]  # the last field is the empty one after the final newline
         if all(keys):
-            return list(zip(keys, fields[1::2]))
-    pairs = []
-    for lineno, line in enumerate(data.split(b"\n"), 1):
-        if not line:
-            continue
-        key, _, value = line.partition(b"\t")
-        if not key:
+            return Records(keys, fields[1::2], len(data) - len(shape))
+    lines = data.split(b"\n")
+    for lineno, line in enumerate(lines, 1):
+        if line.startswith(b"\t"):
             raise ConfigError(f"{path}, line {lineno}: empty record key")
-        pairs.append((key, value))
-    return pairs
+    return Records.of([line.partition(b"\t")[::2] for line in lines if line])

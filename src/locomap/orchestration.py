@@ -403,6 +403,13 @@ def plan_job(spec: JobSpec, topology: Topology, registry: FunctionRegistry) -> J
     return JobPlan(master, targets, reducer, slaves, dispatch(slaves, targets), combine, reduce_fn)
 
 
+def warn_dropped(dropped: dict[NodeId, int]) -> None:
+    """Log each target node whose ``SensorNode.dropped`` is not 0."""
+    for node, count in dropped.items():
+        if count:
+            logger.warning("node %s dropped %d records over its memory limit", node, count)
+
+
 def finish_job(
     plan: JobPlan,
     ledgers: Iterable[SlaveLedger],
@@ -571,6 +578,7 @@ def run_job(
     plan = plan_job(spec, cluster.topology, registry)
     callbacks = callbacks if callbacks is not None else LifecycleCallbacks()
     raw_bytes = sum(cluster.nodes[n].heap.total_bytes for n in plan.targets)
+    warn_dropped({n: cluster.nodes[n].dropped for n in plan.targets})
 
     selector = spec.task.input_selector
     routes = plan_routes(plan.assignment, lambda n: not cluster.nodes[n].is_empty(selector))

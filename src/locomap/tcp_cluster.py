@@ -39,6 +39,7 @@ from .orchestration import (
     plan_job,
     plan_routes,
     send_with_retry,
+    warn_dropped,
 )
 from .registry import DEFAULT_REGISTRY
 from .tcp_node import FrameServer, JobRegistration, classify_frame, decode_control, encode_control, serve
@@ -87,7 +88,7 @@ def _watch_exit(pid: int, node_id: int, events: queue.Queue) -> None:
 
 # The fields, and their types, of each control frame the master reads.
 _CONTROL_FIELDS = {
-    "node_ready": {"node": int, "host": str, "port": int, "heap_bytes": int},
+    "node_ready": {"node": int, "host": str, "port": int, "heap_bytes": int, "dropped": int},
     "has_data": {"node": int, "has_data": bool},
     "arrived": {"agent_id": int, "hop": int, "bytes": int, "node": int},
     "slave_failed": {"agent_id": int},
@@ -271,6 +272,7 @@ def run_tcp_job(
 
         ready = _await_each(events, "node_ready", targets, deadline, "the cluster was ready")
         raw_bytes = sum(doc["heap_bytes"] for doc in ready.values())
+        warn_dropped({n: ready[n]["dropped"] for n in targets})
         addresses = {n: (doc["host"], doc["port"]) for n, doc in ready.items()}
         transport = TcpTransport({**addresses, master: (server.host, server.port)})
 

@@ -221,6 +221,7 @@ class NodeProcess:
             "host": self.server.host,
             "port": self.server.port,
             "heap_bytes": self.node.heap.total_bytes,
+            "dropped": self.node.dropped,
         }
         self._announce(ready)
         self.shutdown.wait()

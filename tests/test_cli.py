@@ -1,4 +1,6 @@
 import json
+import logging
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,9 @@ def workspace(tmp_path):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestParseSizes:
@@ -138,6 +143,19 @@ class TestRun:
         )
         assert code == 1
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, option, value", [("sim", "--seed", "7"), ("tcp", "--timeout", "30")])
+    def test_records_dropped_over_the_memory_limit_are_warned_per_node(self, tmp_path, caplog, mode, option, value):
+        # 20 bytes hold one record each of node 1's and node 3's two, and all of node 2's.
+        caplog.set_level(logging.WARNING)
+        argv = ["run", "--mode", mode, "--topology", CONFIGS / "iot3.json", "--data-dir", CONFIGS / "sample_data", option, value]
+        for limit, expected in (
+            ([], []),
+            (["--mem-limit", "20"], [f"node {n} dropped 1 records over its memory limit" for n in (1, 3)]),
+        ):
+            caplog.clear()
+            assert run_cli(*argv, *limit, "--output", tmp_path / "out.json") == 0
+            assert [r.getMessage() for r in caplog.records if "dropped" in r.getMessage()] == expected
 
     def test_unknown_job_is_exit_1_and_named(self, workspace, capsys):
         assert run_cli("run", "--topology", workspace / "topo.json", "--seed", "1", "--job", "nosuch") == 1

@@ -23,14 +23,23 @@ class TestHeapStore:
     def test_iteration_is_ascending_by_key(self):
         heap = lm.HeapStore()
         for key in (b"m", b"a", b"z", b"b"):
-            heap.extend([(key, b"")], len(key))
+            heap.extend(lm.Records.of([(key, b"")]))
         assert [k for k, _ in heap_pairs(heap)] == [b"a", b"b", b"m", b"z"]
 
     def test_insertion_order_within_a_key(self):
         heap = lm.HeapStore()
-        heap.extend([(b"k", b"1")], 2)
-        heap.extend([(b"k", b"2")], 2)
+        heap.extend(lm.Records.of([(b"k", b"1")]))
+        heap.extend(lm.Records.of([(b"k", b"2")]))
         assert list(heap.records_matching(b"")) == [(b"k", b"1"), (b"k", b"2")]
+
+    def test_a_scan_reads_the_records_as_they_were_when_handed_out(self):
+        heap = lm.HeapStore()
+        heap.extend(lm.Records.of([(b"c", b"2"), (b"b", b"1")]))
+        every, some = heap.records_matching(b""), heap.records_matching(b"c")
+        heap.extend(lm.Records.of([(b"a", b"3"), (b"c", b"4")]))
+        assert heap.has_match(b"a")  # sorts the extended heap
+        assert list(every) == [(b"b", b"1"), (b"c", b"2")]
+        assert list(some) == [(b"c", b"2")]
 
     def test_total_bytes_never_drifts(self):
         rng = random.Random(9)
@@ -43,30 +52,41 @@ class TestHeapStore:
 
     def test_prefix_matching(self):
         heap = lm.HeapStore()
-        heap.extend([(b"temp:1", b"a")], 7)
-        heap.extend([(b"hum:1", b"b")], 6)
+        heap.extend(lm.Records.of([(b"temp:1", b"a")]))
+        heap.extend(lm.Records.of([(b"hum:1", b"b")]))
         assert [k for k, _ in heap_pairs(heap, b"temp:")] == [b"temp:1"]
         assert heap.has_match(b"hum:")
         assert not heap.has_match(b"co2:")
 
     def test_index_equals_naive_prefix_filter(self):
-        # Scans run between extends, so new keys and new records under known
-        # keys both land after the list was last sorted.
+        # Scans run after every third extend of several records, so new keys
+        # and new records under known keys, within one batch and across
+        # batches, land after the lists were last sorted. Every value
+        # is unique, so a record out of insertion order under its key, or a
+        # value moved apart from its key, fails the comparison.
         rng = random.Random(12)
         heap = lm.HeapStore()
         buckets: dict[bytes, list[bytes]] = {}
-        for i in range(400):
-            key = b"".join(rng.choice([b"a", b"b", b"\x00", b"\xfe", b"\xff"]) for _ in range(rng.randrange(1, 4)))
-            value = b"%d" % i
-            heap.extend([(key, value)], len(key) + len(value))
-            buckets.setdefault(key, []).append(value)
-            if i % 7:
+        count = 0
+        for extend in range(120):
+            batch = []
+            for _ in range(rng.randrange(1, 9)):
+                key = b"".join(rng.choice([b"a", b"b", b"\x00", b"\xfe", b"\xff"]) for _ in range(rng.randrange(1, 4)))
+                batch.append((key, b"%d" % count))
+                buckets.setdefault(key, []).append(b"%d" % count)
+                count += 1
+            heap.extend(lm.Records.of(batch))
+            if extend % 3:
                 continue
             exact = rng.choice(sorted(buckets))
             for selector in (b"", exact, exact[:1], b"c", b"\xff", b"a\xff", b"\xff\xff\xff\xff"):
                 expected = [(k, v) for k in sorted(buckets) if k.startswith(selector) for v in buckets[k]]
                 assert heap_pairs(heap, selector) == expected
                 assert heap.has_match(selector) == bool(expected)
+            # The columns themselves, sorted by the scans above.
+            assert heap.keys == [k for k in sorted(buckets) for _ in buckets[k]]
+            assert heap.values == [v for k in sorted(buckets) for v in buckets[k]]
+        assert count > 400 and len(buckets) < count / 2
 
 
 class TestIngest:
@@ -91,12 +111,24 @@ class TestIngest:
         assert node.ingest([(b"abcd", b"efgh")]) == 1
         assert node.ingest([(b"x", b"")]) == 0
 
-    def test_batch_that_fits_is_stored_as_the_callers_tuples(self):
+    def test_batch_that_fits_stores_the_loaders_key_and_value_objects(self, tmp_path):
+        # No per-record copy: the heap holds the very objects the loader made.
+        path = tmp_path / "node_1.tsv"
+        path.write_bytes(b"a\t123\nb\t\nc\t123456\n")
+        records = lm.load_records_tsv(path)
+        node = lm.SensorNode(id=1, mem_bytes_limit=30)
+        assert node.ingest(records) == 3
+        assert (node.heap.total_bytes, node.dropped) == (12, 0)
+        assert heap_pairs(node.heap) == list(records)
+        assert all(stored is given for stored, given in zip(node.heap.keys, records.keys))
+        assert all(stored is given for stored, given in zip(node.heap.values, records.values))
+
+    def test_batch_of_pairs_that_fits_stores_the_callers_objects(self):
         node = lm.SensorNode(id=1, mem_bytes_limit=30)
         batch = [(b"a", b"123"), (b"b", b""), (b"c", b"123456")]
         assert node.ingest(batch) == 3
         assert (node.heap.total_bytes, node.dropped) == (12, 0)
-        assert all(stored is given for stored, given in zip(heap_pairs(node.heap), batch))
+        assert all(k is key and v is value for k, v, (key, value) in zip(node.heap.keys, node.heap.values, batch))
 
     def test_over_limit_batch_keeps_later_records_that_still_fit(self):
         node = lm.SensorNode(id=1, mem_bytes_limit=30)
@@ -106,7 +138,8 @@ class TestIngest:
         assert node.ingest(batch) == 2
         assert (node.heap.total_bytes, node.dropped) == (26, 2)
         assert [k for k, _ in heap_pairs(node.heap)] == [b"a", b"b", b"c", b"d", b"f"]
-        assert heap_pairs(node.heap)[3] is batch[0] and heap_pairs(node.heap)[4] is batch[2]
+        assert node.heap.keys[3] is batch[0][0] and node.heap.values[3] is batch[0][1]
+        assert node.heap.keys[4] is batch[2][0] and node.heap.values[4] is batch[2][1]
 
 
 class TestIsEmpty:
@@ -209,12 +242,12 @@ class TestLoadTsv(object):
     def test_parses_keys_and_values(self, tmp_path):
         path = tmp_path / "node_1.tsv"
         path.write_bytes(b"k1\tv1\nk2\tv2\n\nk3\t\n")
-        assert lm.load_records_tsv(path) == [(b"k1", b"v1"), (b"k2", b"v2"), (b"k3", b"")]
+        assert list(lm.load_records_tsv(path)) == [(b"k1", b"v1"), (b"k2", b"v2"), (b"k3", b"")]
 
     def test_line_without_tab_is_empty_value(self, tmp_path):
         path = tmp_path / "d.tsv"
         path.write_bytes(b"lonelykey\n")
-        assert lm.load_records_tsv(path) == [(b"lonelykey", b"")]
+        assert list(lm.load_records_tsv(path)) == [(b"lonelykey", b"")]
 
     def test_empty_key_rejected(self, tmp_path):
         path = tmp_path / "node_2.tsv"
@@ -275,6 +308,10 @@ class TestLoadTsv(object):
                     lm.load_records_tsv(path)
                 assert str(raised.value) == expected
             else:
-                assert lm.load_records_tsv(path) == expected, data
+                records = lm.load_records_tsv(path)
+                assert list(records) == expected, data
+                assert records.keys == [k for k, _ in expected], data
+                assert records.values == [v for _, v in expected], data
+                assert records.nbytes == sum(len(k) + len(v) for k, v in expected), data
         # Both loader paths ran: files with one tab on every line and others.
         assert shapes[True] > 200 and shapes[False] > 200

@@ -454,7 +454,7 @@ class TestMasterAccounting:
 
     def test_await_each_drops_control_frames_it_cannot_read(self):
         events: queue.Queue = queue.Queue()
-        ready = {"type": "node_ready", "node": 1, "host": "127.0.0.1", "port": 1234, "heap_bytes": 5}
+        ready = {"type": "node_ready", "node": 1, "host": "127.0.0.1", "port": 1234, "heap_bytes": 5, "dropped": 0}
         for frame in UNREADABLE_CONTROLS + (encode_control(ready),):
             events.put(frame)
         assert _await_each(events, "node_ready", (1,), time.monotonic() + 5.0, "the cluster was ready") == {1: ready}
