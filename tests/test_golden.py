@@ -6,6 +6,12 @@ after an intended output change, run, from the repository root:
 
     locomap run --topology configs/iot3.json --data-dir configs/sample_data \
         --seed 0 --results-only --output tests/golden/iot3_seed0_results-only.json
+
+``bench_<kind>_sim.csv`` is the ``locomap bench <kind> --mode sim`` CSV of
+the default sizes at ``--repeats 3`` (migration at ``--seed 11``), e.g.:
+
+    locomap bench migration --sizes 1k,10k,100k,1m --repeats 3 --seed 11 \
+        --output tests/golden/bench_migration_sim.csv
 """
 
 from pathlib import Path
@@ -32,3 +38,13 @@ def test_sim_output_matches_golden(tmp_path, topo, seed, flags):
     argv += ["--seed", seed, *FLAGS[flags], "--output", out]
     assert main([str(a) for a in argv]) == 0
     assert out.read_bytes() == (GOLDEN / f"{topo}_seed{seed}_{flags}.json").read_bytes()
+
+
+BENCH = {"duplication": [], "migration": ["--seed", "11"]}
+
+
+@pytest.mark.parametrize("kind", BENCH)
+def test_bench_csv_matches_golden(tmp_path, kind):
+    out = tmp_path / "out.csv"
+    assert main(["bench", kind, "--sizes", "1k,10k,100k,1m", "--repeats", "3", *BENCH[kind], "--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"bench_{kind}_sim.csv").read_bytes()
