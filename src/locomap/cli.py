@@ -106,6 +106,15 @@ def _data_files(topology: Topology, data_dir: str | None) -> dict[int, Path]:
     return files
 
 
+def _timeout_s(args, default: float) -> float:
+    """--timeout, checked before any socket or node exists to fail on it."""
+    if args.timeout is None:
+        return default
+    if not args.timeout > 0:
+        raise ConfigError(f"--timeout must be positive, got {args.timeout}")
+    return args.timeout
+
+
 # Run options that only one mode reads; giving one in the other mode is an error.
 _MODE_ONLY = {"seed": "sim", "base_port": "tcp", "timeout": "tcp", "node_logs": "tcp"}
 
@@ -137,7 +146,7 @@ def _execute(args) -> tuple[dict, object, int]:
                 args.data_dir,
                 results_only=args.results_only,
                 base_port=args.base_port or 0,
-                timeout_s=60.0 if args.timeout is None else args.timeout,
+                timeout_s=_timeout_s(args, 60.0),
                 node_mem_limit=args.mem_limit,
                 job_module=args.job_module,
                 log_dir=args.node_logs,
@@ -160,12 +169,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    try:
+        data_bytes = None if args.data_bytes == "auto" else int(args.data_bytes)
+    except ValueError:
+        raise ConfigError(f"--data-bytes must be a byte count or 'auto', got {args.data_bytes!r}") from None
     doc, result, code = _execute(args)
     if code:
         return code
-    data_bytes = result.raw_data_bytes if args.data_bytes == "auto" else int(args.data_bytes)
     params = BaselineParams(
-        data_bytes=data_bytes,
+        data_bytes=result.raw_data_bytes if data_bytes is None else data_bytes,
         bandwidth_bytes_per_s=args.bandwidth_bytes_per_s,
         replication=args.replication,
         compute_bytes_per_s=args.compute_bytes_per_s,
@@ -178,8 +190,6 @@ def _cmd_compare(args) -> int:
             print(f"{key:<{width}}  {value:.6f}")
         else:
             print(f"{key:<{width}}  {value}")
-    if report.reduction_ratio >= 1.0 and report.framework_bytes_transferred > 0:
-        print("warning: reduction ratio >= 1, this job does not aggregate", file=sys.stderr)
     if args.output:
         _write_output({**doc, "comparison": report.to_json_dict()}, args.output)
     return 0
@@ -222,10 +232,11 @@ def _cmd_bench(args) -> int:
             src, dst = sorted((topology.master,) + topology.nodes)[:2]
             records = migration_experiment(sizes, args.repeats, transport, src=src, dst=dst)
         else:
+            timeout_s = _timeout_s(args, 5.0)
             sink = FrameServer("127.0.0.1", 0, lambda frame: None)
             sink.start()
             try:
-                transport = TcpTransport({1: (sink.host, sink.port)}, timeout_s=5.0 if args.timeout is None else args.timeout)
+                transport = TcpTransport({1: (sink.host, sink.port)}, timeout_s=timeout_s)
                 records = migration_experiment(sizes, args.repeats, transport, src=0, dst=1)
             finally:
                 sink.stop()

@@ -1,7 +1,9 @@
 """Cost experiments and the centralized-baseline comparison.
 
 Two experiments sweep agent size: duplicating an agent on one node, and
-migrating an agent between two nodes with its five-phase breakdown.
+migrating an agent between two nodes with its five-phase breakdown. Both
+run one sweep: per size, each phase's median over the samples delivered;
+a sample that fails in transport or verification is logged and left out.
 Duplication is cheap (a copy plus the two lifecycle hooks); migration
 pays for packing, connecting, transferring, unpacking and verifying, so
 its curve sits strictly above duplication at every size.
@@ -19,8 +21,8 @@ import csv
 import logging
 import statistics
 import time
-from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from dataclasses import asdict, astuple, dataclass, fields
+from typing import IO, Callable, Iterable, Sequence
 
 from .agents import Agent, AgentIdAllocator, AgentRole, LifecycleCallbacks, duplicate
 from .envelope import MigrationPhases, migrate
@@ -33,12 +35,13 @@ logger = logging.getLogger("locomap.cost")
 DUPLICATION = "duplication"
 MIGRATION = "migration"
 
-CSV_COLUMNS = ["kind", "size_bytes", "prepare_s", "connect_s", "transfer_s", "unpack_s", "verify_s", "total_s"]
+CSV_COLUMNS = ["kind", "size_bytes", *(f.name for f in fields(MigrationPhases)), "total_s"]
 
 
 @dataclass(frozen=True)
 class CostRecord:
-    """One row of an experiment: a size, a phase breakdown, a total.
+    """One row of a sweep: an agent size and each phase's median over the
+    samples that were delivered (failed samples are logged and left out).
 
     Duplication uses only the prepare/unpack slots, reinterpreted as the
     copy and callback analogues; the other phases are zero.
@@ -47,24 +50,13 @@ class CostRecord:
     kind: str
     agent_size_bytes: int
     phases: MigrationPhases
-    samples: int = 1
-    samples_failed: int = 0
 
     @property
     def total_s(self) -> float:
         return self.phases.total_s
 
-    @property
-    def copy_s(self) -> float:
-        return self.phases.prepare_s
-
-    @property
-    def callback_s(self) -> float:
-        return self.phases.unpack_s
-
     def csv_row(self) -> list:
-        p = self.phases
-        return [self.kind, self.agent_size_bytes, p.prepare_s, p.connect_s, p.transfer_s, p.unpack_s, p.verify_s, self.total_s]
+        return [self.kind, self.agent_size_bytes, *astuple(self.phases), self.total_s]
 
 
 def write_cost_csv(records: Iterable[CostRecord], fp: IO[str]) -> None:
@@ -74,8 +66,31 @@ def write_cost_csv(records: Iterable[CostRecord], fp: IO[str]) -> None:
         writer.writerow(record.csv_row())
 
 
-def _experiment_agent(size_bytes: int, ids: AgentIdAllocator) -> Agent:
-    return Agent(id=ids.next(), role=AgentRole.MAPPER, job_id=0, payload=bytes(size_bytes))
+def _sweep(kind: str, sizes: Sequence[int], repeats: int, sample: Callable[[Agent], MigrationPhases]) -> list[CostRecord]:
+    """Time ``sample`` on ``repeats`` fresh zero-payload mappers per size;
+    a size with no delivered sample has no record."""
+    if not sizes:
+        raise ConfigError(f"{kind} experiment needs at least one size")
+    if repeats < 1:
+        raise ConfigError("repeats must be at least 1")
+    if min(sizes) < 0:
+        raise ConfigError(f"agent sizes must be non-negative, got {min(sizes)}")
+    ids = AgentIdAllocator()
+    records = []
+    for size in sizes:
+        samples = []
+        for _ in range(repeats):
+            mapper = Agent(id=ids.next(), role=AgentRole.MAPPER, job_id=0, payload=bytes(size))
+            try:
+                samples.append(astuple(sample(mapper)))
+            except (TransportFailure, VerifyFailure) as exc:
+                logger.warning("%s sample failed at size %d: %s", kind, size, exc)
+        if not samples:
+            logger.warning("all %d %s samples failed at size %d; no record", repeats, kind, size)
+            continue
+        phases = MigrationPhases(*map(statistics.median, zip(*samples)))
+        records.append(CostRecord(kind=kind, agent_size_bytes=size, phases=phases))
+    return records
 
 
 def duplication_experiment(
@@ -89,45 +104,27 @@ def duplication_experiment(
     ``sim`` reports modeled times (reproducible); ``measured`` times the
     real copy with a wall clock. The copies are made for real either way.
     """
-    if not sizes:
-        raise ConfigError("duplication experiment needs at least one size")
-    if repeats < 1:
-        raise ConfigError("repeats must be at least 1")
     if mode not in ("sim", "measured"):
         raise ConfigError(f"unknown duplication mode {mode!r}")
     model = SimCpuModel()
     callbacks = callbacks if callbacks is not None else LifecycleCallbacks()
-    ids = AgentIdAllocator()
-    records = []
-    for size in sizes:
-        copy_samples, callback_samples = [], []
-        for _ in range(repeats):
-            mapper = _experiment_agent(size, ids)
-            t0 = time.perf_counter()
-            callbacks.fire_depart(mapper)
-            t1 = time.perf_counter()
-            (clone,) = duplicate(mapper, 1, ids)
-            copied = bytearray(clone.payload)  # bytes() of a bytes object would not copy
-            t2 = time.perf_counter()
-            callbacks.fire_arrive(clone)
-            t3 = time.perf_counter()
-            assert len(copied) == size
-            if mode == "sim":
-                copy_s, callback_s = model.duplication_times(size)
-            else:
-                copy_s = t2 - t1
-                callback_s = (t1 - t0) + (t3 - t2)
-            copy_samples.append(copy_s)
-            callback_samples.append(callback_s)
-        phases = MigrationPhases(
-            prepare_s=statistics.median(copy_samples),
-            connect_s=0.0,
-            transfer_s=0.0,
-            unpack_s=statistics.median(callback_samples),
-            verify_s=0.0,
-        )
-        records.append(CostRecord(kind=DUPLICATION, agent_size_bytes=size, phases=phases, samples=repeats))
-    return records
+
+    def sample(mapper: Agent) -> MigrationPhases:
+        t0 = time.perf_counter()
+        callbacks.fire_depart(mapper)
+        t1 = time.perf_counter()
+        (clone,) = duplicate(mapper, 1)
+        copied = bytearray(clone.payload)  # bytes() of a bytes object would not copy
+        t2 = time.perf_counter()
+        callbacks.fire_arrive(clone)
+        t3 = time.perf_counter()
+        if mode == "sim":
+            copy_s, callback_s = model.duplication_times(len(copied))
+        else:
+            copy_s, callback_s = t2 - t1, (t1 - t0) + (t3 - t2)
+        return MigrationPhases(copy_s, 0.0, 0.0, callback_s, 0.0)
+
+    return _sweep(DUPLICATION, sizes, repeats, sample)
 
 
 def migration_experiment(
@@ -138,50 +135,8 @@ def migration_experiment(
     dst: int,
     callbacks: LifecycleCallbacks | None = None,
 ) -> list[CostRecord]:
-    """Median five-phase migration cost between two nodes, per agent size.
-
-    Failed samples are excluded from the medians and counted; a size where
-    every sample failed produces no record.
-    """
-    if not sizes:
-        raise ConfigError("migration experiment needs at least one size")
-    if repeats < 1:
-        raise ConfigError("repeats must be at least 1")
-    callbacks = callbacks if callbacks is not None else LifecycleCallbacks()
-    ids = AgentIdAllocator()
-    records = []
-    for size in sizes:
-        samples: list[MigrationPhases] = []
-        failed = 0
-        for _ in range(repeats):
-            agent = _experiment_agent(size, ids)
-            try:
-                outcome = migrate(agent, src, dst, transport, callbacks, at=0.0)
-            except (TransportFailure, VerifyFailure) as exc:
-                failed += 1
-                logger.warning("migration sample failed at size %d: %s", size, exc)
-                continue
-            samples.append(outcome.phases)
-        if not samples:
-            logger.warning("all %d migration samples failed at size %d; no record", repeats, size)
-            continue
-        phases = MigrationPhases(
-            prepare_s=statistics.median(p.prepare_s for p in samples),
-            connect_s=statistics.median(p.connect_s for p in samples),
-            transfer_s=statistics.median(p.transfer_s for p in samples),
-            unpack_s=statistics.median(p.unpack_s for p in samples),
-            verify_s=statistics.median(p.verify_s for p in samples),
-        )
-        records.append(
-            CostRecord(
-                kind=MIGRATION,
-                agent_size_bytes=size,
-                phases=phases,
-                samples=len(samples),
-                samples_failed=failed,
-            )
-        )
-    return records
+    """Median five-phase migration cost between two nodes, per agent size."""
+    return _sweep(MIGRATION, sizes, repeats, lambda agent: migrate(agent, src, dst, transport, callbacks).phases)
 
 
 # --- centralized baseline ----------------------------------------------------
@@ -231,14 +186,7 @@ class ComparisonReport:
     data_bytes: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "baseline_transfer_s": self.baseline_transfer_s,
-            "baseline_total_s": self.baseline_total_s,
-            "framework_bytes_transferred": self.framework_bytes_transferred,
-            "framework_wall_time_s": self.framework_wall_time_s,
-            "reduction_ratio": self.reduction_ratio,
-            "data_bytes": self.data_bytes,
-        }
+        return asdict(self)
 
 
 def compare(job: JobResult, p: BaselineParams) -> ComparisonReport:

@@ -230,6 +230,16 @@ class TestBench:
     def test_bad_sizes_is_exit_1(self, capsys):
         assert run_cli("bench", "migration", "--sizes", "1q") == 1
 
+    def test_tcp_migration_over_the_loopback_sink(self, tmp_path):
+        out = tmp_path / "tcp.csv"
+        assert run_cli("bench", "migration", "--mode", "tcp", "--sizes", "1k,64k", "--repeats", "3", "--output", out) == 0
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert header[-1] == "total_s"
+        assert [row[:2] for row in rows] == [["migration", "1024"], ["migration", "65536"]]
+        for row in rows:
+            prepare, connect, transfer, unpack, verify, total = map(float, row[2:])
+            assert prepare + connect + transfer + unpack + verify == total > 0
+
     @pytest.mark.parametrize(
         "args, flag",
         [
@@ -243,6 +253,30 @@ class TestBench:
     def test_option_that_does_not_apply_is_rejected(self, capsys, args, flag):
         assert run_cli("bench", *args, "--sizes", "1k", "--repeats", "1") == 1
         assert flag in capsys.readouterr().err
+
+
+BAD_INPUT = {
+    "bench-duplication-negative-size": (["bench", "duplication", "--sizes=1k,-1k"], "-1024"),
+    "bench-migration-negative-size": (["bench", "migration", "--sizes=-1k"], "-1024"),
+    "bench-tcp-timeout-negative": (["bench", "migration", "--mode", "tcp", "--timeout=-1"], "--timeout"),
+    "bench-tcp-timeout-zero": (["bench", "migration", "--mode", "tcp", "--timeout", "0"], "--timeout"),
+    "run-tcp-timeout-zero": (["run", "--mode", "tcp", "--timeout", "0"], "--timeout"),
+    "run-tcp-timeout-negative": (["run", "--mode", "tcp", "--timeout=-1"], "--timeout"),
+    "compare-tcp-timeout-zero": (["compare", "--mode", "tcp", "--timeout", "0"], "--timeout"),
+    "compare-data-bytes-not-a-number": (["compare", "--seed", "1", "--data-bytes", "abc"], "--data-bytes"),
+}
+
+
+@pytest.mark.parametrize("argv, named", BAD_INPUT.values(), ids=BAD_INPUT)
+def test_bad_input_is_exit_1_and_named(workspace, capsys, monkeypatch, argv, named):
+    # A bad flag is caught before any node is forked or job is run.
+    monkeypatch.setattr(cli, "run_tcp_job", lambda *a, **k: pytest.fail("nodes forked"))
+    if argv[0] != "bench":
+        argv = argv + ["--topology", workspace / "topo.json", "--data-dir", workspace / "data"]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
 
 
 class TestCompare:
@@ -264,6 +298,14 @@ class TestCompare:
         out = capsys.readouterr().out
         data_line = next(l for l in out.splitlines() if l.startswith("data_bytes"))
         assert int(data_line.split()[-1]) == len(b"r1a b") + len(b"r2a")
+
+    def test_non_aggregating_job_warns_once(self, caplog, capsys):
+        caplog.set_level(logging.WARNING)
+        argv = ["compare", "--topology", CONFIGS / "iot8.json", "--data-dir", CONFIGS / "sample_data", "--seed", "42"]
+        assert run_cli(*argv, "--data-bytes", "auto") == 0
+        logged = [r.getMessage() for r in caplog.records]
+        printed = capsys.readouterr().err.splitlines()
+        assert sum("reduction ratio" in line for line in logged + printed) == 1
 
     def test_report_written_to_file(self, workspace, tmp_path):
         out = tmp_path / "cmp.json"
