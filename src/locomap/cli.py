@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+import threading
 from itertools import chain
 from pathlib import Path
 
@@ -110,8 +111,8 @@ def _timeout_s(args, default: float) -> float:
     """--timeout, checked before any socket or node exists to fail on it."""
     if args.timeout is None:
         return default
-    if not args.timeout > 0:
-        raise ConfigError(f"--timeout must be positive, got {args.timeout}")
+    if not 0 < args.timeout <= threading.TIMEOUT_MAX:  # the most a socket or lock wait takes
+        raise ConfigError(f"--timeout must be positive and at most {threading.TIMEOUT_MAX:.0f} s, got {args.timeout}")
     return args.timeout
 
 
@@ -315,10 +316,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except LocomapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (LocomapError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

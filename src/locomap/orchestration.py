@@ -174,14 +174,7 @@ class SlaveReport:
     fail_reason: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "agent_id": self.agent_id,
-            "nodes": list(self.nodes),
-            "delivered": self.delivered,
-            "migrations": self.migrations,
-            "bytes_sent": self.bytes_sent,
-            "fail_reason": self.fail_reason,
-        }
+        return {**vars(self), "nodes": list(self.nodes)}
 
 
 @dataclass
@@ -259,17 +252,10 @@ class JobResult:
     slave_reports: tuple[SlaveReport, ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "final": self.final,
-            "partials_received": self.partials_received,
-            "slaves_failed": self.slaves_failed,
-            "slave_count": self.slave_count,
-            "bytes_transferred_total": self.bytes_transferred_total,
-            "wall_time_s": self.wall_time_s,
-            "raw_data_bytes": self.raw_data_bytes,
-            "migrations_total": self.migrations_total,
-            "slaves": [r.to_json_dict() for r in sorted(self.slave_reports, key=lambda r: r.agent_id)],
-        }
+        """Every field, with ``slave_reports`` written as ``slaves``, by agent id."""
+        doc = {**vars(self), "slaves": [r.to_json_dict() for r in sorted(self.slave_reports, key=lambda r: r.agent_id)]}
+        del doc["slave_reports"]
+        return doc
 
 
 @dataclass

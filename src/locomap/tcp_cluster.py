@@ -42,7 +42,8 @@ from .orchestration import (
     warn_dropped,
 )
 from .registry import DEFAULT_REGISTRY
-from .tcp_node import FrameServer, JobRegistration, classify_frame, decode_control, encode_control, serve
+from .control import Arrived, ControlFrame, HasData, NodeExited, NodeReady, QueryData, RegisterJob, Shutdown, SlaveFailed, pack_control, unpack_control
+from .tcp_node import FrameServer, classify_frame, serve
 from .transport import TcpTransport, Topology
 
 # perfbench's tracer patches these names here as well as in orchestration,
@@ -83,32 +84,18 @@ def _fork_node(server: FrameServer, node: tuple[int, int, str], host: str, mem_l
 def _watch_exit(pid: int, node_id: int, events: queue.Queue) -> None:
     """Reap node ``node_id``, then report its exit on ``events``."""
     _, status = os.waitpid(pid, 0)
-    events.put(encode_control({"type": "node_exited", "node": node_id, "code": os.waitstatus_to_exitcode(status)}))
+    events.put(pack_control(NodeExited(node_id, os.waitstatus_to_exitcode(status))))
 
 
-# The fields, and their types, of each control frame the master reads.
-_CONTROL_FIELDS = {
-    "node_ready": {"node": int, "host": str, "port": int, "heap_bytes": int, "dropped": int},
-    "has_data": {"node": int, "has_data": bool},
-    "arrived": {"agent_id": int, "hop": int, "bytes": int, "node": int},
-    "slave_failed": {"agent_id": int},
-    "node_exited": {"node": int, "code": int},
-}
-
-
-def _read_control(frame: bytes) -> dict | None:
-    """A control frame's document, or None, logged, if it is unreadable.
-    Any local process can connect to the master, so no frame may raise."""
+def _read_control(frame: bytes) -> ControlFrame | None:
+    """The control frame in ``frame``, or None, logged, if the codec
+    cannot read it or it is no control frame. Any local process can
+    connect to the master, so no frame may raise."""
     try:
-        doc = decode_control(frame)
-        fields = _CONTROL_FIELDS[doc["type"]]
-    except (ValueError, TypeError, KeyError) as exc:
-        logger.error("dropping an unreadable control frame: %r", exc)
+        return unpack_control(frame)
+    except DecodeError as exc:
+        logger.error("dropping a frame: %s", exc)
         return None
-    if not all(isinstance(doc.get(name), kind) for name, kind in fields.items()):
-        logger.error("dropping a malformed control frame: %.200r", doc)
-        return None
-    return doc
 
 
 def _next_frame(events: queue.Queue, deadline: float) -> bytes | None:
@@ -119,32 +106,29 @@ def _next_frame(events: queue.Queue, deadline: float) -> bytes | None:
         return None
 
 
-def _await_each(events: queue.Queue, kind: str, expected: tuple[int, ...], deadline: float, before: str) -> dict[int, dict]:
-    """Wait for one ``kind`` control frame from every expected node;
-    returns the frames by node.
+def _await_each(events: queue.Queue, kind: type, expected: tuple[int, ...], deadline: float, before: str) -> dict[int, NodeReady | HasData]:
+    """Wait for one control frame of class ``kind`` from every expected
+    node; returns the frames by node.
 
     A node that exits first fails the wait at once; ``before`` names the
     stage in that error.
     """
-    docs: dict[int, dict] = {}
-    while len(docs) < len(expected):
+    frames: dict[int, NodeReady | HasData] = {}
+    while len(frames) < len(expected):
         frame = _next_frame(events, deadline)
         if frame is None:
-            raise ConfigError(f"nodes {sorted(set(expected) - set(docs))} sent no {kind} before the deadline")
-        if classify_frame(frame) != "control":
-            logger.warning("unexpected frame before %s; dropping it", before)
+            raise ConfigError(f"nodes {sorted(set(expected) - set(frames))} sent no {kind.kind} before the deadline")
+        control = _read_control(frame)
+        if control is None:
             continue
-        doc = _read_control(frame)
-        if doc is None:
+        if isinstance(control, NodeExited):
+            raise ConfigError(f"node {control.node} exited with code {control.code} before {before}")
+        if type(control) is not kind or control.node not in expected:
+            logger.warning("unexpected %s before %s", control, before)
             continue
-        if doc["type"] == "node_exited":
-            raise ConfigError(f"node {doc['node']} exited with code {doc['code']} before {before}")
-        if doc["type"] != kind or doc["node"] not in expected:
-            logger.warning("unexpected control %r from node %s before %s", doc["type"], doc.get("node"), before)
-            continue
-        docs[doc["node"]] = doc
-        logger.info("node %s: %s", doc["node"], doc)
-    return docs
+        frames[control.node] = control
+        logger.info("node %s: %s", control.node, control)
+    return frames
 
 
 def _collect(events: queue.Queue, ledgers: dict[int, SlaveLedger], callbacks, combine, deadline: float) -> None:
@@ -195,19 +179,18 @@ def _collect(events: queue.Queue, ledgers: dict[int, SlaveLedger], callbacks, co
             if ledger is not None:
                 ledger.deliver(message)
         else:
-            doc = _read_control(frame)
-            kind = None if doc is None else doc["type"]
-            if kind == "arrived":
-                ledger = ledger_for(doc["agent_id"])
+            control = _read_control(frame)
+            if isinstance(control, Arrived):
+                ledger = ledger_for(control.agent_id)
                 if ledger is not None:
-                    ledger.arrived(doc["hop"], doc["bytes"], doc["node"])
-            elif kind == "slave_failed":
-                ledger = ledger_for(doc["agent_id"])
+                    ledger.arrived(control.hop, control.bytes, control.node)
+            elif isinstance(control, SlaveFailed):
+                ledger = ledger_for(control.agent_id)
                 if ledger is not None:
-                    ledger.fail(doc.get("reason") or "remote failure")
-            elif kind == "node_exited":
+                    ledger.fail(control.reason)
+            elif isinstance(control, NodeExited):
                 for ledger in ledgers.values():
-                    ledger.node_exited(doc["node"], doc["code"])
+                    ledger.node_exited(control.node, control.code)
 
     while not all(ledger.resolved for ledger in ledgers.values()):
         frame = _next_frame(events, deadline)
@@ -245,7 +228,10 @@ def run_tcp_job(
     master, targets = plan.master, plan.targets
 
     events: queue.Queue = queue.Queue()
-    server = FrameServer(host, base_port, events.put)
+    try:
+        server = FrameServer(host, base_port, events.put)
+    except (OSError, OverflowError) as exc:
+        raise ConfigError(f"the master cannot listen on {host}:{base_port}: {exc}") from None
     pids: dict[int, int] = {}  # node ids by pid
     watchers: dict[int, threading.Thread] = {}
     transport: TcpTransport | None = None
@@ -270,10 +256,10 @@ def run_tcp_job(
                 watchers[pid].start()
         server.start()
 
-        ready = _await_each(events, "node_ready", targets, deadline, "the cluster was ready")
-        raw_bytes = sum(doc["heap_bytes"] for doc in ready.values())
-        warn_dropped({n: ready[n]["dropped"] for n in targets})
-        addresses = {n: (doc["host"], doc["port"]) for n, doc in ready.items()}
+        ready = _await_each(events, NodeReady, targets, deadline, "the cluster was ready")
+        raw_bytes = sum(frame.heap_bytes for frame in ready.values())
+        warn_dropped({n: ready[n].dropped for n in targets})
+        addresses = {n: (frame.host, frame.port) for n, frame in ready.items()}
         transport = TcpTransport({**addresses, master: (server.host, server.port)})
 
         callbacks = LifecycleCallbacks()
@@ -281,8 +267,8 @@ def run_tcp_job(
         def send(dst, payload):
             return send_with_retry(lambda: transport.send(master, dst, payload), time.sleep)
 
-        def send_everywhere(doc: dict, what: str) -> None:
-            frame = encode_control(doc)
+        def send_everywhere(control: QueryData | RegisterJob, what: str) -> None:
+            frame = pack_control(control)
             for node_id in targets:
                 _, fail = send(node_id, frame)
                 if fail is not None:
@@ -291,12 +277,10 @@ def run_tcp_job(
         # Heaps do not change during a job, so one has-data round fixes every
         # route; register_job, carrying the routes, is the last control
         # frame before dispatch.
-        query = {"type": "query_data", "job_id": spec.job_id, "selector_hex": spec.task.input_selector.hex()}
-        send_everywhere(query, "query data")
-        found = _await_each(events, "has_data", targets, deadline, "every node answered the has-data query")
-        routes = plan_routes(plan.assignment, lambda n: found[n]["has_data"])
-        registration = JobRegistration(spec, results_only, master, dict(transport.addresses), routes)
-        send_everywhere(registration.register_control(), "register the job")
+        send_everywhere(QueryData(spec.job_id, spec.task.input_selector.hex()), "query data")
+        found = _await_each(events, HasData, targets, deadline, "every node answered the has-data query")
+        routes = plan_routes(plan.assignment, lambda n: found[n].has_data)
+        send_everywhere(RegisterJob.of(spec, results_only, master, transport.addresses, routes), "register the job")
 
         ledgers = {slave.id: SlaveLedger(slave.id, plan.assignment[slave.id]) for slave in plan.slaves}
         for slave in plan.slaves:
@@ -309,18 +293,15 @@ def run_tcp_job(
             if fail is not None:
                 # Queued behind any arrival the node reported before it failed.
                 logger.error("could not dispatch agent %s: %s", slave.id, fail)
-                failed = {"type": "slave_failed", "agent_id": slave.id, "reason": f"could not dispatch to node {route[0]}"}
-                events.put(encode_control(failed))
+                events.put(pack_control(SlaveFailed(slave.id, spec.job_id, f"could not dispatch to node {route[0]}")))
 
         _collect(events, ledgers, callbacks, plan.combine, deadline)
     finally:
         if transport is not None:
-            shutdown = encode_control({"type": "shutdown"})
+            shutdown = pack_control(Shutdown())
             for node_id in targets:
-                try:
+                with contextlib.suppress(TransportFailure):
                     transport.send(master, node_id, shutdown)
-                except TransportFailure:
-                    pass
         # Nodes sent a shutdown frame have 5 s to exit; if the cluster never
         # came up, none could be sent one. A node still running is killed: it
         # holds nothing it must save, and SIGKILL cannot be ignored.

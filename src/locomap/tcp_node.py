@@ -14,9 +14,14 @@ four bytes of each frame:
 
   - ``LMAP`` agent envelopes: host the agent over the local heap, pick
     the next hop on the slave's route, and forward it on a fresh connection.
-  - ``LCTL`` control JSON: the has-data query (answered with a ``has_data``
-    frame), job registration with every slave's route, shutdown.
+  - ``LCTL`` control frames: the has-data query (answered with a
+    ``HasData`` frame), job registration with every slave's route, shutdown.
   - anything else is a result message, which only the master receives.
+
+Control frames are the frozen dataclasses of ``locomap.control``, one
+per kind, which both ends build and read through its one codec,
+``pack_control`` and ``unpack_control``. A frame the codec cannot read is
+a ``DecodeError``: a node leaves it unacked, and the master drops it.
 
 Each frame is acknowledged with a single 0x06 byte once the node has
 accepted it. A node acks an envelope before it hosts it, hosts one agent
@@ -26,45 +31,37 @@ retrying after a lost acknowledgement.
 Every frame a node sends, control or data, goes through
 ``TcpTransport.send`` and the one retry loop, ``send_with_retry``. A hop
 counts when its receiver reports it: before a node acks an envelope it
-sends the master an ``arrived`` control (agent, job, hop, envelope bytes,
-node) and waits for the master's ack, so the master knows where every
-slave is before the sender can let go of it. An arrival the master does
-not ack leaves the envelope unacked, and the sender retries or gives the
-hop up. A node that cannot forward reports ``slave_failed``; one that
-cannot deliver its ``node_ready`` or ``has_data`` frame exits with code 1.
+sends the master an ``Arrived`` frame and waits for the master's ack, so
+the master knows where every slave is before the sender can let go of
+it. An arrival the master does not ack leaves the envelope unacked, and
+the sender retries or gives the hop up. A node that cannot forward
+reports ``SlaveFailed``; one that cannot deliver its ``NodeReady`` or
+``HasData`` frame exits with code 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
-import json
 import logging
 import os
 import socket
 import threading
-from dataclasses import dataclass
 
-from .agents import Agent, LifecycleCallbacks, NodeId, TaskDescriptor
+from .agents import Agent, LifecycleCallbacks
+from .control import CONTROL_MAGIC, Arrived, ControlFrame, HasData, NodeReady, QueryData, RegisterJob, Shutdown, SlaveFailed, pack_control, unpack_control
+from .control import decode_control, encode_control  # noqa: F401  (perfbench's spawn probe imports them from here)
 from .envelope import pack, unpack
 from .errors import EnvelopeError, LocomapError, TransportFailure
 from .nodes import SensorNode, load_records_tsv
-from .orchestration import JobSpec, host_and_route, send_with_retry
+from .orchestration import host_and_route, send_with_retry
 from .registry import DEFAULT_REGISTRY, FunctionRegistry, build_default_registry
 from .transport import ACK, TcpTransport, read_frame
 
 logger = logging.getLogger("locomap.tcp_node")
 
-CONTROL_MAGIC = b"LCTL"
 ENVELOPE_MAGIC = b"LMAP"
-
-
-def encode_control(doc: dict) -> bytes:
-    return CONTROL_MAGIC + json.dumps(doc, sort_keys=True).encode("utf-8")
-
-
-def decode_control(data: bytes) -> dict:
-    return json.loads(data[4:].decode("utf-8"))
 
 
 def classify_frame(data: bytes) -> str:
@@ -88,9 +85,13 @@ class FrameServer:
     def __init__(self, host: str, port: int, handler):
         self._handler = handler
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen(64)
+        try:
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._sock.bind((host, port))
+            self._sock.listen(64)
+        except BaseException:  # a port in use or out of range
+            self._sock.close()
+            raise
         self.host, self.port = self._sock.getsockname()[:2]
         self._thread = threading.Thread(target=self._accept_loop, daemon=True)
 
@@ -100,10 +101,8 @@ class FrameServer:
     def stop(self) -> None:
         # Shutting the listening socket down fails the blocked accept() at
         # once, so stopping never waits for a connection or a timeout.
-        try:
+        with contextlib.suppress(OSError):
             self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
         if self._thread.is_alive():
             self._thread.join(timeout=2.0)
         self._sock.close()
@@ -152,45 +151,6 @@ class FrameServer:
                 logger.exception("work after the ack failed")
 
 
-@dataclass
-class JobRegistration:
-    """Everything a node needs to route agents for one job: ``routes``
-    maps each slave's agent id to its planned route."""
-
-    spec: JobSpec
-    results_only: bool
-    master: NodeId
-    addresses: dict[NodeId, tuple[str, int]]
-    routes: dict[int, tuple[NodeId, ...]]
-
-    @classmethod
-    def from_control(cls, doc: dict) -> "JobRegistration":
-        task = TaskDescriptor(doc["map_fn_id"], doc["reduce_fn_id"], bytes.fromhex(doc["selector_hex"]))
-        return cls(
-            spec=JobSpec(job_id=doc["job_id"], task=task, combine=doc["combine"]),
-            results_only=doc["results_only"],
-            master=doc["master"],
-            addresses={int(k): tuple(v) for k, v in doc["addresses"].items()},
-            routes={int(k): tuple(v) for k, v in doc["routes"].items()},
-        )
-
-    def register_control(self) -> dict:
-        # JSON turns the int keys of addresses and routes into strings.
-        task = self.spec.task
-        return {
-            "type": "register_job",
-            "job_id": self.spec.job_id,
-            "map_fn_id": task.map_fn_id,
-            "reduce_fn_id": task.reduce_fn_id,
-            "selector_hex": task.input_selector.hex(),
-            "combine": self.spec.combine,
-            "results_only": self.results_only,
-            "master": self.master,
-            "addresses": self.addresses,
-            "routes": self.routes,
-        }
-
-
 class NodeProcess:
     """The in-process half of one sensor node: server, hosting, routing."""
 
@@ -198,7 +158,7 @@ class NodeProcess:
         self.node = node
         self.registry = registry or build_default_registry()
         self.callbacks = LifecycleCallbacks()
-        self._jobs: dict[int, JobRegistration] = {}
+        self._jobs: dict[int, RegisterJob] = {}
         self._seen: set[tuple[int, int, int]] = set()
         self._lock = threading.Lock()
         self._hosting = threading.Lock()
@@ -209,31 +169,20 @@ class NodeProcess:
 
     # -- lifecycle --
 
-    def start(self) -> None:
-        self.server.start()
-
     def run_until_shutdown(self) -> int:
         """Announce the node, then serve until shutdown; the exit code."""
-        self.start()
-        ready = {
-            "type": "node_ready",
-            "node": self.node.id,
-            "host": self.server.host,
-            "port": self.server.port,
-            "heap_bytes": self.node.heap.total_bytes,
-            "dropped": self.node.dropped,
-        }
-        self._announce(ready)
+        self.server.start()
+        self._announce(NodeReady(self.node.id, self.server.host, self.server.port, self.node.heap.total_bytes, self.node.dropped))
         self.shutdown.wait()
         self.server.stop()
         return self.exit_code
 
-    def _announce(self, doc: dict) -> None:
+    def _announce(self, frame: NodeReady | HasData) -> None:
         """Send the master a frame it waits for. A node that cannot, after
         the retry policy, shuts down with exit code 1, whose exit the
         master learns of at once."""
-        if not self._tell_master(doc):
-            logger.error("node %s could not tell the master %r; exiting", self.node.id, doc["type"])
+        if not self._tell_master(frame):
+            logger.error("node %s could not tell the master %r; exiting", self.node.id, frame.kind)
             self.exit_code = 1
             self.shutdown.set()
 
@@ -245,29 +194,25 @@ class NodeProcess:
         the shutdown."""
         kind = classify_frame(frame)
         if kind == "control":
-            return self._on_control(decode_control(frame))
+            return self._on_control(unpack_control(frame))
         elif kind == "envelope":
             return self._accept_envelope(frame)
-        else:
-            logger.warning("node %s ignoring unexpected result message", self.node.id)
+        logger.warning("node %s ignoring unexpected result message", self.node.id)
 
-    def _on_control(self, doc: dict):
-        kind = doc.get("type")
-        if kind == "query_data":
-            found = not self.node.is_empty(bytes.fromhex(doc["selector_hex"]))
-            answer = {"type": "has_data", "node": self.node.id, "job_id": doc["job_id"], "has_data": found}
-            return lambda: self._announce(answer)
-        elif kind == "register_job":
-            reg = JobRegistration.from_control(doc)
-            self.registry.register_job(reg.spec)
+    def _on_control(self, control: ControlFrame):
+        if isinstance(control, QueryData):
+            found = not self.node.is_empty(bytes.fromhex(control.selector_hex))
+            return lambda: self._announce(HasData(self.node.id, control.job_id, found))
+        elif isinstance(control, RegisterJob):
+            self.registry.register_job(control.spec)
             with self._lock:
-                self._jobs[reg.spec.job_id] = reg
-            logger.info("node %s registered job %s", self.node.id, reg.spec.job_id)
-        elif kind == "shutdown":
+                self._jobs[control.job_id] = control
+            logger.info("node %s registered job %s", self.node.id, control.job_id)
+        elif isinstance(control, Shutdown):
             # Set after the ack: once it is set the node may exit at any time.
             return self.shutdown.set
         else:
-            logger.warning("node %s ignoring control message %r", self.node.id, kind)
+            logger.warning("node %s ignoring %s", self.node.id, control)
 
     def _accept_envelope(self, frame: bytes):
         """Accept an arriving agent once per (job, agent, hop).
@@ -289,8 +234,7 @@ class NodeProcess:
             if key in self._seen:
                 logger.warning("node %s dropped a repeated envelope for agent %s", self.node.id, agent.id)
                 return None
-            arrived = {"type": "arrived", "agent_id": agent.id, "job_id": agent.job_id, "hop": hop, "bytes": len(frame), "node": self.node.id}
-            if not self._tell_master(arrived):
+            if not self._tell_master(Arrived(agent.id, agent.job_id, hop, len(frame), self.node.id)):
                 raise TransportFailure(f"master did not ack the arrival of agent {agent.id}")
             self._seen.add(key)
             self.callbacks.fire_arrive(agent)
@@ -298,20 +242,19 @@ class NodeProcess:
 
     def _host_and_forward(self, agent: Agent) -> None:
         """Host the agent and send it on; one agent at a time per node."""
-        failed = {"type": "slave_failed", "agent_id": agent.id, "job_id": agent.job_id}
         with self._hosting:
             with self._lock:
                 reg = self._jobs.get(agent.job_id)
             if reg is None:
                 logger.error("node %s has no registration for job %s", self.node.id, agent.job_id)
-                self._tell_master({**failed, "reason": "job not registered at node"})
+                self._tell_master(SlaveFailed(agent.id, agent.job_id, "job not registered at node"))
                 return
 
             route = reg.routes.get(agent.id, ())
             agent, nxt, message = host_and_route(self.node, agent, self.registry, route, reg.master, reg.results_only)
             payload = message.encode() if message is not None else pack(agent, self.callbacks)
             if not self._send(TcpTransport(reg.addresses), nxt, payload):
-                self._tell_master({**failed, "reason": f"could not forward to node {nxt}"})
+                self._tell_master(SlaveFailed(agent.id, agent.job_id, f"could not forward to node {nxt}"))
 
     # -- outbound --
 
@@ -322,9 +265,9 @@ class NodeProcess:
             logger.error("node %s could not send to node %s: %s", self.node.id, dst, fail)
         return fail is None
 
-    def _tell_master(self, doc: dict) -> bool:
+    def _tell_master(self, frame: ControlFrame) -> bool:
         """Every control frame to the master; True once the master acked it."""
-        return self._send(self._master, "master", encode_control(doc))
+        return self._send(self._master, "master", pack_control(frame))
 
 
 def serve(node_id: int, port: int, data_file: str, master: tuple[str, int], host="127.0.0.1", mem_limit=1 << 30, job_module="", log_dir="") -> int:

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import locomap.cli as cli
+from locomap import tcp_cluster
 from locomap.cli import main, parse_sizes
 
 from helpers import wordcount_reference
@@ -262,6 +263,8 @@ BAD_INPUT = {
     "bench-tcp-timeout-zero": (["bench", "migration", "--mode", "tcp", "--timeout", "0"], "--timeout"),
     "run-tcp-timeout-zero": (["run", "--mode", "tcp", "--timeout", "0"], "--timeout"),
     "run-tcp-timeout-negative": (["run", "--mode", "tcp", "--timeout=-1"], "--timeout"),
+    "run-tcp-timeout-inf": (["run", "--mode", "tcp", "--timeout", "inf"], "--timeout"),
+    "bench-tcp-timeout-too-large": (["bench", "migration", "--mode", "tcp", "--timeout", "1e10"], "--timeout"),
     "compare-tcp-timeout-zero": (["compare", "--mode", "tcp", "--timeout", "0"], "--timeout"),
     "compare-data-bytes-not-a-number": (["compare", "--seed", "1", "--data-bytes", "abc"], "--data-bytes"),
 }
@@ -276,6 +279,16 @@ def test_bad_input_is_exit_1_and_named(workspace, capsys, monkeypatch, argv, nam
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
+
+
+def test_a_master_port_out_of_range_is_exit_1(workspace, capsys, monkeypatch):
+    # The master's listener cannot be bound, so no node is forked.
+    monkeypatch.setattr(tcp_cluster.os, "fork", lambda: pytest.fail("nodes forked"))
+    argv = ["run", "--mode", "tcp", "--base-port", "70000", "--topology", workspace / "topo.json", "--data-dir", workspace / "data"]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the master cannot listen on 127.0.0.1:70000")
     assert "Traceback" not in err
 
 

@@ -15,15 +15,22 @@ import pytest
 import locomap as lm
 from locomap import AgentRole, tcp_cluster
 from locomap.orchestration import SlaveLedger
-from locomap.tcp_cluster import _await_each, _collect
-from locomap.tcp_node import (
-    FrameServer,
-    JobRegistration,
-    NodeProcess,
-    classify_frame,
+from locomap.tcp_cluster import _await_each, _collect, _read_control
+from locomap.control import (
+    Arrived,
+    HasData,
+    NodeExited,
+    NodeReady,
+    QueryData,
+    RegisterJob,
+    Shutdown,
+    SlaveFailed,
     decode_control,
     encode_control,
+    pack_control,
+    unpack_control,
 )
+from locomap.tcp_node import FrameServer, NodeProcess, classify_frame
 from locomap.transport import write_frame
 
 from helpers import wordcount_reference
@@ -40,24 +47,98 @@ class TestFrameClassification:
         assert decode_control(encode_control(doc)) == doc
 
 
-class TestJobRegistration:
-    def test_control_roundtrip(self):
-        spec = lm.builtin_job("wordcount", job_id=9, selector=b"temp:")
-        reg = JobRegistration(
-            spec=spec,
+# One frame of every kind and its bytes on the wire. The register_job frame
+# holds nodes 2 and 11, so its int keys must sort as numbers.
+CONTROL_FRAMES = {
+    "node_ready": (
+        NodeReady(node=1, host="127.0.0.1", port=9001, heap_bytes=35, dropped=2),
+        b'LCTL{"dropped": 2, "heap_bytes": 35, "host": "127.0.0.1", "node": 1, "port": 9001, "type": "node_ready"}',
+    ),
+    "query_data": (
+        QueryData(job_id=4, selector_hex="74656d702f"),
+        b'LCTL{"job_id": 4, "selector_hex": "74656d702f", "type": "query_data"}',
+    ),
+    "has_data": (
+        HasData(node=2, job_id=4, has_data=True),
+        b'LCTL{"has_data": true, "job_id": 4, "node": 2, "type": "has_data"}',
+    ),
+    "register_job": (
+        RegisterJob(
+            job_id=9,
+            map_fn_id="wordcount-map",
+            reduce_fn_id="identity",
+            selector_hex="74656d702f",
+            combine="sum-by-key",
             results_only=True,
             master=0,
-            addresses={0: ("127.0.0.1", 9000), 2: ("127.0.0.1", 9002)},
-            routes={11: (2,), 12: ()},
-        )
-        back = JobRegistration.from_control(reg.register_control())
-        assert back.spec.job_id == 9
-        assert back.spec.task == spec.task
-        assert back.spec.combine == spec.combine
-        assert back.results_only is True
-        assert back.master == 0
-        assert back.addresses == reg.addresses
-        assert back.routes == {11: (2,), 12: ()}
+            addresses={0: ("127.0.0.1", 9000), 2: ("127.0.0.1", 9002), 11: ("127.0.0.1", 9011)},
+            routes={12: (2, 11), 13: ()},
+        ),
+        b'LCTL{"addresses": {"0": ["127.0.0.1", 9000], "2": ["127.0.0.1", 9002], "11": ["127.0.0.1", 9011]}, '
+        b'"combine": "sum-by-key", "job_id": 9, "map_fn_id": "wordcount-map", "master": 0, "reduce_fn_id": "identity", '
+        b'"results_only": true, "routes": {"12": [2, 11], "13": []}, "selector_hex": "74656d702f", "type": "register_job"}',
+    ),
+    "arrived": (
+        Arrived(agent_id=12, job_id=9, hop=1, bytes=55, node=11),
+        b'LCTL{"agent_id": 12, "bytes": 55, "hop": 1, "job_id": 9, "node": 11, "type": "arrived"}',
+    ),
+    "slave_failed": (
+        SlaveFailed(agent_id=12, job_id=9, reason="could not forward to node 11"),
+        b'LCTL{"agent_id": 12, "job_id": 9, "reason": "could not forward to node 11", "type": "slave_failed"}',
+    ),
+    "node_exited": (NodeExited(node=2, code=-9), b'LCTL{"code": -9, "node": 2, "type": "node_exited"}'),
+    "shutdown": (Shutdown(), b'LCTL{"type": "shutdown"}'),
+}
+
+# Frames no kind accepts.
+MALFORMED_CONTROLS = {
+    "not-json": b"LCTL{not json",
+    "json-list": b'LCTL[{"type": "shutdown"}]',
+    "unknown-type": encode_control({"type": "job_done", "job_id": 4}),
+    "missing-field": encode_control({"type": "arrived", "agent_id": 10, "job_id": 4, "hop": 0, "bytes": 40}),
+    "extra-field": encode_control({"type": "shutdown", "now": True}),
+    "bool-for-int": encode_control({"type": "node_exited", "node": True, "code": 0}),
+    "list-for-str": encode_control({"type": "slave_failed", "agent_id": 10, "job_id": 4, "reason": ["gave up"]}),
+    "route-not-a-list": CONTROL_FRAMES["register_job"][1].replace(b'"13": []', b'"13": "2"'),
+    "address-key-not-a-node": CONTROL_FRAMES["register_job"][1].replace(b'"11": [', b'"x": ['),
+    "address-missing-its-port": CONTROL_FRAMES["register_job"][1].replace(b', 9011]', b"]"),
+}
+
+
+class TestControlCodec:
+    @pytest.mark.parametrize("frame, wire", CONTROL_FRAMES.values(), ids=CONTROL_FRAMES)
+    def test_every_kind_has_fixed_bytes_and_round_trips(self, frame, wire):
+        assert frame.kind == decode_control(wire)["type"]
+        assert pack_control(frame) == wire
+        assert unpack_control(wire) == frame
+
+    def test_registration_rebuilds_the_job_spec(self):
+        spec = lm.builtin_job("wordcount", job_id=9, selector=b"temp/")
+        assert unpack_control(pack_control(RegisterJob.of(spec, True, 0, {0: ("127.0.0.1", 9000)}, {12: ()}))).spec == spec
+
+    @pytest.mark.parametrize("frame", MALFORMED_CONTROLS.values(), ids=MALFORMED_CONTROLS)
+    def test_malformed_frame_is_a_decode_error(self, frame):
+        with pytest.raises(lm.DecodeError):
+            unpack_control(frame)
+
+    @pytest.mark.parametrize("frame", MALFORMED_CONTROLS.values(), ids=MALFORMED_CONTROLS)
+    def test_master_drops_a_malformed_frame_with_one_line(self, frame, caplog):
+        assert _read_control(frame) is None
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == ["dropping a frame"]
+
+    def test_node_leaves_every_malformed_frame_unacked(self, master_inbox):
+        server, events = master_inbox
+        proc = start_node(lm.SensorNode(id=1), server)
+        try:
+            transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
+            for frame in MALFORMED_CONTROLS.values():
+                with pytest.raises(lm.TransportFailure, match="closed without acknowledging"):
+                    transport.send(0, 1, frame)
+            assert not proc.shutdown.is_set()
+            assert events.empty()
+        finally:
+            proc.shutdown.set()
+            proc.server.stop()
 
 
 @pytest.fixture
@@ -71,7 +152,7 @@ def master_inbox():
 
 def start_node(node, master_server):
     proc = NodeProcess(node, "127.0.0.1", 0, (master_server.host, master_server.port), registry=lm.build_default_registry())
-    proc.start()
+    proc.server.start()
     return proc
 
 
@@ -88,14 +169,14 @@ class TestNodeProcess:
         try:
             transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
             spec = lm.builtin_job("wordcount", job_id=4)
-            reg = JobRegistration(
+            reg = RegisterJob.of(
                 spec=spec,
                 results_only=False,
                 master=0,
                 addresses={0: (server.host, server.port), 1: (proc.server.host, proc.server.port)},
                 routes={10: (1,)},
             )
-            transport.send(0, 1, encode_control(reg.register_control()))
+            transport.send(0, 1, pack_control(reg))
             dispatched = lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4))
             transport.send(0, 1, dispatched)
 
@@ -121,14 +202,14 @@ class TestNodeProcess:
         try:
             transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
             spec = lm.builtin_job("wordcount", job_id=4)
-            reg = JobRegistration(
+            reg = RegisterJob.of(
                 spec=spec,
                 results_only=True,
                 master=0,
                 addresses={0: (server.host, server.port), 1: (proc.server.host, proc.server.port)},
                 routes={10: (1,)},
             )
-            transport.send(0, 1, encode_control(reg.register_control()))
+            transport.send(0, 1, pack_control(reg))
             transport.send(0, 1, lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4)))
             arrived, frame = drain(events, 2)
             assert (decode_control(arrived)["type"], decode_control(arrived)["hop"]) == ("arrived", 0)
@@ -167,7 +248,7 @@ class TestNodeProcess:
         try:
             transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
             spec = lm.builtin_job("wordcount", job_id=4)
-            reg = JobRegistration(
+            reg = RegisterJob.of(
                 spec=spec,
                 results_only=False,
                 master=0,
@@ -178,7 +259,7 @@ class TestNodeProcess:
                 },
                 routes={10: (1, 2)},
             )
-            transport.send(0, 1, encode_control(reg.register_control()))
+            transport.send(0, 1, pack_control(reg))
             transport.send(0, 1, lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4)))
             arrived, failure = (decode_control(f) for f in drain(events, 2, timeout=15.0))
             assert (arrived["type"], arrived["agent_id"], arrived["hop"], arrived["node"]) == ("arrived", 10, 0, 1)
@@ -221,7 +302,7 @@ class TestNodeProcess:
         lossy.start()
         try:
             spec = lm.builtin_job("wordcount", job_id=4)
-            reg = JobRegistration(
+            reg = RegisterJob.of(
                 spec=spec,
                 results_only=False,
                 master=0,
@@ -234,7 +315,7 @@ class TestNodeProcess:
             )
             transport = lm.TcpTransport({1: (proc1.server.host, proc1.server.port), 2: (proc2.server.host, proc2.server.port)})
             for node_id in (1, 2):
-                transport.send(0, node_id, encode_control(reg.register_control()))
+                transport.send(0, node_id, pack_control(reg))
             transport.send(0, 1, lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4)))
 
             first, second, envelope = drain(events, 3)
@@ -276,14 +357,14 @@ class TestNodeProcess:
         proc = start_node(node, server)
         try:
             transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
-            reg = JobRegistration(
+            reg = RegisterJob.of(
                 spec=lm.builtin_job("wordcount", job_id=4),
                 results_only=False,
                 master=0,
                 addresses={0: (server.host, server.port), 1: (proc.server.host, proc.server.port)},
                 routes={10: (1,)},
             )
-            transport.send(0, 1, encode_control(reg.register_control()))
+            transport.send(0, 1, pack_control(reg))
             envelope = lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4))
             for _ in range(2):
                 with pytest.raises(lm.TransportFailure, match="closed without acknowledging"):
@@ -308,14 +389,14 @@ class TestNodeProcess:
         sys.setswitchinterval(1e-6)
         try:
             transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
-            reg = JobRegistration(
+            reg = RegisterJob.of(
                 spec=lm.builtin_job("wordcount", job_id=4),
                 results_only=False,
                 master=0,
                 addresses={0: (server.host, server.port), 1: (proc.server.host, proc.server.port)},
                 routes={10: (1,)},
             )
-            transport.send(0, 1, encode_control(reg.register_control()))
+            transport.send(0, 1, pack_control(reg))
             envelope = lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4))
             senders = [threading.Thread(target=transport.send, args=(0, 1, envelope)) for _ in range(8)]
             for sender in senders:
@@ -351,7 +432,7 @@ class TestNodeProcess:
         server, _ = master_inbox
         proc = start_node(lm.SensorNode(id=1), server)
         try:
-            then = proc._on_control({"type": "shutdown"})
+            then = proc._on_control(Shutdown())
             # Setting it in the handler would let the node exit before it acks.
             assert not proc.shutdown.is_set()
             then()
@@ -443,7 +524,7 @@ class TestMasterAccounting:
         combine = registry.resolve_combine(lm.builtin_job("wordcount", job_id=4).combine)
         state = SlaveLedger(agent_id=10, partition=(1,))
         events: queue.Queue = queue.Queue()
-        for frame in UNREADABLE_CONTROLS + (encode_control({"type": "slave_failed", "agent_id": 10, "reason": "gave up"}),):
+        for frame in UNREADABLE_CONTROLS + (encode_control({"type": "slave_failed", "agent_id": 10, "job_id": 4, "reason": "gave up"}),):
             events.put(frame)
 
         _collect(events, {10: state}, lm.LifecycleCallbacks(), combine, time.monotonic() + 5.0)
@@ -457,8 +538,38 @@ class TestMasterAccounting:
         ready = {"type": "node_ready", "node": 1, "host": "127.0.0.1", "port": 1234, "heap_bytes": 5, "dropped": 0}
         for frame in UNREADABLE_CONTROLS + (encode_control(ready),):
             events.put(frame)
-        assert _await_each(events, "node_ready", (1,), time.monotonic() + 5.0, "the cluster was ready") == {1: ready}
+        expect = NodeReady(node=1, host="127.0.0.1", port=1234, heap_bytes=5, dropped=0)
+        assert _await_each(events, NodeReady, (1,), time.monotonic() + 5.0, "the cluster was ready") == {1: expect}
         assert events.empty()
+
+    @pytest.mark.parametrize("what", ["envelope", "result"])
+    def test_collect_rejects_a_frame_whose_crc_is_wrong(self, caplog, what):
+        registry = lm.build_default_registry()
+        combine = registry.resolve_combine(lm.builtin_job("wordcount", job_id=4).combine)
+        state = SlaveLedger(agent_id=10, partition=(1,))
+        partial = lm.encode_partial({"a": 1})
+        if what == "envelope":
+            frame = bytearray(lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4, itinerary=(1,), payload=partial)))
+            frame[-1] ^= 0x01  # the envelope's CRC-32 ends the frame
+        else:
+            frame = bytearray(lm.ResultMessage(from_agent=10, partial=partial).encode())
+            frame[12] ^= 0x01  # the partial's CRC-32 follows the agent id and the length
+        events: queue.Queue = queue.Queue()
+        events.put(bytes(frame))
+
+        _collect(events, {10: state}, lm.LifecycleCallbacks(), combine, time.monotonic() + 0.3)
+
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and "checksum" in errors[0]
+        # The slave stayed unresolved until the deadline failed it.
+        assert state.fail_reason == "timed out waiting for the slave"
+        assert state.message is None and state.report().migrations == 0
+
+    def test_await_each_names_the_silent_nodes_at_its_deadline(self):
+        events: queue.Queue = queue.Queue()
+        events.put(pack_control(NodeReady(node=2, host="127.0.0.1", port=1234, heap_bytes=5, dropped=0)))
+        with pytest.raises(lm.ConfigError, match=r"^nodes \[1, 3\] sent no node_ready before the deadline$"):
+            _await_each(events, NodeReady, (1, 2, 3), time.monotonic() + 0.2, "the cluster was ready")
 
     def test_deadline_fails_the_unresolved_slaves(self):
         registry = lm.build_default_registry()
@@ -583,6 +694,18 @@ class TestRunTcpJob:
         assert lm.run_tcp_job(spec, topology, data_dir, timeout_s=30.0).final == {"a": 1, "b": 1}
         assert counts == [before, before]  # one fork per node
 
+    def test_a_master_port_in_use_is_a_config_error_and_forks_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tcp_cluster.os, "fork", lambda: pytest.fail("forked a node"))
+        data_dir = write_node_files(tmp_path, {1: [b"a"], 2: [b"b"]})
+        topology = lm.Topology.full_mesh(0, [1, 2], bandwidth_bytes_per_s=1e6)
+        spec = lm.builtin_job("wordcount", job_id=1)
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            with pytest.raises(lm.ConfigError, match=f"the master cannot listen on 127.0.0.1:{port}"):
+                lm.run_tcp_job(spec, topology, data_dir, base_port=port, timeout_s=30.0)
+
     def test_master_as_target_is_rejected(self):
         topology = lm.Topology.full_mesh(0, [1, 2], bandwidth_bytes_per_s=1e6)
         spec = lm.builtin_job("wordcount", job_id=1, target_nodes=[0, 1])
@@ -704,7 +827,7 @@ class TestRunTcpJob:
             "on_control = NodeProcess._on_control\n"
             "\n"
             "def die_on_query(self, doc):\n"
-            "    if self.node.id == 2 and doc.get('type') == 'query_data':\n"
+            "    if self.node.id == 2 and doc.kind == 'query_data':\n"
             "        if os.environ['LOCOMAP_DIE_WHEN'] == 'before_ack':\n"
             "            os._exit(23)\n"
             "        return lambda: os._exit(23)\n"

@@ -2,6 +2,7 @@ import json
 import random
 import socket
 import threading
+import time
 
 import pytest
 
@@ -167,14 +168,23 @@ class TestFraming:
         finally:
             b.close()
 
-    def test_oversized_declared_frame_rejected(self):
+    @pytest.mark.parametrize(
+        "sent, error",
+        [
+            ((lm.transport.MAX_FRAME + 1).to_bytes(4, "big"), "exceeds the cap"),
+            ((10).to_bytes(4, "big") + b"abc", "peer closed mid-frame"),
+            ((10).to_bytes(4, "big"), "peer closed after the frame header"),
+        ],
+        ids=["oversized", "closed-mid-payload", "closed-after-header"],
+    )
+    def test_bad_frame_is_a_connection_error(self, sent, error):
         a, b = socket.socketpair()
         try:
-            a.sendall((lm.transport.MAX_FRAME + 1).to_bytes(4, "big"))
-            with pytest.raises(ConnectionError):
+            a.sendall(sent)
+            a.close()
+            with pytest.raises(ConnectionError, match=error):
                 read_frame(b)
         finally:
-            a.close()
             b.close()
 
 
@@ -192,6 +202,22 @@ class TestTcpTransport:
         finally:
             server.stop()
         assert got == [b"e" * 32]
+
+    def test_server_drops_a_frame_cut_short_and_serves_the_next(self, caplog):
+        got = []
+        server = FrameServer("127.0.0.1", 0, got.append)
+        server.start()
+        try:
+            with socket.create_connection((server.host, server.port)) as sock:
+                sock.sendall((10).to_bytes(4, "big") + b"abc")
+            deadline = time.monotonic() + 10.0
+            while "peer closed mid-frame" not in caplog.text and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert [r.getMessage() for r in caplog.records] == ["dropped inbound connection: peer closed mid-frame"]
+            assert lm.TcpTransport({1: (server.host, server.port)}).send(0, 1, b"next").delivered
+        finally:
+            server.stop()
+        assert got == [b"next"]
 
     def test_closed_port_is_connect_refused(self):
         probe = socket.socket()
