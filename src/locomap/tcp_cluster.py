@@ -2,15 +2,22 @@
 
 The master (this process) forks one node process per sensor node for
 each job, reaps each in a watcher thread, and queues its exit as a
-``node_exited`` event. The master waits for the nodes to announce
+``NodeExited`` value. The master waits for the nodes to announce
 themselves, asks each whether it holds data for the job's selector,
 plans the routes from the answers as the sim does, registers the job
 with them everywhere, injects the slaves, and then collects whatever
 comes back: arriving agents, remote result messages, failure notices,
-arrival reports and node exits. Collecting only decodes
-these frames and reports them to each slave's ``SlaveLedger``, the same
-accounting the simulator keeps: envelope bytes for every hop plus result
-message bytes; control traffic is not data-plane and is not counted.
+arrival reports and node exits.
+
+One queue holds every event as a value. The master's listener decodes
+each frame with ``tcp_node.decode_frame`` before it acks it and queues
+what the frame holds, so a frame that does not decode is left unacked
+and never queued; the watchers and a failed dispatch queue their
+``NodeExited`` and ``SlaveFailed`` values directly, and the master's
+own events never become bytes. Collecting reports each value to its
+slave's ``SlaveLedger``, the same accounting the simulator keeps:
+envelope bytes for every hop plus result message bytes; control traffic
+is not data-plane and is not counted.
 """
 
 from __future__ import annotations
@@ -26,14 +33,14 @@ import time
 import traceback
 from pathlib import Path
 
-from .agents import LifecycleCallbacks
-from .envelope import pack, unpack
-from .errors import ConfigError, DecodeError, EnvelopeError, TransportFailure
+from .agents import Agent
+from .envelope import envelope_size, pack
+from .errors import ConfigError, TransportFailure
 from .orchestration import (
     JobResult,
     JobSpec,
+    ResultMessage,
     SlaveLedger,
-    decode_result,
     finish_job,
     home_message,
     plan_job,
@@ -42,8 +49,8 @@ from .orchestration import (
     warn_dropped,
 )
 from .registry import DEFAULT_REGISTRY
-from .control import Arrived, ControlFrame, HasData, NodeExited, NodeReady, QueryData, RegisterJob, Shutdown, SlaveFailed, pack_control, unpack_control
-from .tcp_node import FrameServer, classify_frame, serve
+from .control import Arrived, HasData, NodeExited, NodeReady, QueryData, RegisterJob, Shutdown, SlaveFailed, pack_control
+from .tcp_node import FrameServer, decode_frame, serve
 from .transport import TcpTransport, Topology
 
 # perfbench's tracer patches these names here as well as in orchestration,
@@ -84,22 +91,21 @@ def _fork_node(server: FrameServer, node: tuple[int, int, str], host: str, mem_l
 def _watch_exit(pid: int, node_id: int, events: queue.Queue) -> None:
     """Reap node ``node_id``, then report its exit on ``events``."""
     _, status = os.waitpid(pid, 0)
-    events.put(pack_control(NodeExited(node_id, os.waitstatus_to_exitcode(status))))
+    events.put(NodeExited(node_id, os.waitstatus_to_exitcode(status)))
 
 
-def _read_control(frame: bytes) -> ControlFrame | None:
-    """The control frame in ``frame``, or None, logged, if the codec
-    cannot read it or it is no control frame. Any local process can
-    connect to the master, so no frame may raise."""
+def _listen(host: str, port: int, events: queue.Queue) -> FrameServer:
+    """The master's listener. It queues the value each frame holds before
+    it acks the frame, so a frame that does not decode is never queued or
+    acked; any local process can connect to it."""
     try:
-        return unpack_control(frame)
-    except DecodeError as exc:
-        logger.error("dropping a frame: %s", exc)
-        return None
+        return FrameServer(host, port, lambda frame: events.put(decode_frame(frame)))
+    except (OSError, OverflowError) as exc:
+        raise ConfigError(f"the master cannot listen on {host}:{port}: {exc}") from None
 
 
-def _next_frame(events: queue.Queue, deadline: float) -> bytes | None:
-    """The next event frame, or None once the deadline has passed."""
+def _next_event(events: queue.Queue, deadline: float):
+    """The next event, or None once the deadline has passed."""
     try:
         return events.get(timeout=max(0.0, deadline - time.monotonic()))
     except queue.Empty:
@@ -115,24 +121,26 @@ def _await_each(events: queue.Queue, kind: type, expected: tuple[int, ...], dead
     """
     frames: dict[int, NodeReady | HasData] = {}
     while len(frames) < len(expected):
-        frame = _next_frame(events, deadline)
-        if frame is None:
+        event = _next_event(events, deadline)
+        if event is None:
             raise ConfigError(f"nodes {sorted(set(expected) - set(frames))} sent no {kind.kind} before the deadline")
-        control = _read_control(frame)
-        if control is None:
+        if isinstance(event, NodeExited):
+            raise ConfigError(f"node {event.node} exited with code {event.code} before {before}")
+        if type(event) is not kind or event.node not in expected:
+            logger.warning("unexpected %s before %s", type(event).__name__, before)
             continue
-        if isinstance(control, NodeExited):
-            raise ConfigError(f"node {control.node} exited with code {control.code} before {before}")
-        if type(control) is not kind or control.node not in expected:
-            logger.warning("unexpected %s before %s", control, before)
-            continue
-        frames[control.node] = control
-        logger.info("node %s: %s", control.node, control)
+        frames[event.node] = event
+        logger.info("node %s: %s", event.node, event)
     return frames
 
 
-def _collect(events: queue.Queue, ledgers: dict[int, SlaveLedger], callbacks, combine, deadline: float) -> None:
+def _collect(events: queue.Queue, ledgers: dict[int, SlaveLedger], combine, deadline: float) -> None:
     """Consume events until every slave has resolved or the deadline passes.
+
+    Every event is a value, dispatched on its class; a class not handled
+    here changes nothing. A frame that did not decode never reached the
+    queue: its sender, left without an ack, retries it or reports the
+    slave failed.
 
     A hop counts when its receiver reports it. A node sends ``arrived``,
     and waits for its ack, before it acks the envelope, so every arrival
@@ -140,9 +148,9 @@ def _collect(events: queue.Queue, ledgers: dict[int, SlaveLedger], callbacks, co
     holder is always the node that has the slave. An envelope coming
     home counts its last hop here. Returning at the last resolution
     therefore loses no hop. A resolved ledger ignores every later event,
-    so repeated and late frames change nothing.
+    so repeated and late events change nothing.
 
-    A ``node_exited`` fails every unresolved slave that the node holds.
+    A ``NodeExited`` fails every unresolved slave that the node holds.
     The master acks an ``arrived`` only after it is queued, and queues a
     node's exit only once ``waitpid`` has reaped the node, so every
     arrival the node saw acked is queued ahead of its exit, whether the
@@ -156,49 +164,37 @@ def _collect(events: queue.Queue, ledgers: dict[int, SlaveLedger], callbacks, co
             logger.warning("frame for unknown agent %s", agent_id)
         return ledger
 
-    def handle(frame: bytes) -> None:
-        kind = classify_frame(frame)
-        if kind == "envelope":
-            try:
-                agent = unpack(frame, callbacks)
-            except EnvelopeError as exc:
-                logger.error("rejected an arriving envelope: %s", exc)
-                return
-            ledger = ledger_for(agent.id)
+    def handle(event) -> None:
+        if isinstance(event, Agent):
+            ledger = ledger_for(event.id)
             if ledger is not None:
                 # The slave is home, at no node; it hands its partial to the reducer locally.
-                ledger.arrived(len(agent.itinerary), len(frame), None)
-                ledger.deliver(home_message(agent, combine))
-        elif kind == "result":
-            try:
-                message = decode_result(frame)
-            except DecodeError as exc:
-                logger.error("discarding malformed result message: %s", exc)
-                return
-            ledger = ledger_for(message.from_agent)
+                hop = len(event.itinerary)
+                ledger.arrived(hop, envelope_size(len(event.payload), hop), None)
+                ledger.deliver(home_message(event, combine))
+        elif isinstance(event, ResultMessage):
+            ledger = ledger_for(event.from_agent)
             if ledger is not None:
-                ledger.deliver(message)
-        else:
-            control = _read_control(frame)
-            if isinstance(control, Arrived):
-                ledger = ledger_for(control.agent_id)
-                if ledger is not None:
-                    ledger.arrived(control.hop, control.bytes, control.node)
-            elif isinstance(control, SlaveFailed):
-                ledger = ledger_for(control.agent_id)
-                if ledger is not None:
-                    ledger.fail(control.reason)
-            elif isinstance(control, NodeExited):
-                for ledger in ledgers.values():
-                    ledger.node_exited(control.node, control.code)
+                ledger.deliver(event)
+        elif isinstance(event, Arrived):
+            ledger = ledger_for(event.agent_id)
+            if ledger is not None:
+                ledger.arrived(event.hop, event.bytes, event.node)
+        elif isinstance(event, SlaveFailed):
+            ledger = ledger_for(event.agent_id)
+            if ledger is not None:
+                ledger.fail(event.reason)
+        elif isinstance(event, NodeExited):
+            for ledger in ledgers.values():
+                ledger.node_exited(event.node, event.code)
 
     while not all(ledger.resolved for ledger in ledgers.values()):
-        frame = _next_frame(events, deadline)
-        if frame is None:
+        event = _next_event(events, deadline)
+        if event is None:
             for ledger in ledgers.values():
                 ledger.fail("timed out waiting for the slave")
             return
-        handle(frame)
+        handle(event)
 
 
 def run_tcp_job(
@@ -228,10 +224,7 @@ def run_tcp_job(
     master, targets = plan.master, plan.targets
 
     events: queue.Queue = queue.Queue()
-    try:
-        server = FrameServer(host, base_port, events.put)
-    except (OSError, OverflowError) as exc:
-        raise ConfigError(f"the master cannot listen on {host}:{base_port}: {exc}") from None
+    server = _listen(host, base_port, events)
     pids: dict[int, int] = {}  # node ids by pid
     watchers: dict[int, threading.Thread] = {}
     transport: TcpTransport | None = None
@@ -262,8 +255,6 @@ def run_tcp_job(
         addresses = {n: (frame.host, frame.port) for n, frame in ready.items()}
         transport = TcpTransport({**addresses, master: (server.host, server.port)})
 
-        callbacks = LifecycleCallbacks()
-
         def send(dst, payload):
             return send_with_retry(lambda: transport.send(master, dst, payload), time.sleep)
 
@@ -289,13 +280,13 @@ def run_tcp_job(
                 # Nothing to visit: identity partial, handed over in place.
                 ledgers[slave.id].deliver(home_message(slave, plan.combine))
                 continue
-            _, fail = send(route[0], pack(slave, callbacks))
+            _, fail = send(route[0], pack(slave))
             if fail is not None:
                 # Queued behind any arrival the node reported before it failed.
                 logger.error("could not dispatch agent %s: %s", slave.id, fail)
-                events.put(pack_control(SlaveFailed(slave.id, spec.job_id, f"could not dispatch to node {route[0]}")))
+                events.put(SlaveFailed(slave.id, spec.job_id, f"could not dispatch to node {route[0]}"))
 
-        _collect(events, ledgers, callbacks, plan.combine, deadline)
+        _collect(events, ledgers, plan.combine, deadline)
     finally:
         if transport is not None:
             shutdown = pack_control(Shutdown())

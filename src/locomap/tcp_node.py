@@ -9,8 +9,8 @@ that the master imports too must start no thread at import, since the
 master forks after it; no node runs ``atexit`` handlers, because every
 node leaves with ``os._exit``, skipping interpreter finalization. Each
 node loads its data file into a heap store, listens for framed
-messages, and handles three kinds of traffic, told apart by the first
-four bytes of each frame:
+messages, and decodes each with ``decode_frame``, which tells three
+kinds of traffic apart by the first four bytes of the frame:
 
   - ``LMAP`` agent envelopes: host the agent over the local heap, pick
     the next hop on the slave's route, and forward it on a fresh connection.
@@ -20,13 +20,16 @@ four bytes of each frame:
 
 Control frames are the frozen dataclasses of ``locomap.control``, one
 per kind, which both ends build and read through its one codec,
-``pack_control`` and ``unpack_control``. A frame the codec cannot read is
-a ``DecodeError``: a node leaves it unacked, and the master drops it.
+``pack_control`` and ``unpack_control``.
 
-Each frame is acknowledged with a single 0x06 byte once the node has
-accepted it. A node acks an envelope before it hosts it, hosts one agent
-at a time, and drops a repeat for the same (job, agent, hop): a sender
-retrying after a lost acknowledgement.
+Each frame is acknowledged with a single 0x06 byte once the receiver
+has accepted it, and master and node keep one rule: the handler decodes
+the frame before the ack, so a frame that does not decode (an
+``EnvelopeError`` or a ``DecodeError``) is logged in one line and left
+unacked, and its sender's retry policy takes over. A node acks an
+envelope before it hosts it, hosts one agent at a time, and drops a
+repeat for the same (job, agent, hop): a sender retrying after a lost
+acknowledgement.
 
 Every frame a node sends, control or data, goes through
 ``TcpTransport.send`` and the one retry loop, ``send_with_retry``. A hop
@@ -52,30 +55,30 @@ import threading
 from .agents import Agent, LifecycleCallbacks
 from .control import CONTROL_MAGIC, Arrived, ControlFrame, HasData, NodeReady, QueryData, RegisterJob, Shutdown, SlaveFailed, pack_control, unpack_control
 from .control import decode_control, encode_control  # noqa: F401  (perfbench's spawn probe imports them from here)
-from .envelope import pack, unpack
-from .errors import EnvelopeError, LocomapError, TransportFailure
+from .envelope import MAGIC, pack, unpack
+from .errors import LocomapError, TransportFailure
 from .nodes import SensorNode, load_records_tsv
-from .orchestration import host_and_route, send_with_retry
+from .orchestration import ResultMessage, decode_result, host_and_route, send_with_retry
 from .registry import DEFAULT_REGISTRY, FunctionRegistry, build_default_registry
 from .transport import ACK, TcpTransport, read_frame
 
 logger = logging.getLogger("locomap.tcp_node")
 
-ENVELOPE_MAGIC = b"LMAP"
 
-
-def classify_frame(data: bytes) -> str:
-    """'envelope', 'control' or 'result'.
+def decode_frame(frame: bytes) -> Agent | ControlFrame | ResultMessage:
+    """The value one frame holds: an agent (``LMAP``), a control frame
+    (``LCTL``) or a result message. Raises EnvelopeError or DecodeError
+    for a frame that does not decode.
 
     Result messages have no magic; their leading bytes are the high half
     of a u64 agent id, which never collides with the ASCII magics for the
     small ids this framework issues.
     """
-    if data[:4] == ENVELOPE_MAGIC:
-        return "envelope"
-    if data[:4] == CONTROL_MAGIC:
-        return "control"
-    return "result"
+    if frame[:4] == MAGIC:
+        return unpack(frame)
+    if frame[:4] == CONTROL_MAGIC:
+        return unpack_control(frame)
+    return decode_result(frame)
 
 
 class FrameServer:
@@ -120,8 +123,10 @@ class FrameServer:
         # sender that saw an ack knows the receiver acted on it (an agent
         # envelope is accepted, a job registration is in force). A handler
         # failure closes without acking and the sender's retry policy takes
-        # over. Work the handler hands back runs after the ack, so a
-        # receiver that dies doing it has still acked the frame.
+        # over; a LocomapError is a rejected frame, expected from any local
+        # process, and is logged in one line. Work the handler hands back
+        # runs after the ack, so a receiver that dies doing it has still
+        # acked the frame.
         try:
             conn.settimeout(10.0)
             frame = read_frame(conn)
@@ -134,6 +139,10 @@ class FrameServer:
             return
         try:
             then = self._handler(frame)
+        except LocomapError as exc:
+            logger.error("rejected a frame: %s: %s", type(exc).__name__, exc)
+            conn.close()
+            return
         except Exception:
             logger.exception("frame handler failed")
             conn.close()
@@ -191,13 +200,14 @@ class NodeProcess:
     def _on_frame(self, frame: bytes):
         """FrameServer handler; returns what runs after the ack: the hosting
         step of an accepted envelope, the answer to a has-data query, or
-        the shutdown."""
-        kind = classify_frame(frame)
-        if kind == "control":
-            return self._on_control(unpack_control(frame))
-        elif kind == "envelope":
-            return self._accept_envelope(frame)
-        logger.warning("node %s ignoring unexpected result message", self.node.id)
+        the shutdown. A frame that does not decode raises, unacked."""
+        value = decode_frame(frame)
+        if isinstance(value, Agent):
+            return self._accept_envelope(value, len(frame))
+        if isinstance(value, ResultMessage):
+            logger.warning("node %s ignoring unexpected result message", self.node.id)
+            return None
+        return self._on_control(value)
 
     def _on_control(self, control: ControlFrame):
         if isinstance(control, QueryData):
@@ -214,19 +224,15 @@ class NodeProcess:
         else:
             logger.warning("node %s ignoring %s", self.node.id, control)
 
-    def _accept_envelope(self, frame: bytes):
-        """Accept an arriving agent once per (job, agent, hop).
+    def _accept_envelope(self, agent: Agent, nbytes: int):
+        """Accept an arriving agent, from an envelope of ``nbytes`` bytes,
+        once per (job, agent, hop).
 
         This runs before the frame is acked: a repeat is dropped, and the
         master is told of the arrival and has acked it before the sender
         can be. Raising leaves the envelope unacked. Returns the step that
         hosts and forwards the agent, which runs after the ack.
         """
-        try:
-            agent = unpack(frame)
-        except EnvelopeError as exc:
-            logger.error("node %s rejected an envelope: %s", self.node.id, exc)
-            return None
         hop = len(agent.itinerary)
         key = (agent.job_id, agent.id, hop)
         # Held across the report, so a repeat waits for the first copy's outcome.
@@ -234,7 +240,7 @@ class NodeProcess:
             if key in self._seen:
                 logger.warning("node %s dropped a repeated envelope for agent %s", self.node.id, agent.id)
                 return None
-            if not self._tell_master(Arrived(agent.id, agent.job_id, hop, len(frame), self.node.id)):
+            if not self._tell_master(Arrived(agent.id, agent.job_id, hop, nbytes, self.node.id)):
                 raise TransportFailure(f"master did not ack the arrival of agent {agent.id}")
             self._seen.add(key)
             self.callbacks.fire_arrive(agent)

@@ -270,8 +270,6 @@ def recv_exact(sock: socket.socket, n: int) -> bytes | None:
 
 
 def write_frame(sock: socket.socket, payload: bytes) -> None:
-    if len(payload) > MAX_FRAME:
-        raise ValueError(f"frame of {len(payload)} bytes exceeds the {MAX_FRAME} byte cap")
     sock.sendall(len(payload).to_bytes(4, "big") + payload)
 
 
@@ -300,6 +298,8 @@ class TcpTransport:
             host, port = self.addresses[dst]
         except KeyError:
             raise TransportFailure(f"no address known for node {dst}") from None
+        if len(payload) > MAX_FRAME:
+            raise TransportFailure(f"a frame of {len(payload)} bytes to node {dst} exceeds the {MAX_FRAME} byte cap")
         t0 = time.perf_counter()
         try:
             sock = socket.create_connection((host, port), timeout=self.timeout_s)

@@ -15,7 +15,7 @@ import pytest
 import locomap as lm
 from locomap import AgentRole, tcp_cluster
 from locomap.orchestration import SlaveLedger
-from locomap.tcp_cluster import _await_each, _collect, _read_control
+from locomap.tcp_cluster import _await_each, _collect, _listen
 from locomap.control import (
     Arrived,
     HasData,
@@ -30,7 +30,7 @@ from locomap.control import (
     pack_control,
     unpack_control,
 )
-from locomap.tcp_node import FrameServer, NodeProcess, classify_frame
+from locomap.tcp_node import FrameServer, NodeProcess, decode_frame
 from locomap.transport import write_frame
 
 from helpers import wordcount_reference
@@ -38,9 +38,11 @@ from helpers import wordcount_reference
 
 class TestFrameClassification:
     def test_envelope_control_result(self):
-        assert classify_frame(lm.pack(lm.Agent(id=1, role=AgentRole.SLAVE, job_id=1))) == "envelope"
-        assert classify_frame(encode_control({"type": "shutdown"})) == "control"
-        assert classify_frame(lm.ResultMessage(from_agent=5, partial=b"x").encode()) == "result"
+        agent = lm.Agent(id=1, role=AgentRole.SLAVE, job_id=1)
+        message = lm.ResultMessage(from_agent=5, partial=b"x")
+        assert decode_frame(lm.pack(agent)) == agent
+        assert decode_frame(encode_control({"type": "shutdown"})) == Shutdown()
+        assert decode_frame(message.encode()) == message
 
     def test_control_codec_roundtrip(self):
         doc = {"type": "node_ready", "node": 3, "port": 1234}
@@ -105,6 +107,29 @@ MALFORMED_CONTROLS = {
 }
 
 
+def flip_bit(frame: bytes, at: int) -> bytes:
+    flipped = bytearray(frame)
+    flipped[at] ^= 0x01
+    return bytes(flipped)
+
+
+# Frames that do not decode: every malformed control frame, and an envelope
+# and a result message with one bit of their CRC-32 flipped.
+PARTIAL = lm.encode_partial({"a": 1})
+UNDECODABLE = {
+    **MALFORMED_CONTROLS,
+    # The envelope's CRC-32 ends the frame.
+    "envelope-crc": flip_bit(lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4, itinerary=(1,), payload=PARTIAL)), -1),
+    # The partial's CRC-32 follows the agent id and the length.
+    "result-crc": flip_bit(lm.ResultMessage(from_agent=10, partial=PARTIAL).encode(), 12),
+}
+
+
+def rejections(caplog) -> list:
+    """Each error record as (its first words, its exc_info)."""
+    return [(r.getMessage().split(":")[0], r.exc_info) for r in caplog.records if r.levelno >= logging.ERROR]
+
+
 class TestControlCodec:
     @pytest.mark.parametrize("frame, wire", CONTROL_FRAMES.values(), ids=CONTROL_FRAMES)
     def test_every_kind_has_fixed_bytes_and_round_trips(self, frame, wire):
@@ -121,21 +146,37 @@ class TestControlCodec:
         with pytest.raises(lm.DecodeError):
             unpack_control(frame)
 
-    @pytest.mark.parametrize("frame", MALFORMED_CONTROLS.values(), ids=MALFORMED_CONTROLS)
+    @pytest.mark.parametrize("frame", UNDECODABLE.values(), ids=UNDECODABLE)
     def test_master_drops_a_malformed_frame_with_one_line(self, frame, caplog):
-        assert _read_control(frame) is None
-        assert [r.getMessage().split(":")[0] for r in caplog.records] == ["dropping a frame"]
+        # The master's own listener, over a socket: the frame is neither
+        # acked nor queued, and the next frame is.
+        events: queue.Queue = queue.Queue()
+        server = _listen("127.0.0.1", 0, events)
+        server.start()
+        try:
+            transport = lm.TcpTransport({0: (server.host, server.port)})
+            with pytest.raises(lm.TransportFailure, match="closed without acknowledging"):
+                transport.send(1, 0, frame)
+            assert rejections(caplog) == [("rejected a frame", None)]
+            transport.send(1, 0, pack_control(Shutdown()))
+            assert drain(events, 1) == [Shutdown()]
+            assert events.empty()
+        finally:
+            server.stop()
 
-    def test_node_leaves_every_malformed_frame_unacked(self, master_inbox):
+    def test_node_leaves_every_malformed_frame_unacked(self, master_inbox, caplog):
         server, events = master_inbox
         proc = start_node(lm.SensorNode(id=1), server)
         try:
             transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
-            for frame in MALFORMED_CONTROLS.values():
+            for frame in UNDECODABLE.values():
                 with pytest.raises(lm.TransportFailure, match="closed without acknowledging"):
                     transport.send(0, 1, frame)
+            assert rejections(caplog) == [("rejected a frame", None)] * len(UNDECODABLE)
             assert not proc.shutdown.is_set()
             assert events.empty()
+            transport.send(0, 1, pack_control(Shutdown()))
+            assert proc.shutdown.wait(10.0)
         finally:
             proc.shutdown.set()
             proc.server.stop()
@@ -185,8 +226,8 @@ class TestNodeProcess:
             assert decode_control(arrived_frame) == {
                 "type": "arrived", "agent_id": 10, "job_id": 4, "hop": 0, "bytes": len(dispatched), "node": 1,
             }
-            assert classify_frame(envelope) == "envelope"
-            agent = lm.unpack(envelope)
+            agent = decode_frame(envelope)
+            assert isinstance(agent, lm.Agent)
             assert agent.id == 10
             assert agent.itinerary == (1,)
             assert lm.decode_partial(agent.payload) == {"a": 2, "b": 1}
@@ -213,8 +254,8 @@ class TestNodeProcess:
             transport.send(0, 1, lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4)))
             arrived, frame = drain(events, 2)
             assert (decode_control(arrived)["type"], decode_control(arrived)["hop"]) == ("arrived", 0)
-            assert classify_frame(frame) == "result"
-            message = lm.decode_result(frame)
+            message = decode_frame(frame)
+            assert isinstance(message, lm.ResultMessage)
             assert message.from_agent == 10
             assert lm.decode_partial(message.partial) == {"x": 1, "y": 1}
         finally:
@@ -266,6 +307,32 @@ class TestNodeProcess:
             assert (failure["type"], failure["agent_id"]) == ("slave_failed", 10)
             assert failure["reason"] == "could not forward to node 2"
             assert "hop" not in failure
+        finally:
+            proc.shutdown.set()
+            proc.server.stop()
+
+    def test_a_forward_over_the_frame_cap_reports_slave_failed(self, master_inbox, monkeypatch):
+        server, events = master_inbox
+        node = lm.SensorNode(id=1)
+        node.ingest([(b"r", b" ".join(b"w%d" % i for i in range(200)))])
+        proc = start_node(node, server)
+        # Control frames and the empty dispatched agent fit; the agent
+        # carrying a 200-word partial home does not.
+        monkeypatch.setattr(lm.transport, "MAX_FRAME", 1000)
+        try:
+            transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
+            reg = RegisterJob.of(
+                spec=lm.builtin_job("wordcount", job_id=4),
+                results_only=False,
+                master=0,
+                addresses={0: (server.host, server.port), 1: (proc.server.host, proc.server.port)},
+                routes={10: (1,)},
+            )
+            transport.send(0, 1, pack_control(reg))
+            transport.send(0, 1, lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4)))
+            arrived, failure = (decode_control(f) for f in drain(events, 2, timeout=15.0))
+            assert (arrived["type"], arrived["hop"]) == ("arrived", 0)
+            assert (failure["type"], failure["agent_id"], failure["reason"]) == ("slave_failed", 10, "could not forward to node 0")
         finally:
             proc.shutdown.set()
             proc.server.stop()
@@ -345,7 +412,7 @@ class TestNodeProcess:
 
         def refuse_arrivals(frame):
             events.put(frame)
-            if classify_frame(frame) == "control" and decode_control(frame)["type"] == "arrived":
+            if isinstance(decode_frame(frame), Arrived):
                 raise ConnectionRefusedError("arrival refused")
 
         server = FrameServer("127.0.0.1", 0, refuse_arrivals)
@@ -449,24 +516,21 @@ class TestMasterAccounting:
         healthy = SlaveLedger(agent_id=11, partition=(3,))
         states = {10: failing, 11: healthy}
 
-        def control(doc, agent_id=10):
-            return encode_control({"agent_id": agent_id, "job_id": 4, **doc})
-
         late = lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4, itinerary=(1, 2), payload=lm.encode_partial({"a": 1}))
-        result = lm.ResultMessage(from_agent=11, partial=lm.encode_partial({"b": 2})).encode()
+        result = lm.ResultMessage(from_agent=11, partial=lm.encode_partial({"b": 2}))
         events: queue.Queue = queue.Queue()
-        for frame in (
-            control({"type": "arrived", "hop": 0, "bytes": 40, "node": 1}),
-            control({"type": "arrived", "hop": 0, "bytes": 40, "node": 3}, agent_id=11),
-            control({"type": "arrived", "hop": 1, "bytes": 50, "node": 2}),
-            control({"type": "arrived", "hop": 1, "bytes": 50, "node": 2}),  # repeated arrival
-            control({"type": "slave_failed", "reason": "could not forward to node 3"}),
-            lm.pack(late),  # arrives after the slave failed
+        for event in (
+            Arrived(agent_id=10, job_id=4, hop=0, bytes=40, node=1),
+            Arrived(agent_id=11, job_id=4, hop=0, bytes=40, node=3),
+            Arrived(agent_id=10, job_id=4, hop=1, bytes=50, node=2),
+            Arrived(agent_id=10, job_id=4, hop=1, bytes=50, node=2),  # repeated arrival
+            SlaveFailed(agent_id=10, job_id=4, reason="could not forward to node 3"),
+            late,  # arrives after the slave failed
             result,
         ):
-            events.put(frame)
+            events.put(event)
 
-        _collect(events, states, lm.LifecycleCallbacks(), combine, time.monotonic() + 5.0)
+        _collect(events, states, combine, time.monotonic() + 5.0)
 
         assert events.empty()
         failed = failing.report()
@@ -477,7 +541,7 @@ class TestMasterAccounting:
         assert failing.message is None
         delivered = healthy.report()
         assert delivered.delivered and delivered.fail_reason is None
-        assert delivered.bytes_sent == 40 + len(result)
+        assert delivered.bytes_sent == 40 + len(result.encode())
         reports = [failed, delivered]
         assert sum(r.delivered for r in reports) + sum(r.fail_reason is not None for r in reports) == len(states)
 
@@ -485,17 +549,17 @@ class TestMasterAccounting:
         registry = lm.build_default_registry()
         combine = registry.resolve_combine(lm.builtin_job("wordcount", job_id=4).combine)
         state = SlaveLedger(agent_id=10, partition=(1,))
-        home = lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4, itinerary=(1,), payload=lm.encode_partial({"a": 1})))
+        home = lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4, itinerary=(1,), payload=lm.encode_partial({"a": 1}))
         events: queue.Queue = queue.Queue()
-        events.put(encode_control({"type": "arrived", "agent_id": 10, "job_id": 4, "hop": 0, "bytes": 40, "node": 1}))
+        events.put(Arrived(agent_id=10, job_id=4, hop=0, bytes=40, node=1))
         events.put(home)
 
-        _collect(events, {10: state}, lm.LifecycleCallbacks(), combine, time.monotonic() + 5.0)
+        _collect(events, {10: state}, combine, time.monotonic() + 5.0)
 
         report = state.report()
         assert report.delivered
         assert report.migrations == 2
-        assert report.bytes_sent == 40 + len(home) + state.message.size_bytes
+        assert report.bytes_sent == 40 + len(lm.pack(home)) + state.message.size_bytes
 
     def test_node_exit_fails_only_the_slaves_it_holds(self):
         registry = lm.build_default_registry()
@@ -504,70 +568,57 @@ class TestMasterAccounting:
         held = SlaveLedger(agent_id=11, partition=(1,))
         states = {10: moved_on, 11: held}
         events: queue.Queue = queue.Queue()
-        for frame in (
-            encode_control({"type": "arrived", "agent_id": 10, "job_id": 4, "hop": 0, "bytes": 40, "node": 1}),
-            encode_control({"type": "arrived", "agent_id": 11, "job_id": 4, "hop": 0, "bytes": 40, "node": 1}),
-            encode_control({"type": "arrived", "agent_id": 10, "job_id": 4, "hop": 1, "bytes": 50, "node": 2}),
-            encode_control({"type": "node_exited", "node": 1, "code": -9}),
-            lm.ResultMessage(from_agent=10, partial=lm.encode_partial({"a": 1})).encode(),
+        for event in (
+            Arrived(agent_id=10, job_id=4, hop=0, bytes=40, node=1),
+            Arrived(agent_id=11, job_id=4, hop=0, bytes=40, node=1),
+            Arrived(agent_id=10, job_id=4, hop=1, bytes=50, node=2),
+            NodeExited(node=1, code=-9),
+            lm.ResultMessage(from_agent=10, partial=lm.encode_partial({"a": 1})),
         ):
-            events.put(frame)
+            events.put(event)
 
-        _collect(events, states, lm.LifecycleCallbacks(), combine, time.monotonic() + 5.0)
+        _collect(events, states, combine, time.monotonic() + 5.0)
 
         assert held.fail_reason == "node 1 exited with code -9 while holding the slave"
         assert held.report().migrations == 1
         assert moved_on.fail_reason is None and moved_on.report().delivered
 
-    def test_collect_drops_control_frames_it_cannot_read(self, caplog):
+    def test_collect_ignores_events_it_does_not_account(self, caplog):
         registry = lm.build_default_registry()
         combine = registry.resolve_combine(lm.builtin_job("wordcount", job_id=4).combine)
         state = SlaveLedger(agent_id=10, partition=(1,))
         events: queue.Queue = queue.Queue()
-        for frame in UNREADABLE_CONTROLS + (encode_control({"type": "slave_failed", "agent_id": 10, "job_id": 4, "reason": "gave up"}),):
-            events.put(frame)
+        for event in (
+            NodeReady(node=1, host="127.0.0.1", port=1234, heap_bytes=5, dropped=0),
+            HasData(node=1, job_id=4, has_data=True),
+            Arrived(agent_id=99, job_id=4, hop=0, bytes=40, node=1),  # no such slave
+            SlaveFailed(agent_id=10, job_id=4, reason="gave up"),
+        ):
+            events.put(event)
 
-        _collect(events, {10: state}, lm.LifecycleCallbacks(), combine, time.monotonic() + 5.0)
+        _collect(events, {10: state}, combine, time.monotonic() + 5.0)
 
         assert events.empty()
         assert state.fail_reason == "gave up"
-        assert len([r for r in caplog.records if "dropping" in r.message]) == len(UNREADABLE_CONTROLS)
+        assert state.report().migrations == 0
+        assert [r.getMessage() for r in caplog.records] == ["frame for unknown agent 99"]
 
-    def test_await_each_drops_control_frames_it_cannot_read(self):
+    def test_await_each_skips_events_it_does_not_wait_for(self):
         events: queue.Queue = queue.Queue()
-        ready = {"type": "node_ready", "node": 1, "host": "127.0.0.1", "port": 1234, "heap_bytes": 5, "dropped": 0}
-        for frame in UNREADABLE_CONTROLS + (encode_control(ready),):
-            events.put(frame)
         expect = NodeReady(node=1, host="127.0.0.1", port=1234, heap_bytes=5, dropped=0)
+        for event in (
+            HasData(node=1, job_id=4, has_data=True),
+            NodeReady(node=7, host="127.0.0.1", port=1235, heap_bytes=5, dropped=0),
+            lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4),
+            expect,
+        ):
+            events.put(event)
         assert _await_each(events, NodeReady, (1,), time.monotonic() + 5.0, "the cluster was ready") == {1: expect}
         assert events.empty()
 
-    @pytest.mark.parametrize("what", ["envelope", "result"])
-    def test_collect_rejects_a_frame_whose_crc_is_wrong(self, caplog, what):
-        registry = lm.build_default_registry()
-        combine = registry.resolve_combine(lm.builtin_job("wordcount", job_id=4).combine)
-        state = SlaveLedger(agent_id=10, partition=(1,))
-        partial = lm.encode_partial({"a": 1})
-        if what == "envelope":
-            frame = bytearray(lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4, itinerary=(1,), payload=partial)))
-            frame[-1] ^= 0x01  # the envelope's CRC-32 ends the frame
-        else:
-            frame = bytearray(lm.ResultMessage(from_agent=10, partial=partial).encode())
-            frame[12] ^= 0x01  # the partial's CRC-32 follows the agent id and the length
-        events: queue.Queue = queue.Queue()
-        events.put(bytes(frame))
-
-        _collect(events, {10: state}, lm.LifecycleCallbacks(), combine, time.monotonic() + 0.3)
-
-        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
-        assert len(errors) == 1 and "checksum" in errors[0]
-        # The slave stayed unresolved until the deadline failed it.
-        assert state.fail_reason == "timed out waiting for the slave"
-        assert state.message is None and state.report().migrations == 0
-
     def test_await_each_names_the_silent_nodes_at_its_deadline(self):
         events: queue.Queue = queue.Queue()
-        events.put(pack_control(NodeReady(node=2, host="127.0.0.1", port=1234, heap_bytes=5, dropped=0)))
+        events.put(NodeReady(node=2, host="127.0.0.1", port=1234, heap_bytes=5, dropped=0))
         with pytest.raises(lm.ConfigError, match=r"^nodes \[1, 3\] sent no node_ready before the deadline$"):
             _await_each(events, NodeReady, (1, 2, 3), time.monotonic() + 0.2, "the cluster was ready")
 
@@ -575,17 +626,9 @@ class TestMasterAccounting:
         registry = lm.build_default_registry()
         combine = registry.resolve_combine(lm.builtin_job("wordcount", job_id=4).combine)
         state = SlaveLedger(agent_id=10, partition=(1,), hops={0: 40})
-        _collect(queue.Queue(), {10: state}, lm.LifecycleCallbacks(), combine, time.monotonic())
+        _collect(queue.Queue(), {10: state}, combine, time.monotonic())
         assert state.fail_reason == "timed out waiting for the slave"
         assert state.report().migrations == 1
-
-
-# Not JSON; an arrival without its agent; a ready node without its id.
-UNREADABLE_CONTROLS = (
-    b"LCTL{not json",
-    encode_control({"type": "arrived"}),
-    encode_control({"type": "node_ready"}),
-)
 
 
 def write_node_files(tmp_path, node_values):
@@ -850,7 +893,8 @@ class TestRunTcpJob:
         # to deliver its has_data answer; the node gives up and exits 1.
         (tmp_path / "locomap_hasdatalost.py").write_text(
             "from locomap.errors import ConnectRefused\n"
-            "from locomap.tcp_node import NodeProcess, classify_frame, decode_control\n"
+            "from locomap.control import HasData\n"
+            "from locomap.tcp_node import NodeProcess, decode_frame\n"
             "send = NodeProcess._send\n"
             "\n"
             "class Refusing:\n"
@@ -858,7 +902,7 @@ class TestRunTcpJob:
             "        raise ConnectRefused('master refused the has_data answer')\n"
             "\n"
             "def lose_has_data(self, transport, dst, payload):\n"
-            "    if self.node.id == 2 and classify_frame(payload) == 'control' and decode_control(payload)['type'] == 'has_data':\n"
+            "    if self.node.id == 2 and isinstance(decode_frame(payload), HasData):\n"
             "        transport = Refusing()\n"
             "    return send(self, transport, dst, payload)\n"
             "\n"
@@ -889,7 +933,8 @@ class TestRunTcpJob:
         (tmp_path / "locomap_nodedeath.py").write_text(
             "import os\n"
             "\n"
-            "from locomap.tcp_node import NodeProcess, classify_frame\n"
+            "from locomap.control import CONTROL_MAGIC\n"
+            "from locomap.tcp_node import NodeProcess\n"
             "\n"
             "WHERE = os.environ['LOCOMAP_DIE_WHERE']\n"
             "accept, host, send = NodeProcess._accept_envelope, NodeProcess._host_and_forward, NodeProcess._send\n"
@@ -898,9 +943,9 @@ class TestRunTcpJob:
             "    if self.node.id == 2 and where == WHERE:\n"
             "        os._exit(29)\n"
             "\n"
-            "def wrapped_accept(self, frame):\n"
+            "def wrapped_accept(self, agent, nbytes):\n"
             "    die_at(self, 'accept')\n"
-            "    then = accept(self, frame)\n"
+            "    then = accept(self, agent, nbytes)\n"
             "    die_at(self, 'arrival_acked')\n"
             "    return then\n"
             "\n"
@@ -909,7 +954,7 @@ class TestRunTcpJob:
             "    return host(self, agent)\n"
             "\n"
             "def wrapped_send(self, transport, dst, payload):\n"
-            "    if classify_frame(payload) != 'control':\n"
+            "    if payload[:4] != CONTROL_MAGIC:\n"
             "        die_at(self, 'send')\n"
             "    return send(self, transport, dst, payload)\n"
             "\n"
@@ -934,6 +979,39 @@ class TestRunTcpJob:
         assert not killed.delivered
         assert "node 2" in killed.fail_reason
         assert killed.migrations == migrations
+
+    def test_a_forward_that_does_not_decode_fails_its_slave_at_once(self, tmp_path, monkeypatch):
+        # A job module whose nodes flip one bit of the CRC-32 of every
+        # envelope they forward. The master leaves each unacked, so each
+        # node gives its forward up and reports the slave failed.
+        (tmp_path / "locomap_corruptforward.py").write_text(
+            "from locomap import tcp_node\n"
+            "\n"
+            "pack = tcp_node.pack\n"
+            "\n"
+            "def corrupt_pack(agent, callbacks=None):\n"
+            "    frame = bytearray(pack(agent, callbacks))\n"
+            "    frame[-1] ^= 0x01  # the envelope's CRC-32 ends the frame\n"
+            "    return bytes(frame)\n"
+            "\n"
+            "tcp_node.pack = corrupt_pack\n"
+        )
+        monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+        data_dir = write_node_files(tmp_path, {1: [b"a b", b"c"], 2: [b"a"], 3: [b"b b c"]})
+        topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
+        spec = lm.builtin_job("wordcount", job_id=1)
+        started = time.monotonic()
+        with pytest.raises(lm.AllSlavesFailed) as failed:
+            lm.run_tcp_job(spec, topology, data_dir, timeout_s=30, job_module="locomap_corruptforward")
+        assert time.monotonic() - started < 4
+
+        result = failed.value.result
+        assert (result.partials_received, result.slaves_failed, result.slave_count) == (0, 3, 3)
+        assert result.partials_received + result.slaves_failed == result.slave_count
+        for report in result.slave_reports:
+            assert not report.delivered
+            assert report.fail_reason == "could not forward to node 0"
+            assert report.migrations == 1  # the dispatch; the corrupt hop home never arrived
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
     @pytest.mark.parametrize("bad_data", [False, True])

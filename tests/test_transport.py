@@ -1,6 +1,7 @@
 import json
 import random
 import socket
+import struct
 import threading
 import time
 
@@ -250,6 +251,44 @@ class TestTcpTransport:
             done.set()
             thread.join(timeout=10.0)
             silent.close()
+
+    def test_peer_that_resets_after_reading_the_frame_fails_the_send(self):
+        peer = socket.socket()
+        peer.bind(("127.0.0.1", 0))
+        peer.listen(1)
+
+        def read_then_reset():
+            conn, _ = peer.accept()
+            read_frame(conn)
+            # A zero linger time makes close() send a reset, not a FIN.
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            conn.close()
+
+        thread = threading.Thread(target=read_then_reset, daemon=True)
+        thread.start()
+        try:
+            transport = lm.TcpTransport({1: ("127.0.0.1", peer.getsockname()[1])})
+            with pytest.raises(lm.TransportFailure, match=r"^send to node 1 failed: .*reset") as failed:
+                transport.send(0, 1, b"x")
+            assert not isinstance(failed.value, lm.SendTimeout)
+        finally:
+            thread.join(timeout=10.0)
+            peer.close()
+
+    def test_a_frame_over_the_cap_fails_before_connecting(self, monkeypatch):
+        monkeypatch.setattr(lm.transport, "MAX_FRAME", 1000)
+        got = []
+        server = FrameServer("127.0.0.1", 0, got.append)
+        server.start()
+        try:
+            transport = lm.TcpTransport({1: (server.host, server.port)})
+            assert transport.send(0, 1, b"x" * 1000).delivered
+            with pytest.raises(lm.TransportFailure, match=r"^a frame of 1001 bytes to node 1 exceeds the 1000 byte cap$") as failed:
+                transport.send(0, 1, b"x" * 1001)
+            assert not isinstance(failed.value, lm.SendTimeout)
+        finally:
+            server.stop()
+        assert got == [b"x" * 1000]
 
     def test_unknown_destination(self):
         transport = lm.TcpTransport({})
