@@ -31,6 +31,7 @@ from .errors import (
     DuplicateVisit,
     EnvelopeError,
     ExecutionError,
+    FrameTooLarge,
     LocomapError,
     NoNodes,
     PayloadTooLarge,
@@ -41,7 +42,6 @@ from .errors import (
     Truncated,
     UnknownFunction,
     UnsupportedVersion,
-    VerifyFailure,
 )
 from .nodes import HeapStore, Records, SensorNode, load_records_tsv
 from .orchestration import (

@@ -6,20 +6,27 @@ fields, and both ends build and read every control frame through one
 codec, ``pack_control`` and ``unpack_control``, over the JSON pair
 ``encode_control``/``decode_control``. A frame whose ``type`` names no
 kind, or whose fields are not exactly its kind's, each of its declared
-type, is a ``DecodeError``. The kinds live in a module of their own so
+type (a selector as hex digit pairs), is a ``DecodeError``. The master's
+node watchers queue ``tcp_cluster.NodeExited``, which is no kind here:
+it never crosses a socket. The kinds live in a module of their own so
 that ``python -m locomap.tcp_node``, which runs that module twice (as
 ``__main__`` and as itself), builds them once.
 """
 
 import json
+import re
 from dataclasses import dataclass, fields
-from typing import ClassVar, get_args, get_origin
+from typing import ClassVar, NewType, get_args, get_origin
 
 from .agents import NodeId, TaskDescriptor
 from .errors import DecodeError
 from .orchestration import JobSpec
 
 CONTROL_MAGIC = b"LCTL"
+
+# A selector's bytes as hex digit pairs, since JSON holds no bytes.
+Hex = NewType("Hex", str)
+_HEX_PAIRS = re.compile("(?:[0-9a-fA-F]{2})*")
 
 
 def encode_control(doc: dict) -> bytes:
@@ -56,7 +63,7 @@ class QueryData(ControlFrame, kind="query_data"):
     """Master to node: does the heap hold a record for the selector?"""
 
     job_id: int
-    selector_hex: str
+    selector_hex: Hex
 
 
 @dataclass(frozen=True)
@@ -77,7 +84,7 @@ class RegisterJob(ControlFrame, kind="register_job"):
     job_id: int
     map_fn_id: str
     reduce_fn_id: str
-    selector_hex: str
+    selector_hex: Hex
     combine: str
     results_only: bool
     master: NodeId
@@ -117,14 +124,6 @@ class SlaveFailed(ControlFrame, kind="slave_failed"):
 
 
 @dataclass(frozen=True)
-class NodeExited(ControlFrame, kind="node_exited"):
-    """The master's node watcher: a node process was reaped."""
-
-    node: NodeId
-    code: int
-
-
-@dataclass(frozen=True)
 class Shutdown(ControlFrame, kind="shutdown"):
     """Master to node: stop serving and exit."""
 
@@ -159,9 +158,12 @@ def unpack_control(data: bytes) -> ControlFrame:
 
 def _typed(value, hint, name: str):
     """``value``, read from JSON, as ``hint``: a scalar of exactly that
-    type, a tuple from a list, or a dict with int keys from string keys."""
+    type, a string of hex digit pairs, a tuple from a list, or a dict with
+    int keys from string keys."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is None and type(value) is hint:
+        return value
+    if hint is Hex and type(value) is str and _HEX_PAIRS.fullmatch(value):
         return value
     if origin is tuple and type(value) is list:
         items = args[:1] * len(value) if args[1:] == (Ellipsis,) else args

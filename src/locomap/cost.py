@@ -3,7 +3,7 @@
 Two experiments sweep agent size: duplicating an agent on one node, and
 migrating an agent between two nodes with its five-phase breakdown. Both
 run one sweep: per size, each phase's median over the samples delivered;
-a sample that fails in transport or verification is logged and left out.
+a sample that fails in transport is logged and left out.
 Duplication is cheap (a copy plus the two lifecycle hooks); migration
 pays for packing, connecting, transferring, unpacking and verifying, so
 its curve sits strictly above duplication at every size.
@@ -26,7 +26,7 @@ from typing import IO, Callable, Iterable, Sequence
 
 from .agents import Agent, AgentIdAllocator, AgentRole, LifecycleCallbacks, duplicate
 from .envelope import MigrationPhases, migrate
-from .errors import ConfigError, TransportFailure, VerifyFailure
+from .errors import ConfigError, TransportFailure
 from .orchestration import JobResult
 from .transport import SimCpuModel
 
@@ -83,7 +83,7 @@ def _sweep(kind: str, sizes: Sequence[int], repeats: int, sample: Callable[[Agen
             mapper = Agent(id=ids.next(), role=AgentRole.MAPPER, job_id=0, payload=bytes(size))
             try:
                 samples.append(astuple(sample(mapper)))
-            except (TransportFailure, VerifyFailure) as exc:
+            except TransportFailure as exc:
                 logger.warning("%s sample failed at size %d: %s", kind, size, exc)
         if not samples:
             logger.warning("all %d %s samples failed at size %d; no record", repeats, kind, size)

@@ -39,14 +39,6 @@ class ChecksumMismatch(EnvelopeError):
     """The integrity checksum does not cover the received bytes."""
 
 
-class VerifyFailure(LocomapError):
-    """An envelope failed verification at the destination and was discarded.
-
-    The sender still holds its copy of the agent; whether to resend is the
-    job layer's call.
-    """
-
-
 class TransportFailure(LocomapError):
     """A send did not reach the destination; the agent stays at the source.
 
@@ -65,6 +57,10 @@ class ConnectRefused(TransportFailure):
 
 class SendTimeout(TransportFailure):
     """TCP peer accepted the connection but never acknowledged."""
+
+
+class FrameTooLarge(TransportFailure):
+    """The frame exceeds the TCP frame cap; no retry can send it."""
 
 
 class UnknownFunction(LocomapError):

@@ -9,9 +9,11 @@ commutative combine, so arrival order cannot matter. Both engines walk
 the routes ``plan_routes`` fixes up front, one ``host_and_route`` step
 per node; the sim adds a modeled clock, TCP (``tcp_cluster``,
 ``tcp_node``) its frames and arrival reports. Both account for each
-slave only through its ``SlaveLedger``, and ``finish_job`` builds the
-result from the ledgers. ``raw_data_bytes`` is the targets' heap bytes
-in both engines.
+slave only through its ``SlaveLedger``, which also decodes the partial
+a slave delivers and fails the slave there if it does not decode;
+``finish_job`` folds the decoded partials and builds the result from
+the ledgers. ``raw_data_bytes`` is the targets' heap bytes in both
+engines.
 
 Raw records never cross the network. The only wire traffic is agent
 envelopes and result messages, which is the whole point.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable
 from zlib import crc32
@@ -42,10 +44,10 @@ from .errors import (
     ConfigError,
     DecodeError,
     ExecutionError,
+    FrameTooLarge,
     NoNodes,
     RoleError,
     TransportFailure,
-    VerifyFailure,
 )
 from .nodes import SensorNode
 from .registry import BUILTIN_JOBS, DEFAULT_REGISTRY, FunctionRegistry, decode_partial, encode_partial
@@ -149,12 +151,13 @@ class RetryDecision:
 
 
 def retry_policy(event: TransportFailure | None, attempt: int) -> RetryDecision:
-    """Exponential backoff for three attempts, then give the slave up.
+    """Exponential backoff for three attempts, then give the slave up; a
+    frame over the cap is given up at once, since no retry can send it.
 
     Lost partials are not re-executed; the accounting makes the loss
     visible instead.
     """
-    if attempt <= RETRY_MAX_ATTEMPTS:
+    if attempt <= RETRY_MAX_ATTEMPTS and not isinstance(event, FrameTooLarge):
         return RetryDecision(RetryAction.RETRY, RETRY_BASE_S * RETRY_FACTOR ** (attempt - 1))
     return RetryDecision(RetryAction.MARK_FAILED)
 
@@ -188,9 +191,11 @@ class SlaveLedger:
     slave's itinerary length when it left: 0 for the master's dispatch,
     then one more per node visited. Keying by hop makes a repeated arrival
     count once. ``holder`` is the node that reported the latest hop, so a
-    repeat of an earlier one does not move it. Once the slave has resolved
-    (delivered or failed) every method does nothing, so repeated and late
-    events change nothing.
+    repeat of an earlier one does not move it. ``deliver`` decodes the
+    partial into ``partial``; a partial that does not decode fails the
+    slave there, and its result message's bytes still count. Once the
+    slave has resolved (delivered or failed) every method does nothing,
+    so repeated and late events change nothing.
     """
 
     agent_id: AgentId
@@ -198,11 +203,16 @@ class SlaveLedger:
     hops: dict[int, int] = field(default_factory=dict)
     holder: NodeId | None = None
     message: ResultMessage | None = None
+    partial: Any = None
     fail_reason: str | None = None
 
     @property
     def resolved(self) -> bool:
         return self.message is not None or self.fail_reason is not None
+
+    @property
+    def delivered(self) -> bool:
+        return self.message is not None and self.fail_reason is None
 
     def arrived(self, hop: int, nbytes: int, node: NodeId | None) -> None:
         if not self.resolved:
@@ -213,6 +223,11 @@ class SlaveLedger:
     def deliver(self, message: ResultMessage) -> None:
         if not self.resolved:
             self.message = message
+            try:
+                self.partial = decode_partial(message.partial)
+            except DecodeError as exc:
+                logger.warning("slave %s failed: %s", self.agent_id, exc)
+                self.fail_reason = str(exc)
 
     def fail(self, reason: str) -> None:
         if not self.resolved:
@@ -226,7 +241,7 @@ class SlaveLedger:
         return SlaveReport(
             agent_id=self.agent_id,
             nodes=self.partition,
-            delivered=self.message is not None,
+            delivered=self.delivered,
             migrations=len(self.hops),
             bytes_sent=sum(self.hops.values()) + (self.message.size_bytes if self.message is not None else 0),
             fail_reason=self.fail_reason,
@@ -291,28 +306,16 @@ def dispatch(slaves: list[Agent], target_nodes: Iterable[NodeId]) -> dict[AgentI
     return out
 
 
-def aggregate(
-    reducer: Agent,
-    messages: Iterable[ResultMessage],
-    combine,
-    on_decode_error: Callable[[ResultMessage, DecodeError], None] | None = None,
-) -> Any:
-    """Left-fold the combine over partials in arrival order.
+def aggregate(reducer: Agent, partials: Iterable[Any], combine) -> Any:
+    """Left-fold the combine over decoded partials in arrival order.
 
-    The combine's algebra makes the outcome independent of that order. A
-    malformed partial raises DecodeError unless a handler is given, in
-    which case it is skipped and reported.
+    The combine's algebra makes the outcome independent of that order.
     """
     if reducer.role is not AgentRole.REDUCER:
         raise RoleError(f"aggregation needs a reducer, got {reducer.role.name}")
     folded = combine.identity()
-    for message in messages:
-        try:
-            folded = combine.merge(folded, decode_partial(message.partial))
-        except DecodeError as exc:
-            if on_decode_error is None:
-                raise
-            on_decode_error(message, exc)
+    for partial in partials:
+        folded = combine.merge(folded, partial)
     return folded
 
 
@@ -329,8 +332,6 @@ def send_with_retry(send: Callable[[], Any], wait: Callable[[float], Any]) -> tu
     while True:
         try:
             return send(), None
-        except VerifyFailure as exc:
-            return None, f"verification failed: {exc}"
         except TransportFailure as exc:
             decision = retry_policy(exc, attempt)
             if decision.action is RetryAction.MARK_FAILED:
@@ -403,31 +404,17 @@ def finish_job(
     raw_data_bytes: int,
 ) -> JobResult:
     """Fold the delivered partials, reduce, and report every slave from
-    its ledger.
-
-    A slave whose partial cannot be decoded is reported as failed, with
-    the decode error as its reason. Raises AllSlavesFailed, carrying the
-    result, when no partial could be used.
-    """
-    discarded: dict[AgentId, str] = {}
-
-    def on_bad(message, exc):
-        discarded[message.from_agent] = f"malformed partial: {exc}"
-        logger.warning("discarding malformed partial from agent %s: %s", message.from_agent, exc)
-
+    its ledger. Raises AllSlavesFailed, carrying the result, when no slave
+    delivered a partial."""
     ledgers = tuple(ledgers)
-    messages = [ledger.message for ledger in ledgers if ledger.message is not None]
-    folded = aggregate(plan.reducer, messages, plan.combine, on_decode_error=on_bad)
-    reports = tuple(
-        replace(r, delivered=False, fail_reason=discarded[r.agent_id]) if r.agent_id in discarded else r
-        for r in (ledger.report() for ledger in ledgers)
-    )
+    delivered = [ledger for ledger in ledgers if ledger.delivered]
+    folded = aggregate(plan.reducer, (ledger.partial for ledger in delivered), plan.combine)
+    reports = tuple(ledger.report() for ledger in ledgers)
     slave_count = len(plan.slaves)
-    partials_received = len(messages) - len(discarded)
     result = JobResult(
         final=plan.reduce_fn(folded),
-        partials_received=partials_received,
-        slaves_failed=slave_count - partials_received,
+        partials_received=len(delivered),
+        slaves_failed=slave_count - len(delivered),
         slave_count=slave_count,
         bytes_transferred_total=sum(r.bytes_sent for r in reports),
         wall_time_s=wall_time_s,
@@ -435,7 +422,7 @@ def finish_job(
         migrations_total=sum(r.migrations for r in reports),
         slave_reports=reports,
     )
-    if partials_received == 0:
+    if not delivered:
         raise AllSlavesFailed("no slave delivered a partial", result=result)
     return result
 

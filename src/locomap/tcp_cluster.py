@@ -14,9 +14,11 @@ each frame with ``tcp_node.decode_frame`` before it acks it and queues
 what the frame holds, so a frame that does not decode is left unacked
 and never queued; the watchers and a failed dispatch queue their
 ``NodeExited`` and ``SlaveFailed`` values directly, and the master's
-own events never become bytes. Collecting reports each value to its
-slave's ``SlaveLedger``, the same accounting the simulator keeps:
-envelope bytes for every hop plus result message bytes; control traffic
+own events never become bytes (``NodeExited`` is no control frame, so
+no frame can report a node's exit). Collecting reports each value to
+its slave's ``SlaveLedger``, the same accounting the simulator keeps:
+envelope bytes for every hop plus result message bytes, and a result
+whose partial does not decode fails its slave there; control traffic
 is not data-plane and is not counted.
 """
 
@@ -31,6 +33,7 @@ import sys
 import threading
 import time
 import traceback
+from dataclasses import dataclass
 from pathlib import Path
 
 from .agents import Agent
@@ -49,7 +52,7 @@ from .orchestration import (
     warn_dropped,
 )
 from .registry import DEFAULT_REGISTRY
-from .control import Arrived, HasData, NodeExited, NodeReady, QueryData, RegisterJob, Shutdown, SlaveFailed, pack_control
+from .control import Arrived, HasData, NodeReady, QueryData, RegisterJob, Shutdown, SlaveFailed, pack_control
 from .tcp_node import FrameServer, decode_frame, serve
 from .transport import TcpTransport, Topology
 
@@ -59,6 +62,15 @@ from .orchestration import aggregate, retry_policy  # noqa: F401
 from .registry import encode_partial  # noqa: F401
 
 logger = logging.getLogger("locomap.tcp_cluster")
+
+
+@dataclass(frozen=True)
+class NodeExited:
+    """A node watcher's report that it reaped node ``node``: a value on
+    the master's queue that never crosses a socket."""
+
+    node: int
+    code: int
 
 
 def _fork_node(server: FrameServer, node: tuple[int, int, str], host: str, mem_limit: int, job_module: str, log_dir: str) -> int:

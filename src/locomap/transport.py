@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .agents import NodeId
-from .errors import ConnectRefused, SendTimeout, TopologyError, TransportFailure
+from .errors import ConnectRefused, FrameTooLarge, SendTimeout, TopologyError, TransportFailure
 
 logger = logging.getLogger("locomap.transport")
 
@@ -299,7 +299,7 @@ class TcpTransport:
         except KeyError:
             raise TransportFailure(f"no address known for node {dst}") from None
         if len(payload) > MAX_FRAME:
-            raise TransportFailure(f"a frame of {len(payload)} bytes to node {dst} exceeds the {MAX_FRAME} byte cap")
+            raise FrameTooLarge(f"a frame of {len(payload)} bytes to node {dst} exceeds the {MAX_FRAME} byte cap")
         t0 = time.perf_counter()
         try:
             sock = socket.create_connection((host, port), timeout=self.timeout_s)

@@ -185,38 +185,30 @@ class TestAggregate:
     def combine(self):
         return lm.DEFAULT_REGISTRY.resolve_combine("sum-by-key")
 
-    def msg(self, value, agent_id=9):
-        return lm.ResultMessage(from_agent=agent_id, partial=lm.encode_partial(value))
+    def partial(self, value):
+        """``value`` as a ledger holds it once delivered: decoded from its bytes."""
+        return lm.decode_partial(lm.encode_partial(value))
 
     def test_hand_merged_example(self):
-        messages = [self.msg({"a": 1}), self.msg({"a": 1, "b": 1})]
-        assert lm.aggregate(self.reducer(), messages, self.combine()) == {"a": 2, "b": 1}
+        partials = [self.partial({"a": 1}), self.partial({"a": 1, "b": 1})]
+        assert lm.aggregate(self.reducer(), partials, self.combine()) == {"a": 2, "b": 1}
 
     def test_zero_messages_is_the_identity(self):
         assert lm.aggregate(self.reducer(), [], self.combine()) == {}
 
     def test_single_partial_is_itself(self):
-        assert lm.aggregate(self.reducer(), [self.msg({"x": 3})], self.combine()) == {"x": 3}
+        assert lm.aggregate(self.reducer(), [self.partial({"x": 3})], self.combine()) == {"x": 3}
 
     def test_arrival_order_never_matters(self):
         rng = random.Random(8)
-        messages = [self.msg({f"k{rng.randrange(4)}": rng.randrange(10)}) for _ in range(5)]
-        finals = {lm.encode_partial(lm.aggregate(self.reducer(), list(p), self.combine())) for p in itertools.permutations(messages)}
+        partials = [self.partial({f"k{rng.randrange(4)}": rng.randrange(10)}) for _ in range(5)]
+        finals = {lm.encode_partial(lm.aggregate(self.reducer(), list(p), self.combine())) for p in itertools.permutations(partials)}
         assert len(finals) == 1
 
     def test_requires_reducer(self):
         mapper = lm.Agent(id=1, role=AgentRole.MAPPER, job_id=1)
         with pytest.raises(lm.RoleError):
             lm.aggregate(mapper, [], self.combine())
-
-    def test_malformed_partial_raises_or_reports(self):
-        bad = lm.ResultMessage(from_agent=5, partial=b"\xff not json")
-        with pytest.raises(lm.DecodeError):
-            lm.aggregate(self.reducer(), [bad], self.combine())
-        seen = []
-        final = lm.aggregate(self.reducer(), [bad, self.msg({"a": 1})], self.combine(), on_decode_error=lambda m, e: seen.append(m))
-        assert final == {"a": 1}
-        assert seen == [bad]
 
 
 class TestSlaveLedger:
@@ -232,7 +224,9 @@ class TestSlaveLedger:
         at = lambda hop: route[hop] if hop < len(route) else None
         reached = rng.randrange(len(route) + 2)  # hops 0..reached-1 arrive
         holder = at(reached - 1) if reached else None
-        message = lm.ResultMessage(from_agent=10, partial=bytes(rng.randrange(40)))
+        value = {"k": rng.randrange(40)}
+        message = lm.ResultMessage(from_agent=10, partial=lm.encode_partial(value))
+        malformed = lm.ResultMessage(from_agent=10, partial=b"\xff")  # not UTF-8
 
         events = []
         for hop in range(reached):
@@ -242,10 +236,11 @@ class TestSlaveLedger:
                 events.append(("arrived", repeat, sizes[repeat], at(repeat)))
             if hop and rng.random() < 0.3:
                 events.append(("node_exited", at(hop - 1), -9))  # a node the slave has left
-        ending = rng.choice(["deliver", "fail", "deadline"] + (["holder_exited"] if holder is not None else []))
+        ending = rng.choice(["deliver", "malformed", "fail", "deadline"] + (["holder_exited"] if holder is not None else []))
         events.append(
             {
                 "deliver": ("deliver", message),
+                "malformed": ("deliver", malformed),
                 "fail": ("fail", "could not forward"),
                 "deadline": ("fail", "timed out waiting for the slave"),
                 "holder_exited": ("node_exited", holder, -9),
@@ -271,18 +266,21 @@ class TestSlaveLedger:
             nodes=route,
             delivered=ending == "deliver",
             migrations=reached,
-            bytes_sent=sum(sizes[:reached]) + (message.size_bytes if ending == "deliver" else 0),
+            bytes_sent=sum(sizes[:reached]) + {"deliver": message.size_bytes, "malformed": malformed.size_bytes}.get(ending, 0),
             fail_reason={
                 "deliver": None,
+                "malformed": "malformed partial: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
                 "fail": "could not forward",
                 "deadline": "timed out waiting for the slave",
                 "holder_exited": f"node {holder} exited with code -9 while holding the slave",
             }[ending],
         )
         assert ledger.report() == expected
+        assert ledger.partial == (value if ending == "deliver" else None)
         for name, *args in late:
             getattr(ledger, name)(*args)
             assert ledger.report() == expected
+        assert ledger.partial == (value if ending == "deliver" else None)
 
 
 class TestFinishJob:

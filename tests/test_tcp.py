@@ -15,11 +15,10 @@ import pytest
 import locomap as lm
 from locomap import AgentRole, tcp_cluster
 from locomap.orchestration import SlaveLedger
-from locomap.tcp_cluster import _await_each, _collect, _listen
+from locomap.tcp_cluster import NodeExited, _await_each, _collect, _listen
 from locomap.control import (
     Arrived,
     HasData,
-    NodeExited,
     NodeReady,
     QueryData,
     RegisterJob,
@@ -88,7 +87,6 @@ CONTROL_FRAMES = {
         SlaveFailed(agent_id=12, job_id=9, reason="could not forward to node 11"),
         b'LCTL{"agent_id": 12, "job_id": 9, "reason": "could not forward to node 11", "type": "slave_failed"}',
     ),
-    "node_exited": (NodeExited(node=2, code=-9), b'LCTL{"code": -9, "node": 2, "type": "node_exited"}'),
     "shutdown": (Shutdown(), b'LCTL{"type": "shutdown"}'),
 }
 
@@ -99,11 +97,15 @@ MALFORMED_CONTROLS = {
     "unknown-type": encode_control({"type": "job_done", "job_id": 4}),
     "missing-field": encode_control({"type": "arrived", "agent_id": 10, "job_id": 4, "hop": 0, "bytes": 40}),
     "extra-field": encode_control({"type": "shutdown", "now": True}),
-    "bool-for-int": encode_control({"type": "node_exited", "node": True, "code": 0}),
+    "bool-for-int": encode_control({"type": "has_data", "node": True, "job_id": 4, "has_data": True}),
     "list-for-str": encode_control({"type": "slave_failed", "agent_id": 10, "job_id": 4, "reason": ["gave up"]}),
     "route-not-a-list": CONTROL_FRAMES["register_job"][1].replace(b'"13": []', b'"13": "2"'),
     "address-key-not-a-node": CONTROL_FRAMES["register_job"][1].replace(b'"11": [', b'"x": ['),
     "address-missing-its-port": CONTROL_FRAMES["register_job"][1].replace(b', 9011]', b"]"),
+    "query-selector-not-hex": CONTROL_FRAMES["query_data"][1].replace(b'"74656d702f"', b'"zz"'),
+    "register-selector-not-hex": CONTROL_FRAMES["register_job"][1].replace(b'"74656d702f"', b'"7"'),
+    # Only the master's own watchers report a node's exit, as a value.
+    "node-exited": encode_control({"type": "node_exited", "node": 2, "code": 0}),
 }
 
 
@@ -311,7 +313,7 @@ class TestNodeProcess:
             proc.shutdown.set()
             proc.server.stop()
 
-    def test_a_forward_over_the_frame_cap_reports_slave_failed(self, master_inbox, monkeypatch):
+    def test_a_forward_over_the_frame_cap_reports_slave_failed(self, master_inbox, monkeypatch, caplog):
         server, events = master_inbox
         node = lm.SensorNode(id=1)
         node.ingest([(b"r", b" ".join(b"w%d" % i for i in range(200)))])
@@ -333,6 +335,9 @@ class TestNodeProcess:
             arrived, failure = (decode_control(f) for f in drain(events, 2, timeout=15.0))
             assert (arrived["type"], arrived["hop"]) == ("arrived", 0)
             assert (failure["type"], failure["agent_id"], failure["reason"]) == ("slave_failed", 10, "could not forward to node 0")
+            # No retry can send a frame over the cap, so the node does not retry it.
+            (reason,) = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+            assert reason.startswith("node 1 could not send to node 0: gave up after 1 attempts: a frame of "), reason
         finally:
             proc.shutdown.set()
             proc.server.stop()
@@ -1012,6 +1017,43 @@ class TestRunTcpJob:
             assert not report.delivered
             assert report.fail_reason == "could not forward to node 0"
             assert report.migrations == 1  # the dispatch; the corrupt hop home never arrived
+
+    def test_a_result_whose_partial_does_not_decode_fails_its_slave_at_once(self, tmp_path, monkeypatch):
+        # A job module whose node 2 sends home a result message with a valid
+        # CRC-32 over a partial that is not JSON. The master acks it; the
+        # slave's ledger fails the slave when it is delivered.
+        (tmp_path / "locomap_badpartial.py").write_text(
+            "from locomap import tcp_node\n"
+            "from locomap.orchestration import ResultMessage\n"
+            "\n"
+            "host_and_route = tcp_node.host_and_route\n"
+            "\n"
+            "def bad_partial(node, agent, registry, route, master, results_only):\n"
+            "    agent, nxt, message = host_and_route(node, agent, registry, route, master, results_only)\n"
+            "    if node.id == 2 and message is not None:\n"
+            "        message = ResultMessage(message.from_agent, b'not json')\n"
+            "    return agent, nxt, message\n"
+            "\n"
+            "tcp_node.host_and_route = bad_partial\n"
+        )
+        monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+        data_dir = write_node_files(tmp_path, {1: [b"a b", b"c"], 2: [b"a"], 3: [b"b b c"]})
+        topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
+        spec = lm.builtin_job("wordcount", job_id=1)
+        started = time.monotonic()
+        result = lm.run_tcp_job(spec, topology, data_dir, results_only=True, timeout_s=30, job_module="locomap_badpartial")
+        assert time.monotonic() - started < 4
+
+        assert (result.partials_received, result.slaves_failed, result.slave_count) == (2, 1, 3)
+        survivors = [r for n in (1, 3) for r in lm.load_records_tsv(data_dir / f"node_{n}.tsv")]
+        assert result.final == lm.sequential_oracle(spec.task, spec.combine, survivors)
+        (bad,) = [r for r in result.slave_reports if r.nodes == (2,)]
+        assert not bad.delivered
+        assert bad.fail_reason.startswith("malformed partial: ")
+        assert "malformed partial" not in bad.fail_reason[len("malformed partial: "):]
+        # The dispatch and the result message both crossed the wire.
+        assert bad.migrations == 1
+        assert bad.bytes_sent == lm.envelope_size(0) + lm.ResultMessage(bad.agent_id, b"not json").size_bytes
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
     @pytest.mark.parametrize("bad_data", [False, True])

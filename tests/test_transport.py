@@ -229,6 +229,14 @@ class TestTcpTransport:
         with pytest.raises(lm.ConnectRefused):
             transport.send(0, 1, b"x")
 
+    def test_a_connect_that_fails_other_than_by_refusal(self):
+        # Port -1 fails in getaddrinfo, before any packet is sent.
+        transport = lm.TcpTransport({1: ("127.0.0.1", -1)})
+        with pytest.raises(lm.TransportFailure, match=r"^connect to node 1 failed: ") as failed:
+            transport.send(0, 1, b"x")
+        assert isinstance(failed.value.__cause__, socket.gaierror)
+        assert not isinstance(failed.value, lm.ConnectRefused)
+
     def test_peer_that_never_acks_times_out(self):
         silent = socket.socket()
         silent.bind(("127.0.0.1", 0))
@@ -275,6 +283,32 @@ class TestTcpTransport:
             thread.join(timeout=10.0)
             peer.close()
 
+    def test_server_that_cannot_ack_still_runs_the_work_after_the_ack(self, caplog):
+        # The handler holds the frame until the peer has reset the
+        # connection, so writing the ack fails.
+        entered, reset, ran = threading.Event(), threading.Event(), threading.Event()
+
+        def handler(frame):
+            entered.set()
+            assert reset.wait(10.0)
+            return ran.set
+
+        server = FrameServer("127.0.0.1", 0, handler)
+        server.start()
+        try:
+            peer = socket.create_connection((server.host, server.port))
+            write_frame(peer, b"x")
+            assert entered.wait(10.0)
+            # A zero linger time makes close() send a reset, not a FIN.
+            peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            peer.close()
+            reset.set()
+            assert ran.wait(10.0)
+        finally:
+            server.stop()
+        warnings = [r.getMessage() for r in caplog.records]
+        assert len(warnings) == 1 and warnings[0].startswith("could not acknowledge a frame: "), warnings
+
     def test_a_frame_over_the_cap_fails_before_connecting(self, monkeypatch):
         monkeypatch.setattr(lm.transport, "MAX_FRAME", 1000)
         got = []
@@ -285,7 +319,7 @@ class TestTcpTransport:
             assert transport.send(0, 1, b"x" * 1000).delivered
             with pytest.raises(lm.TransportFailure, match=r"^a frame of 1001 bytes to node 1 exceeds the 1000 byte cap$") as failed:
                 transport.send(0, 1, b"x" * 1001)
-            assert not isinstance(failed.value, lm.SendTimeout)
+            assert isinstance(failed.value, lm.FrameTooLarge)  # which the retry policy does not retry
         finally:
             server.stop()
         assert got == [b"x" * 1000]
