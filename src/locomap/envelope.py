@@ -36,7 +36,6 @@ from .errors import (
     ChecksumMismatch,
     EnvelopeError,
     PayloadTooLarge,
-    TransportFailure,
     Truncated,
     UnsupportedVersion,
 )
@@ -180,7 +179,8 @@ def migrate(
 ) -> MigrationOutcome:
     """Move an agent across one link, timing all five phases.
 
-    On TransportFailure the agent simply never left the source; the caller
+    A send that fails raises TransportFailure from the transport, in
+    both engines; then the agent simply never left the source, and the caller
     keeps its copy and decides about retries, so exactly one live copy of
     the agent exists afterwards.
 
@@ -200,8 +200,6 @@ def migrate(
     prepare_s = modeled[0] if modeled else prepare_meas
 
     report = transport.send(src, dst, data, at=at + prepare_s)
-    if not report.delivered:
-        raise TransportFailure(f"link {src}->{dst} dropped the envelope", report=report)
 
     t1 = time.perf_counter()
     count, payload_len = check_structure(data)

@@ -131,19 +131,20 @@ class SensorNode:
     def is_empty(self, selector: bytes = b"") -> bool:
         return not self.heap.has_match(selector)
 
-    def host(self, agent: Agent, registry: FunctionRegistry) -> Agent:
-        """Run the agent's map task over matching heap records, in place.
+    def host(self, agent: Agent, spec, registry: FunctionRegistry) -> Agent:
+        """Run the map task of ``spec``, the ``JobSpec`` of the agent's job
+        that the caller holds, over matching heap records, in place.
 
         Emitted key/value pairs are folded into the agent's payload with
-        the job's combine operation; a batch kernel registered for the map
-        and combine replaces the per-record map calls. The heap is never
-        modified. The node lands on the itinerary even when the map function
-        blows up, so a tour can continue past a bad node (ExecutionError
-        carries the visited agent).
+        the job's combine operation, both looked up in ``registry`` by the
+        spec's ids; a batch kernel registered for the map and combine
+        replaces the per-record map calls. The heap is never modified. The
+        node lands on the itinerary even when the map function blows up, so
+        a tour can continue past a bad node (ExecutionError carries the
+        visited agent).
         """
         if agent.role is not AgentRole.SLAVE:
             raise RoleError(f"a {agent.role.name} agent cannot process node data")
-        spec = registry.job(agent.job_id)
         map_fn = registry.resolve_map(spec.task.map_fn_id)
         combine = registry.resolve_combine(spec.combine)
         batch_map = registry.batch_map(spec.task.map_fn_id, spec.combine)

@@ -75,7 +75,11 @@ class JobSpec:
         if self.slave_count is not None and self.slave_count < 1:
             raise ConfigError("slave_count must be at least 1 when given")
         if self.target_nodes is not None:
-            object.__setattr__(self, "target_nodes", tuple(sorted(self.target_nodes)))
+            nodes = tuple(sorted(self.target_nodes))
+            repeated = sorted({a for a, b in zip(nodes, nodes[1:]) if a == b})
+            if repeated:
+                raise ConfigError(f"target nodes {repeated} are repeated")
+            object.__setattr__(self, "target_nodes", nodes)
 
 
 def builtin_job(
@@ -362,11 +366,13 @@ class JobPlan:
 
 
 def plan_job(spec: JobSpec, topology: Topology, registry: FunctionRegistry) -> JobPlan:
-    """Register the job, check its targets, and split them among slaves.
+    """Check that the job's functions resolve and its targets exist, and
+    split the targets among slaves. Planning writes nothing to the
+    registry: the spec travels with the job.
 
     Without explicit ``target_nodes`` every sensor node is a target.
     """
-    registry.register_job(spec)
+    registry.check_job(spec)
     combine = registry.resolve_combine(spec.combine)
     reduce_fn = registry.resolve_reduce(spec.task.reduce_fn_id)
     master = topology.master
@@ -435,24 +441,24 @@ def plan_routes(assignment: dict[AgentId, tuple[NodeId, ...]], has_data: Callabl
 
 
 def host_and_route(
-    node: SensorNode, agent: Agent, registry: FunctionRegistry, route: tuple[NodeId, ...], master: NodeId, results_only: bool
+    node: SensorNode, agent: Agent, spec: JobSpec, registry: FunctionRegistry, route: tuple[NodeId, ...], master: NodeId, results_only: bool
 ) -> tuple[Agent, NodeId, ResultMessage | None]:
-    """One hop step of either engine: host the agent at ``node`` (a failed
-    map task is logged and the tour goes on), then pick the next hop: the
-    route's node at the agent's itinerary length, or the master once the
-    route is used up. Returns (agent, next hop, result message); the
-    message, sent in the agent's place, is None unless the next hop is the
-    master and ``results_only`` is set."""
+    """One hop step of either engine, a function of its arguments: host the
+    agent at ``node`` under ``spec``, its job's spec (a failed map task is
+    logged and the tour goes on), then pick the next hop: the route's node
+    at the agent's itinerary length, or the master once the route is used
+    up. Returns (agent, next hop, result message); the message, sent in
+    the agent's place, is None unless the next hop is the master and
+    ``results_only`` is set."""
     try:
-        agent = node.host(agent, registry)
+        agent = node.host(agent, spec, registry)
     except ExecutionError as exc:
         logger.warning("map task failed on node %s, continuing tour: %s", node.id, exc)
         agent = exc.agent
     visited = len(agent.itinerary)
     nxt = route[visited] if visited < len(route) else master
     if nxt == master and results_only:
-        combine = registry.resolve_combine(registry.job(agent.job_id).combine)
-        return agent, nxt, home_message(agent, combine)
+        return agent, nxt, home_message(agent, registry.resolve_combine(spec.combine))
     return agent, nxt, None
 
 
@@ -462,8 +468,8 @@ def _tour(
     route: tuple[NodeId, ...],
     cluster: Cluster,
     transport,
+    spec: JobSpec,
     registry: FunctionRegistry,
-    combine,
     callbacks: LifecycleCallbacks,
     results_only: bool,
 ) -> tuple[SlaveLedger, float]:
@@ -482,7 +488,7 @@ def _tour(
             value = send(t)
         except TransportFailure as exc:
             if exc.report is not None:
-                t = max(t, exc.report.completed_at)
+                t = exc.report.completed_at
             raise
         t = value.completed_at
         return value
@@ -509,23 +515,16 @@ def _tour(
             agent, loc = outcome.agent, nxt
             if loc == master:
                 break
-            agent, nxt, message = host_and_route(cluster.nodes[loc], agent, registry, route, master, results_only)
+            agent, nxt, message = host_and_route(cluster.nodes[loc], agent, spec, registry, route, master, results_only)
             if message is not None:
                 break
 
     if fail is None:
         if message is None:
-            message = home_message(agent, combine)
+            message = home_message(agent, registry.resolve_combine(spec.combine))
         if loc != master:
             wire = message.encode()
-
-            def send_result(at):
-                report = transport.send(loc, master, wire, at=at)
-                if not report.delivered:
-                    raise TransportFailure(f"result message dropped on {loc}->{master}", report=report)
-                return report
-
-            _, fail = send_with_retry(lambda: attempt(send_result), backoff)
+            _, fail = send_with_retry(lambda: attempt(lambda at: transport.send(loc, master, wire, at=at)), backoff)
     if fail is None:
         ledger.deliver(message)
     else:
@@ -556,7 +555,7 @@ def run_job(
     selector = spec.task.input_selector
     routes = plan_routes(plan.assignment, lambda n: not cluster.nodes[n].is_empty(selector))
     tours = [
-        _tour(slave, plan.assignment[slave.id], routes[slave.id], cluster, transport, registry, plan.combine, callbacks, results_only)
+        _tour(slave, plan.assignment[slave.id], routes[slave.id], cluster, transport, spec, registry, callbacks, results_only)
         for slave in plan.slaves
     ]
     ledgers, finished_at = zip(*tours)

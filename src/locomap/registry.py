@@ -116,14 +116,14 @@ def check_combine_algebra(op: CombineOp, trials: int = 40, seed: int = 0x5EED) -
 
 
 class FunctionRegistry:
-    """Maps function ids to callables, and job ids to submitted job specs."""
+    """Maps function ids to callables. It holds functions only: a job's
+    spec travels with the job, and every caller hands it over."""
 
     def __init__(self):
         self._maps: dict[str, MapFn] = {}
         self._batch_maps: dict[tuple[str, str], BatchMapFn] = {}
         self._reduces: dict[str, ReduceFn] = {}
         self._combines: dict[str, CombineOp] = {}
-        self._jobs: dict[int, Any] = {}
 
     def register_map(self, fn_id: str, fn: MapFn) -> None:
         """Register a map function; drops any batch kernel under ``fn_id``."""
@@ -166,22 +166,12 @@ class FunctionRegistry:
         except KeyError:
             raise UnknownFunction(f"no combine operation registered as {name!r}") from None
 
-    def register_job(self, spec) -> None:
-        """Validate a job's function references and remember it by job id.
-
-        Every id must resolve at submission time; a half-registered job
-        never reaches a node.
-        """
+    def check_job(self, spec) -> None:
+        """Raise UnknownFunction unless all three of a job's function ids
+        resolve, so a half-registered job never reaches a node."""
         self.resolve_map(spec.task.map_fn_id)
         self.resolve_reduce(spec.task.reduce_fn_id)
         self.resolve_combine(spec.combine)
-        self._jobs[spec.job_id] = spec
-
-    def job(self, job_id: int):
-        try:
-            return self._jobs[job_id]
-        except KeyError:
-            raise UnknownFunction(f"no job registered with id {job_id}") from None
 
 
 # --- built-in workload: sum-by-key partials (dict[str, number]) ---------

@@ -214,7 +214,7 @@ class NodeProcess:
             found = not self.node.is_empty(bytes.fromhex(control.selector_hex))
             return lambda: self._announce(HasData(self.node.id, control.job_id, found))
         elif isinstance(control, RegisterJob):
-            self.registry.register_job(control.spec)
+            self.registry.check_job(control.spec)
             with self._lock:
                 self._jobs[control.job_id] = control
             logger.info("node %s registered job %s", self.node.id, control.job_id)
@@ -257,7 +257,7 @@ class NodeProcess:
                 return
 
             route = reg.routes.get(agent.id, ())
-            agent, nxt, message = host_and_route(self.node, agent, self.registry, route, reg.master, reg.results_only)
+            agent, nxt, message = host_and_route(self.node, agent, reg.spec, self.registry, route, reg.master, reg.results_only)
             payload = message.encode() if message is not None else pack(agent, self.callbacks)
             if not self._send(TcpTransport(reg.addresses), nxt, payload):
                 self._tell_master(SlaveFailed(agent.id, agent.job_id, f"could not forward to node {nxt}"))

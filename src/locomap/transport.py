@@ -60,20 +60,21 @@ class SimLink:
 
 @dataclass(frozen=True)
 class DeliveryReport:
-    """Outcome of one send. On failure, ``bytes`` were attempted, not delivered.
-    ``started_at`` and ``completed_at`` are on the sim clock; TCP leaves them 0."""
+    """Outcome of one send. A send that fails raises TransportFailure, which
+    carries the report when the transport has one (the simulator's always);
+    there ``delivered`` is False and ``bytes`` were attempted, not
+    delivered. ``completed_at`` is on the sim clock; TCP leaves it 0."""
 
     delivered: bool
     elapsed_s: float
     bytes: int
     connect_s: float = 0.0
     transfer_s: float = 0.0
-    started_at: float = 0.0
     completed_at: float = 0.0
 
 
 def sim_send(link: SimLink, payload_bytes: int, rng: random.Random) -> DeliveryReport:
-    """The simulator's timing primitive, with no queueing applied.
+    """The simulator's timing primitive: the report of a send issued at 0.
 
     elapsed is exactly latency + bytes/bandwidth on success; a failed send
     costs the latency (the envelope died in flight).
@@ -226,26 +227,24 @@ class SimCpuModel:
 
 
 class SimTransport:
-    """Seeded, queueing simulated network.
+    """Seeded simulated network with no queue: a send issued at ``at``
+    completes at ``at + elapsed_s``, whatever else is on its link.
 
-    Each directed link carries at most one envelope at a time; a send
-    issued while the link is busy starts when the link frees up. Queueing
-    delay shows up in ``started_at``, never inside ``elapsed_s``.
+    A dropped send raises TransportFailure carrying its undelivered report,
+    as a failed TCP send raises; the only state is the seeded drop draw.
     """
 
     def __init__(self, topology: Topology):
         self.topology = topology
         self.cpu_model = SimCpuModel()
         self._rng = random.Random(topology.rng_seed)
-        self._link_free_at: dict[tuple[NodeId, NodeId], float] = {}
 
     def send(self, src: NodeId, dst: NodeId, payload: bytes, at: float = 0.0) -> DeliveryReport:
-        link = self.topology.link(src, dst)
-        report = sim_send(link, len(payload), self._rng)
-        started = max(at, self._link_free_at.get((src, dst), 0.0))
-        completed = started + report.elapsed_s
-        self._link_free_at[(src, dst)] = completed
-        return replace(report, started_at=started, completed_at=completed)
+        report = sim_send(self.topology.link(src, dst), len(payload), self._rng)
+        report = replace(report, completed_at=at + report.elapsed_s)
+        if not report.delivered:
+            raise TransportFailure(f"link {src}->{dst} dropped {len(payload)} bytes", report=report)
+        return report
 
     def cpu_phase_times(self, envelope_bytes: int) -> tuple[float, float, float]:
         return self.cpu_model.migration_cpu_times(envelope_bytes)

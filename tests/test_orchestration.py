@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+import threading
 
 import pytest
 
@@ -85,12 +87,10 @@ class TestPlanRoutes:
 
 class TestHostAndRoute:
     def hosted(self, route, results_only=False, itinerary=(), values=(b"a b",), job="wordcount"):
-        registry = lm.build_default_registry()
-        registry.register_job(lm.builtin_job(job, job_id=1))
         node = lm.SensorNode(id=route[len(itinerary)])
         node.ingest([(b"k%d" % i, v) for i, v in enumerate(values)])
         slave = lm.Agent(id=10, role=AgentRole.SLAVE, job_id=1, itinerary=tuple(itinerary))
-        return host_and_route(node, slave, registry, route, 0, results_only)
+        return host_and_route(node, slave, lm.builtin_job(job, job_id=1), lm.build_default_registry(), route, 0, results_only)
 
     def test_next_hop_is_the_next_node_on_the_route(self):
         agent, nxt, message = self.hosted((1, 3))
@@ -113,10 +113,9 @@ class TestHostAndRoute:
         assert (agent.itinerary, agent.payload, nxt) == ((1,), b"", 3)
 
     def test_requires_slave_role(self):
-        registry = lm.build_default_registry()
         reducer = lm.Agent(id=10, role=AgentRole.REDUCER, job_id=1)
         with pytest.raises(lm.RoleError):
-            host_and_route(lm.SensorNode(id=1), reducer, registry, (1,), 0, False)
+            host_and_route(lm.SensorNode(id=1), reducer, lm.builtin_job("wordcount", job_id=1), lm.build_default_registry(), (1,), 0, False)
 
 
 class TestRetryPolicy:
@@ -367,6 +366,51 @@ class TestRunJob:
         spec = lm.builtin_job("wordcount", job_id=1, target_nodes=[0, 1])
         with pytest.raises(lm.ConfigError):
             lm.run_job(spec, cluster, lm.SimTransport(topo))
+
+    @pytest.mark.parametrize("targets,repeated", [([1, 1], "[1]"), ([3, 1, 2, 3, 1], "[1, 3]")])
+    def test_a_repeated_target_node_is_a_config_error(self, targets, repeated):
+        # Rejected when the spec is built, so neither engine folds a node twice.
+        with pytest.raises(lm.ConfigError, match=re.escape(f"target nodes {repeated} are repeated")):
+            lm.builtin_job("wordcount", job_id=1, target_nodes=targets, slave_count=1)
+
+    def test_two_jobs_with_one_id_each_host_with_their_own_spec(self):
+        # Job A's map holds its slave at its first node until job B, with
+        # the same job id and another spec, has been planned and run on the
+        # same registry. A's later hops must still run A's map.
+        registry = lm.build_default_registry()
+        a_hosting, b_done = threading.Event(), threading.Event()
+
+        def upper_map(key, value):
+            a_hosting.set()
+            b_done.wait(timeout=10)
+            for word in value.decode().split():
+                yield (word.upper(), 1)
+
+        registry.register_map("upper-map", upper_map)
+        data = {1: [b"a b"], 2: [b"b c"], 3: [b"c a a"]}
+        jobs = {
+            "a": lm.JobSpec(job_id=1, task=lm.TaskDescriptor("upper-map", "identity"), slave_count=1),
+            "b": lm.builtin_job("wordcount", job_id=1, slave_count=1),
+        }
+        results = {}
+
+        def run(name):
+            cluster, topo = make_cluster(data)
+            results[name] = lm.run_job(jobs[name], cluster, lm.SimTransport(topo), registry=registry).final
+
+        def run_b():
+            try:
+                if a_hosting.wait(timeout=10):
+                    run("b")
+            finally:
+                b_done.set()
+
+        other = threading.Thread(target=run_b)
+        other.start()
+        run("a")
+        other.join(timeout=10)
+        expected = wordcount_reference(all_values(data))
+        assert results == {"a": {word.upper(): n for word, n in expected.items()}, "b": expected}
 
     def test_selector_restricts_the_job_to_matching_keys(self):
         cluster, topo = make_cluster({1: []})

@@ -258,9 +258,8 @@ class TestBuiltins:
         assert set(lm.BUILTIN_JOBS) >= {"wordcount", "sum"}
 
     def test_builtin_job_resolves(self):
-        spec = lm.builtin_job("wordcount", job_id=3)
-        lm.DEFAULT_REGISTRY.register_job(spec)
-        assert lm.DEFAULT_REGISTRY.job(3) is spec
+        for name in lm.BUILTIN_JOBS:
+            lm.DEFAULT_REGISTRY.check_job(lm.builtin_job(name, job_id=3))
 
     def test_unknown_builtin_job(self):
         with pytest.raises(lm.ConfigError):
@@ -276,14 +275,14 @@ class TestRegistryResolution:
             registry.resolve_reduce("nope")
         with pytest.raises(lm.UnknownFunction):
             registry.resolve_combine("nope")
-        with pytest.raises(lm.UnknownFunction):
-            registry.job(99)
 
-    def test_register_job_validates_every_id(self):
-        registry = lm.FunctionRegistry()
-        spec = lm.JobSpec(job_id=1, task=lm.TaskDescriptor("wordcount-map", "identity"), combine="sum-by-key")
-        with pytest.raises(lm.UnknownFunction):
-            registry.register_job(spec)
+    @pytest.mark.parametrize("missing", ["map", "reduce", "combine"])
+    def test_check_job_validates_every_id(self, missing):
+        registry = lm.build_default_registry()
+        task = lm.TaskDescriptor("nope" if missing == "map" else "wordcount-map", "nope" if missing == "reduce" else "identity")
+        spec = lm.JobSpec(job_id=1, task=task, combine="nope" if missing == "combine" else "sum-by-key")
+        with pytest.raises(lm.UnknownFunction, match="nope"):
+            registry.check_job(spec)
 
     def test_slave_count_validation(self):
         with pytest.raises(lm.ConfigError):

@@ -352,7 +352,7 @@ class TestNodeProcess:
         proc2 = start_node(node2, server)
         hosted = []
         host = node2.host
-        monkeypatch.setattr(node2, "host", lambda agent, registry: hosted.append(agent.id) or host(agent, registry))
+        monkeypatch.setattr(node2, "host", lambda agent, spec, registry: hosted.append(agent.id) or host(agent, spec, registry))
 
         # Node 2 is reached through a server that hands every frame to the
         # node but drops the connection before the first ack, so node 1
@@ -1028,8 +1028,8 @@ class TestRunTcpJob:
             "\n"
             "host_and_route = tcp_node.host_and_route\n"
             "\n"
-            "def bad_partial(node, agent, registry, route, master, results_only):\n"
-            "    agent, nxt, message = host_and_route(node, agent, registry, route, master, results_only)\n"
+            "def bad_partial(node, agent, spec, registry, route, master, results_only):\n"
+            "    agent, nxt, message = host_and_route(node, agent, spec, registry, route, master, results_only)\n"
             "    if node.id == 2 and message is not None:\n"
             "        message = ResultMessage(message.from_agent, b'not json')\n"
             "    return agent, nxt, message\n"

@@ -140,13 +140,14 @@ class TestSimTransportClock:
         assert a.completed_at == 1.0
         assert b.completed_at == 1.0
 
-    def test_one_envelope_per_link_at_a_time(self):
-        transport = self.mk()
-        first = transport.send(0, 1, b"x" * 1_000_000, at=0.0)
-        second = transport.send(0, 1, b"x" * 1_000_000, at=0.2)
-        assert second.started_at == first.completed_at
-        assert second.completed_at == 2.0
-        assert second.elapsed_s == 1.0  # queueing never hides inside elapsed
+    def test_a_dropped_send_raises_with_its_report(self):
+        transport = self.mk(latency=0.25, failure=1.0)
+        with pytest.raises(lm.TransportFailure, match="link 0->1 dropped 1000 bytes") as info:
+            transport.send(0, 1, b"x" * 1000, at=2.0)
+        report = info.value.report
+        assert not report.delivered
+        assert report.bytes == 1000
+        assert report.completed_at == 2.25  # at plus the link's latency, what a tour charges a failed attempt
 
 
 class TestFraming:
