@@ -1,4 +1,5 @@
-"""Mobile agents: roles, lifecycle hooks, duplication and itineraries.
+"""Mobile agents: roles, lifecycle hooks, duplication, itineraries and the
+job spec they run under.
 
 An agent is a small immutable value: identity, role, a reference to its job,
 and the partial result it carries as an opaque byte payload. Computation
@@ -12,7 +13,7 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import Callable
 
-from .errors import DuplicateVisit, RoleError
+from .errors import ConfigError, DuplicateVisit, RoleError
 
 # Plain ints, range-checked only at the wire boundary.
 NodeId = int
@@ -69,6 +70,32 @@ class TaskDescriptor:
     map_fn_id: str
     reduce_fn_id: str
     input_selector: bytes = b""
+
+
+@dataclass(frozen=True)
+class JobSpec:
+    """One job submission.
+
+    ``slave_count`` defaults to one slave per target node. ``combine``
+    names a registered commutative monoid; that algebra is what makes the
+    reducer order-independent.
+    """
+
+    job_id: int
+    task: TaskDescriptor
+    combine: str = "sum-by-key"
+    slave_count: int | None = None
+    target_nodes: tuple[NodeId, ...] | None = None
+
+    def __post_init__(self):
+        if self.slave_count is not None and self.slave_count < 1:
+            raise ConfigError("slave_count must be at least 1 when given")
+        if self.target_nodes is not None:
+            nodes = tuple(sorted(self.target_nodes))
+            repeated = sorted({a for a, b in zip(nodes, nodes[1:]) if a == b})
+            if repeated:
+                raise ConfigError(f"target nodes {repeated} are repeated")
+            object.__setattr__(self, "target_nodes", nodes)
 
 
 @dataclass(frozen=True)

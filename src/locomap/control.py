@@ -7,7 +7,7 @@ codec, ``pack_control`` and ``unpack_control``, over the JSON pair
 ``encode_control``/``decode_control``. A frame whose ``type`` names no
 kind, or whose fields are not exactly its kind's, each of its declared
 type (a selector as hex digit pairs), is a ``DecodeError``. The master's
-node watchers queue ``tcp_cluster.NodeExited``, which is no kind here:
+node watchers queue ``orchestration.NodeExited``, which is no kind here:
 it never crosses a socket. The kinds live in a module of their own so
 that ``python -m locomap.tcp_node``, which runs that module twice (as
 ``__main__`` and as itself), builds them once.
@@ -18,9 +18,8 @@ import re
 from dataclasses import dataclass, fields
 from typing import ClassVar, NewType, get_args, get_origin
 
-from .agents import NodeId, TaskDescriptor
+from .agents import JobSpec, NodeId, TaskDescriptor
 from .errors import DecodeError
-from .orchestration import JobSpec
 
 CONTROL_MAGIC = b"LCTL"
 

@@ -8,11 +8,13 @@ hands over its partial. The reducer folds partials with the job's
 commutative combine, so arrival order cannot matter. Both engines walk
 the routes ``plan_routes`` fixes up front, one ``host_and_route`` step
 per node; the sim adds a modeled clock, TCP (``tcp_cluster``,
-``tcp_node``) its frames and arrival reports. Both account for each
-slave only through its ``SlaveLedger``, which also decodes the partial
-a slave delivers and fails the slave there if it does not decode;
-``finish_job`` folds the decoded partials and builds the result from
-the ledgers. ``raw_data_bytes`` is the targets' heap bytes in both
+``tcp_node``) its frames and arrival reports. Both open the ledgers
+with ``open_ledgers`` and hand every later event to one ``account``: the
+sim reports the values the TCP master's queue holds. ``account`` turns
+each into calls on the slave's ``SlaveLedger``, which also decodes the
+partial a slave delivers and fails the slave there if it does not
+decode; ``finish_job`` folds the decoded partials and builds the result
+from the ledgers. ``raw_data_bytes`` is the targets' heap bytes in both
 engines.
 
 Raw records never cross the network. The only wire traffic is agent
@@ -33,12 +35,14 @@ from .agents import (
     AgentId,
     AgentIdAllocator,
     AgentRole,
+    JobSpec,
     LifecycleCallbacks,
     NodeId,
     TaskDescriptor,
     duplicate,
 )
-from .envelope import migrate
+from .control import Arrived, SlaveFailed
+from .envelope import envelope_size, migrate
 from .errors import (
     AllSlavesFailed,
     ConfigError,
@@ -54,32 +58,6 @@ from .registry import BUILTIN_JOBS, DEFAULT_REGISTRY, FunctionRegistry, decode_p
 from .transport import Topology
 
 logger = logging.getLogger("locomap.orchestration")
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """One job submission.
-
-    ``slave_count`` defaults to one slave per target node. ``combine``
-    names a registered commutative monoid; that algebra is what makes the
-    reducer order-independent.
-    """
-
-    job_id: int
-    task: TaskDescriptor
-    combine: str = "sum-by-key"
-    slave_count: int | None = None
-    target_nodes: tuple[NodeId, ...] | None = None
-
-    def __post_init__(self):
-        if self.slave_count is not None and self.slave_count < 1:
-            raise ConfigError("slave_count must be at least 1 when given")
-        if self.target_nodes is not None:
-            nodes = tuple(sorted(self.target_nodes))
-            repeated = sorted({a for a, b in zip(nodes, nodes[1:]) if a == b})
-            if repeated:
-                raise ConfigError(f"target nodes {repeated} are repeated")
-            object.__setattr__(self, "target_nodes", nodes)
 
 
 def builtin_job(
@@ -188,18 +166,19 @@ class SlaveReport:
 class SlaveLedger:
     """One slave's account, kept the same way by both engines.
 
-    The engines only report events to it: ``arrived`` for each envelope a
-    node (or the master) received, then ``deliver`` or ``fail``, and
-    ``node_exited`` for every node that died. ``hops`` maps a hop number
-    to the envelope bytes that arrived on that hop. The number is the
-    slave's itinerary length when it left: 0 for the master's dispatch,
-    then one more per node visited. Keying by hop makes a repeated arrival
-    count once. ``holder`` is the node that reported the latest hop, so a
-    repeat of an earlier one does not move it. ``deliver`` decodes the
-    partial into ``partial``; a partial that does not decode fails the
-    slave there, and its result message's bytes still count. Once the
-    slave has resolved (delivered or failed) every method does nothing,
-    so repeated and late events change nothing.
+    Only ``account`` and ``open_ledgers`` report events to it (and TCP's
+    deadline, ``fail``): ``arrived`` for each envelope a node (or the
+    master) received, then ``deliver`` or ``fail``, and ``node_exited``
+    for every node that died. ``hops`` maps a hop number to the envelope
+    bytes that arrived on that hop. The number is the slave's itinerary
+    length when it left: 0 for the master's dispatch, then one more per
+    node visited. Keying by hop makes a repeated arrival count once.
+    ``holder`` is the node that reported the latest hop, so a repeat of an
+    earlier one does not move it. ``deliver`` decodes the partial into
+    ``partial``; a partial that does not decode fails the slave there, and
+    its result message's bytes still count. Once the slave has resolved
+    (delivered or failed) every method does nothing, so repeated and late
+    events change nothing.
     """
 
     agent_id: AgentId
@@ -440,6 +419,63 @@ def plan_routes(assignment: dict[AgentId, tuple[NodeId, ...]], has_data: Callabl
     return {agent: nodes[:1] + tuple(n for n in nodes[1:] if has_data(n)) for agent, nodes in assignment.items()}
 
 
+def open_ledgers(plan: JobPlan, routes: dict[AgentId, tuple[NodeId, ...]]) -> dict[AgentId, SlaveLedger]:
+    """One ledger per slave, in plan order. A slave with an empty route
+    never leaves the master: it hands the identity partial over in place,
+    and its ledger resolves here."""
+    ledgers = {slave.id: SlaveLedger(slave.id, plan.assignment[slave.id]) for slave in plan.slaves}
+    for slave in plan.slaves:
+        if not routes[slave.id]:
+            ledgers[slave.id].deliver(home_message(slave, plan.combine))
+    return ledgers
+
+
+@dataclass(frozen=True)
+class NodeExited:
+    """A TCP node watcher's report that it reaped node ``node``: a value on
+    the master's queue that never crosses a socket."""
+
+    node: int
+    code: int
+
+
+def account(ledgers: dict[AgentId, SlaveLedger], combine, event) -> None:
+    """Report one event to the ledgers, the same way in both engines.
+
+    An event is a value the TCP master's queue holds, and the sim reports
+    the same values: ``Arrived`` for each hop to a node, the ``Agent``
+    itself when its envelope comes home (it is at no node, and hands its
+    partial to the reducer in place), a ``ResultMessage``, ``SlaveFailed``
+    with the reason, and ``NodeExited``, which fails every slave the node
+    holds. An event of any other class changes nothing.
+    """
+    if isinstance(event, NodeExited):
+        for ledger in ledgers.values():
+            ledger.node_exited(event.node, event.code)
+        return
+    if isinstance(event, Agent):
+        agent_id = event.id
+    elif isinstance(event, ResultMessage):
+        agent_id = event.from_agent
+    elif isinstance(event, (Arrived, SlaveFailed)):
+        agent_id = event.agent_id
+    else:
+        return
+    ledger = ledgers.get(agent_id)
+    if ledger is None:
+        logger.warning("frame for unknown agent %s", agent_id)
+    elif isinstance(event, Agent):
+        hop = len(event.itinerary)
+        ledger.arrived(hop, envelope_size(len(event.payload), hop), None)
+        ledger.deliver(home_message(event, combine))
+    elif isinstance(event, ResultMessage):
+        ledger.deliver(event)
+    elif isinstance(event, Arrived):
+        ledger.arrived(event.hop, event.bytes, event.node)
+    else:
+        ledger.fail(event.reason)
+
+
 def host_and_route(
     node: SensorNode, agent: Agent, spec: JobSpec, registry: FunctionRegistry, route: tuple[NodeId, ...], master: NodeId, results_only: bool
 ) -> tuple[Agent, NodeId, ResultMessage | None]:
@@ -464,7 +500,6 @@ def host_and_route(
 
 def _tour(
     slave: Agent,
-    partition: tuple[NodeId, ...],
     route: tuple[NodeId, ...],
     cluster: Cluster,
     transport,
@@ -472,10 +507,11 @@ def _tour(
     registry: FunctionRegistry,
     callbacks: LifecycleCallbacks,
     results_only: bool,
-) -> tuple[SlaveLedger, float]:
-    """Walk one slave along its route and deliver its partial.
-
-    Returns the slave's ledger and the modeled time it finished at.
+    report: Callable[[Any], None],
+) -> float:
+    """Walk one slave along its nonempty route and home, handing ``report``
+    each event as the TCP master would receive it. Returns the modeled
+    time the slave finished at.
     """
     master = cluster.topology.master
     t = 0.0
@@ -497,39 +533,27 @@ def _tour(
         nonlocal t
         t += seconds
 
-    ledger = SlaveLedger(slave.id, partition)
-    agent = slave
-    loc = master
-    fail = None
-    message = None
+    def send(one):
+        # One send under the retry policy; a send given up fails the slave.
+        value, fail = send_with_retry(lambda: attempt(one), backoff)
+        if fail is not None:
+            report(SlaveFailed(slave.id, spec.job_id, fail))
+        return value
 
-    if route:
-        nxt = route[0]
-        while True:
-            outcome, fail = send_with_retry(
-                lambda: attempt(lambda at: migrate(agent, loc, nxt, transport, callbacks, at=at)), backoff
-            )
-            if fail is not None:
-                break
-            ledger.arrived(len(agent.itinerary), outcome.bytes, nxt)
-            agent, loc = outcome.agent, nxt
-            if loc == master:
-                break
-            agent, nxt, message = host_and_route(cluster.nodes[loc], agent, spec, registry, route, master, results_only)
-            if message is not None:
-                break
-
-    if fail is None:
-        if message is None:
-            message = home_message(agent, registry.resolve_combine(spec.combine))
-        if loc != master:
+    agent, loc, nxt = slave, master, route[0]
+    while (outcome := send(lambda at: migrate(agent, loc, nxt, transport, callbacks, at=at))) is not None:
+        agent, loc = outcome.agent, nxt
+        if loc == master:
+            report(agent)
+            break
+        report(Arrived(agent.id, spec.job_id, len(agent.itinerary), outcome.bytes, loc))
+        agent, nxt, message = host_and_route(cluster.nodes[loc], agent, spec, registry, route, master, results_only)
+        if message is not None:
             wire = message.encode()
-            _, fail = send_with_retry(lambda: attempt(lambda at: transport.send(loc, master, wire, at=at)), backoff)
-    if fail is None:
-        ledger.deliver(message)
-    else:
-        ledger.fail(fail)
-    return ledger, t
+            if send(lambda at: transport.send(loc, master, wire, at=at)) is not None:
+                report(message)
+            break
+    return t
 
 
 def run_job(
@@ -554,12 +578,13 @@ def run_job(
 
     selector = spec.task.input_selector
     routes = plan_routes(plan.assignment, lambda n: not cluster.nodes[n].is_empty(selector))
-    tours = [
-        _tour(slave, plan.assignment[slave.id], routes[slave.id], cluster, transport, spec, registry, callbacks, results_only)
+    ledgers = open_ledgers(plan, routes)
+    finished_at = [
+        _tour(slave, routes[slave.id], cluster, transport, spec, registry, callbacks, results_only, lambda event: account(ledgers, plan.combine, event))
         for slave in plan.slaves
+        if routes[slave.id]
     ]
-    ledgers, finished_at = zip(*tours)
-    return finish_job(plan, ledgers, max(finished_at), raw_bytes)
+    return finish_job(plan, ledgers.values(), max(finished_at, default=0.0), raw_bytes)
 
 
 def sequential_oracle(

@@ -15,11 +15,9 @@ what the frame holds, so a frame that does not decode is left unacked
 and never queued; the watchers and a failed dispatch queue their
 ``NodeExited`` and ``SlaveFailed`` values directly, and the master's
 own events never become bytes (``NodeExited`` is no control frame, so
-no frame can report a node's exit). Collecting reports each value to
-its slave's ``SlaveLedger``, the same accounting the simulator keeps:
-envelope bytes for every hop plus result message bytes, and a result
-whose partial does not decode fails its slave there; control traffic
-is not data-plane and is not counted.
+no frame can report a node's exit). Collecting hands each value to
+``orchestration.account``, which the simulator calls with the same
+values; control traffic is not data-plane and is not counted.
 """
 
 from __future__ import annotations
@@ -33,26 +31,25 @@ import sys
 import threading
 import time
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
 
-from .agents import Agent
-from .envelope import envelope_size, pack
+from .envelope import pack
 from .errors import ConfigError, TransportFailure
 from .orchestration import (
     JobResult,
     JobSpec,
-    ResultMessage,
+    NodeExited,
     SlaveLedger,
+    account,
     finish_job,
-    home_message,
+    open_ledgers,
     plan_job,
     plan_routes,
     send_with_retry,
     warn_dropped,
 )
 from .registry import DEFAULT_REGISTRY
-from .control import Arrived, HasData, NodeReady, QueryData, RegisterJob, Shutdown, SlaveFailed, pack_control
+from .control import HasData, NodeReady, QueryData, RegisterJob, Shutdown, SlaveFailed, pack_control
 from .tcp_node import FrameServer, decode_frame, serve
 from .transport import TcpTransport, Topology
 
@@ -62,15 +59,6 @@ from .orchestration import aggregate, retry_policy  # noqa: F401
 from .registry import encode_partial  # noqa: F401
 
 logger = logging.getLogger("locomap.tcp_cluster")
-
-
-@dataclass(frozen=True)
-class NodeExited:
-    """A node watcher's report that it reaped node ``node``: a value on
-    the master's queue that never crosses a socket."""
-
-    node: int
-    code: int
 
 
 def _fork_node(server: FrameServer, node: tuple[int, int, str], host: str, mem_limit: int, job_module: str, log_dir: str) -> int:
@@ -147,66 +135,27 @@ def _await_each(events: queue.Queue, kind: type, expected: tuple[int, ...], dead
 
 
 def _collect(events: queue.Queue, ledgers: dict[int, SlaveLedger], combine, deadline: float) -> None:
-    """Consume events until every slave has resolved or the deadline passes.
+    """Hand each event to ``account`` until every slave has resolved, or
+    fail the unresolved ones when the deadline passes. A frame that did
+    not decode never reached the queue: its sender, left without an ack,
+    retries it or reports the slave failed.
 
-    Every event is a value, dispatched on its class; a class not handled
-    here changes nothing. A frame that did not decode never reached the
-    queue: its sender, left without an ack, retries it or reports the
-    slave failed.
-
-    A hop counts when its receiver reports it. A node sends ``arrived``,
-    and waits for its ack, before it acks the envelope, so every arrival
-    of a slave is queued here ahead of anything the hop causes, and the
-    holder is always the node that has the slave. An envelope coming
-    home counts its last hop here. Returning at the last resolution
-    therefore loses no hop. A resolved ledger ignores every later event,
-    so repeated and late events change nothing.
-
-    A ``NodeExited`` fails every unresolved slave that the node holds.
-    The master acks an ``arrived`` only after it is queued, and queues a
-    node's exit only once ``waitpid`` has reaped the node, so every
-    arrival the node saw acked is queued ahead of its exit, whether the
-    node died before it hosted the slave, while hosting, or before it
-    forwarded it.
+    A node sends ``arrived``, and waits for its ack, before it acks the
+    envelope, so every arrival of a slave is queued here ahead of
+    anything the hop causes, and the holder is always the node that has
+    the slave. Returning at the last resolution therefore loses no hop.
+    The master queues a node's exit only once ``waitpid`` has reaped the
+    node, so every arrival the node saw acked is queued ahead of its
+    exit, whether the node died before it hosted the slave, while
+    hosting, or before it forwarded it.
     """
-
-    def ledger_for(agent_id: int) -> SlaveLedger | None:
-        ledger = ledgers.get(agent_id)
-        if ledger is None:
-            logger.warning("frame for unknown agent %s", agent_id)
-        return ledger
-
-    def handle(event) -> None:
-        if isinstance(event, Agent):
-            ledger = ledger_for(event.id)
-            if ledger is not None:
-                # The slave is home, at no node; it hands its partial to the reducer locally.
-                hop = len(event.itinerary)
-                ledger.arrived(hop, envelope_size(len(event.payload), hop), None)
-                ledger.deliver(home_message(event, combine))
-        elif isinstance(event, ResultMessage):
-            ledger = ledger_for(event.from_agent)
-            if ledger is not None:
-                ledger.deliver(event)
-        elif isinstance(event, Arrived):
-            ledger = ledger_for(event.agent_id)
-            if ledger is not None:
-                ledger.arrived(event.hop, event.bytes, event.node)
-        elif isinstance(event, SlaveFailed):
-            ledger = ledger_for(event.agent_id)
-            if ledger is not None:
-                ledger.fail(event.reason)
-        elif isinstance(event, NodeExited):
-            for ledger in ledgers.values():
-                ledger.node_exited(event.node, event.code)
-
     while not all(ledger.resolved for ledger in ledgers.values()):
         event = _next_event(events, deadline)
         if event is None:
             for ledger in ledgers.values():
                 ledger.fail("timed out waiting for the slave")
             return
-        handle(event)
+        account(ledgers, combine, event)
 
 
 def run_tcp_job(
@@ -285,12 +234,10 @@ def run_tcp_job(
         routes = plan_routes(plan.assignment, lambda n: found[n].has_data)
         send_everywhere(RegisterJob.of(spec, results_only, master, transport.addresses, routes), "register the job")
 
-        ledgers = {slave.id: SlaveLedger(slave.id, plan.assignment[slave.id]) for slave in plan.slaves}
+        ledgers = open_ledgers(plan, routes)
         for slave in plan.slaves:
             route = routes[slave.id]
             if not route:
-                # Nothing to visit: identity partial, handed over in place.
-                ledgers[slave.id].deliver(home_message(slave, plan.combine))
                 continue
             _, fail = send(route[0], pack(slave))
             if fail is not None:

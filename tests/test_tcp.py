@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 import locomap as lm
-from locomap import AgentRole, tcp_cluster
-from locomap.orchestration import SlaveLedger
+from locomap import AgentRole, orchestration, tcp_cluster
+from locomap.orchestration import SlaveLedger, account
 from locomap.tcp_cluster import NodeExited, _await_each, _collect, _listen
 from locomap.control import (
     Arrived,
@@ -1105,8 +1105,22 @@ class TestRoutesMatchTheSimEngine:
         cluster = lm.Cluster.from_topology(topology)
         for path in data_dir.glob("node_*.tsv"):
             cluster.nodes[int(path.stem[5:])].ingest(lm.load_records_tsv(path))
-        sim = lm.run_job(spec, cluster, lm.SimTransport(topology), results_only=results_only)
-        tcp = lm.run_tcp_job(spec, topology, data_dir, results_only=results_only, timeout_s=30.0)
+        handed = {"sim": {}, "tcp": {}}  # the values each engine hands account, per slave
+
+        def recording(engine):
+            def record(ledgers, combine, event):
+                agent_id = event.id if isinstance(event, lm.Agent) else event.from_agent if isinstance(event, lm.ResultMessage) else event.agent_id
+                handed[engine].setdefault(agent_id, []).append(event)
+                account(ledgers, combine, event)
+
+            return record
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(orchestration, "account", recording("sim"))
+            sim = lm.run_job(spec, cluster, lm.SimTransport(topology), results_only=results_only)
+            patch.setattr(tcp_cluster, "account", recording("tcp"))
+            tcp = lm.run_tcp_job(spec, topology, data_dir, results_only=results_only, timeout_s=30.0)
+        assert handed["tcp"] == handed["sim"]
         assert tcp.final == sim.final
         assert tcp.migrations_total == sim.migrations_total
         assert tcp.bytes_transferred_total == sim.bytes_transferred_total
@@ -1116,7 +1130,7 @@ class TestRoutesMatchTheSimEngine:
         return sim
 
     @pytest.mark.parametrize("selector", [b"", b"k4"])
-    @pytest.mark.parametrize("slave_count", [1, 3])
+    @pytest.mark.parametrize("slave_count", [1, 3, 9])
     @pytest.mark.parametrize("results_only", [False, True])
     def test_counts_and_reports_are_equal(self, node_set, selector, slave_count, results_only):
         topology, data_dir = node_set
