@@ -176,9 +176,11 @@ class SlaveLedger:
     ``holder`` is the node that reported the latest hop, so a repeat of an
     earlier one does not move it. ``deliver`` decodes the partial into
     ``partial``; a partial that does not decode fails the slave there, and
-    its result message's bytes still count. Once the slave has resolved
-    (delivered or failed) every method does nothing, so repeated and late
-    events change nothing.
+    its result message's bytes still count. A message handed over
+    ``in_place``, by a slave home in its envelope or one that never left
+    the master, crossed no link and counts nothing. Once the slave has
+    resolved (delivered or failed) every method does nothing, so repeated
+    and late events change nothing.
     """
 
     agent_id: AgentId
@@ -186,6 +188,7 @@ class SlaveLedger:
     hops: dict[int, int] = field(default_factory=dict)
     holder: NodeId | None = None
     message: ResultMessage | None = None
+    message_bytes: int = 0
     partial: Any = None
     fail_reason: str | None = None
 
@@ -203,9 +206,10 @@ class SlaveLedger:
                 self.holder = node
             self.hops[hop] = nbytes
 
-    def deliver(self, message: ResultMessage) -> None:
+    def deliver(self, message: ResultMessage, in_place: bool = False) -> None:
         if not self.resolved:
             self.message = message
+            self.message_bytes = 0 if in_place else message.size_bytes
             try:
                 self.partial = decode_partial(message.partial)
             except DecodeError as exc:
@@ -226,7 +230,7 @@ class SlaveLedger:
             nodes=self.partition,
             delivered=self.delivered,
             migrations=len(self.hops),
-            bytes_sent=sum(self.hops.values()) + (self.message.size_bytes if self.message is not None else 0),
+            bytes_sent=sum(self.hops.values()) + self.message_bytes,
             fail_reason=self.fail_reason,
         )
 
@@ -426,7 +430,7 @@ def open_ledgers(plan: JobPlan, routes: dict[AgentId, tuple[NodeId, ...]]) -> di
     ledgers = {slave.id: SlaveLedger(slave.id, plan.assignment[slave.id]) for slave in plan.slaves}
     for slave in plan.slaves:
         if not routes[slave.id]:
-            ledgers[slave.id].deliver(home_message(slave, plan.combine))
+            ledgers[slave.id].deliver(home_message(slave, plan.combine), in_place=True)
     return ledgers
 
 
@@ -445,9 +449,10 @@ def account(ledgers: dict[AgentId, SlaveLedger], combine, event) -> None:
     An event is a value the TCP master's queue holds, and the sim reports
     the same values: ``Arrived`` for each hop to a node, the ``Agent``
     itself when its envelope comes home (it is at no node, and hands its
-    partial to the reducer in place), a ``ResultMessage``, ``SlaveFailed``
-    with the reason, and ``NodeExited``, which fails every slave the node
-    holds. An event of any other class changes nothing.
+    partial to the reducer in place), a ``ResultMessage``, the only
+    partial that crossed a link, ``SlaveFailed`` with the reason, and
+    ``NodeExited``, which fails every slave the node holds. An event of
+    any other class changes nothing.
     """
     if isinstance(event, NodeExited):
         for ledger in ledgers.values():
@@ -467,7 +472,7 @@ def account(ledgers: dict[AgentId, SlaveLedger], combine, event) -> None:
     elif isinstance(event, Agent):
         hop = len(event.itinerary)
         ledger.arrived(hop, envelope_size(len(event.payload), hop), None)
-        ledger.deliver(home_message(event, combine))
+        ledger.deliver(home_message(event, combine), in_place=True)
     elif isinstance(event, ResultMessage):
         ledger.deliver(event)
     elif isinstance(event, Arrived):
