@@ -179,9 +179,13 @@ def run_tcp_job(
     base_port+1+i. With ``log_dir``, each node's stderr goes to
     ``node_<id>.log`` there. Data files are looked up as
     ``node_<id>.tsv`` under ``data_dir`` and loaded by the node processes
-    themselves.
+    themselves. A topology with a lossy link is a ConfigError, since TCP
+    mode drops no sends.
     """
     plan = plan_job(spec, topology, DEFAULT_REGISTRY)
+    lossy = next((link for link in topology.links.values() if link.failure_prob), None)
+    if lossy is not None:
+        raise ConfigError(f"TCP mode cannot drop sends, but link {lossy.src} -> {lossy.dst} has failure_prob {lossy.failure_prob}")
     master, targets = plan.master, plan.targets
 
     events: queue.Queue = queue.Queue()

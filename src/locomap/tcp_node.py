@@ -26,7 +26,9 @@ Each frame is acknowledged with a single 0x06 byte once the receiver
 has accepted it, and master and node keep one rule: the handler decodes
 the frame before the ack, so a frame that does not decode (an
 ``EnvelopeError`` or a ``DecodeError``) is logged in one line and left
-unacked, and its sender's retry policy takes over. A node acks an
+unacked, and its sender's retry policy takes over. A node acks only the
+kinds it takes: a result message, or a control kind only the master
+takes, is rejected the same way. A node acks an
 envelope before it hosts it, hosts one agent at a time, and drops a
 repeat for the same (job, agent, hop): a sender retrying after a lost
 acknowledgement.
@@ -56,7 +58,7 @@ from .agents import Agent, LifecycleCallbacks
 from .control import CONTROL_MAGIC, Arrived, ControlFrame, HasData, NodeReady, QueryData, RegisterJob, Shutdown, SlaveFailed, pack_control, unpack_control
 from .control import decode_control, encode_control  # noqa: F401  (perfbench's spawn probe imports them from here)
 from .envelope import MAGIC, pack, unpack
-from .errors import LocomapError, TransportFailure
+from .errors import DecodeError, LocomapError, TransportFailure
 from .nodes import SensorNode, load_records_tsv
 from .orchestration import ResultMessage, decode_result, host_and_route, send_with_retry
 from .registry import DEFAULT_REGISTRY, FunctionRegistry, build_default_registry
@@ -200,13 +202,14 @@ class NodeProcess:
     def _on_frame(self, frame: bytes):
         """FrameServer handler; returns what runs after the ack: the hosting
         step of an accepted envelope, the answer to a has-data query, or
-        the shutdown. A frame that does not decode raises, unacked."""
+        the shutdown. A frame that does not decode, or that a node does not
+        take (a result message, or a control kind sent to the master), raises,
+        unacked."""
         value = decode_frame(frame)
         if isinstance(value, Agent):
             return self._accept_envelope(value, len(frame))
         if isinstance(value, ResultMessage):
-            logger.warning("node %s ignoring unexpected result message", self.node.id)
-            return None
+            raise DecodeError(f"node {self.node.id} takes no result message")
         return self._on_control(value)
 
     def _on_control(self, control: ControlFrame):
@@ -222,7 +225,7 @@ class NodeProcess:
             # Set after the ack: once it is set the node may exit at any time.
             return self.shutdown.set
         else:
-            logger.warning("node %s ignoring %s", self.node.id, control)
+            raise DecodeError(f"node {self.node.id} takes no {control.kind} frame")
 
     def _accept_envelope(self, agent: Agent, nbytes: int):
         """Accept an arriving agent, from an envelope of ``nbytes`` bytes,

@@ -1,7 +1,27 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+from locomap.transport import SimTransport  # noqa: E402
+
+
+@pytest.fixture
+def delivered_sim_sends(monkeypatch) -> list[int]:
+    """The size of every payload a ``SimTransport.send`` delivers during the
+    test, in order; a dropped send raises and is not recorded."""
+    sizes: list[int] = []
+    send = SimTransport.send
+
+    def recording_send(transport, src, dst, payload, at=0.0):
+        report = send(transport, src, dst, payload, at)
+        sizes.append(len(payload))
+        return report
+
+    monkeypatch.setattr(SimTransport, "send", recording_send)
+    return sizes
 
 
 def pytest_runtest_logreport(report):

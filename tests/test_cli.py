@@ -292,6 +292,16 @@ def test_a_master_port_out_of_range_is_exit_1(workspace, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_a_lossy_topology_is_exit_1_in_tcp_mode(capsys, monkeypatch):
+    # TCP mode drops no sends, so it names the first lossy link and forks nothing.
+    monkeypatch.setattr(tcp_cluster.os, "fork", lambda: pytest.fail("nodes forked"))
+    argv = ["run", "--mode", "tcp", "--topology", CONFIGS / "iot8_lossy.json", "--data-dir", CONFIGS / "sample_data"]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: TCP mode cannot drop sends, but link 0 -> 1 has failure_prob 0.5")
+    assert "Traceback" not in err
+
+
 class TestCompare:
     def test_default_baseline_matches_reference_costs(self, workspace, capsys):
         code = run_cli("compare", "--topology", workspace / "topo.json", "--data-dir", workspace / "data", "--seed", "2")

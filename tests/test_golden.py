@@ -14,6 +14,7 @@ the default sizes at ``--repeats 3`` (migration at ``--seed 11``), e.g.:
         --output tests/golden/bench_migration_sim.csv
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -34,13 +35,27 @@ CASES = [(topo, seed, flags) for topo in ("iot3", "iot8") for seed in (0, 1) for
 CASES += [("iot8_lossy", seed, flags) for seed in (0, 1) for flags in ("none", "results-only")]
 
 
-@pytest.mark.parametrize("topo,seed,flags", CASES, ids=[f"{t}_seed{s}_{f}" for t, s, f in CASES])
-def test_sim_output_matches_golden(tmp_path, topo, seed, flags):
+def run_case(tmp_path, topo, seed, flags) -> Path:
+    """Run one golden case; the path of its output document."""
     out = tmp_path / "out.json"
     argv = ["run", "--topology", ROOT / "configs" / f"{topo}.json", "--data-dir", ROOT / "configs" / "sample_data"]
     argv += ["--seed", seed, *FLAGS[flags], "--output", out]
     assert main([str(a) for a in argv]) == 0
+    return out
+
+
+@pytest.mark.parametrize("topo,seed,flags", CASES, ids=[f"{t}_seed{s}_{f}" for t, s, f in CASES])
+def test_sim_output_matches_golden(tmp_path, topo, seed, flags):
+    out = run_case(tmp_path, topo, seed, flags)
     assert out.read_bytes() == (GOLDEN / f"{topo}_seed{seed}_{flags}.json").read_bytes()
+
+
+@pytest.mark.parametrize("topo,seed,flags", CASES, ids=[f"{t}_seed{s}_{f}" for t, s, f in CASES])
+def test_counted_bytes_are_the_bytes_links_delivered(tmp_path, delivered_sim_sends, topo, seed, flags):
+    # Every envelope and result message a link delivered, and nothing else:
+    # no dropped send, and no partial handed over in place at the master.
+    doc = json.loads(run_case(tmp_path, topo, seed, flags).read_text())
+    assert doc["bytes_transferred_total"] == sum(delivered_sim_sends)
 
 
 BENCH = {"duplication": [], "migration": ["--seed", "11"]}

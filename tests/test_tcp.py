@@ -6,6 +6,7 @@ import shutil
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -17,6 +18,7 @@ from locomap import AgentRole, orchestration, tcp_cluster
 from locomap.orchestration import SlaveLedger, account
 from locomap.tcp_cluster import NodeExited, _await_each, _collect, _listen
 from locomap.control import (
+    CONTROL_MAGIC,
     Arrived,
     HasData,
     NodeReady,
@@ -176,6 +178,26 @@ class TestControlCodec:
                     transport.send(0, 1, frame)
             assert rejections(caplog) == [("rejected a frame", None)] * len(UNDECODABLE)
             assert not proc.shutdown.is_set()
+            assert events.empty()
+            transport.send(0, 1, pack_control(Shutdown()))
+            assert proc.shutdown.wait(10.0)
+        finally:
+            proc.shutdown.set()
+            proc.server.stop()
+
+
+    def test_node_leaves_every_frame_it_does_not_take_unacked(self, master_inbox, caplog):
+        server, events = master_inbox
+        proc = start_node(lm.SensorNode(id=1), server)
+        not_taken = {f"{kind} frame": CONTROL_FRAMES[kind][1] for kind in ("node_ready", "has_data", "arrived", "slave_failed")}
+        not_taken["result message"] = lm.ResultMessage(from_agent=10, partial=PARTIAL).encode()
+        try:
+            transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
+            for frame in not_taken.values():
+                with pytest.raises(lm.TransportFailure, match="closed without acknowledging"):
+                    transport.send(0, 1, frame)
+            rejected = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+            assert rejected == [f"rejected a frame: DecodeError: node 1 takes no {what}" for what in not_taken]
             assert events.empty()
             transport.send(0, 1, pack_control(Shutdown()))
             assert proc.shutdown.wait(10.0)
@@ -755,6 +777,16 @@ class TestRunTcpJob:
             with pytest.raises(lm.ConfigError, match=f"the master cannot listen on 127.0.0.1:{port}"):
                 lm.run_tcp_job(spec, topology, data_dir, base_port=port, timeout_s=30.0)
 
+    def test_a_lossy_link_is_a_config_error_and_forks_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tcp_cluster, "_listen", lambda *a: pytest.fail("listened"))
+        monkeypatch.setattr(tcp_cluster.os, "fork", lambda: pytest.fail("forked a node"))
+        data_dir = write_node_files(tmp_path, {1: [b"a"], 2: [b"b"]})
+        topology = lm.Topology.full_mesh(0, [1, 2], bandwidth_bytes_per_s=1e6)
+        topology.links[(2, 0)] = lm.SimLink(2, 0, bandwidth_bytes_per_s=1e6, failure_prob=0.25)
+        spec = lm.builtin_job("wordcount", job_id=1)
+        with pytest.raises(lm.ConfigError, match=r"^TCP mode cannot drop sends, but link 2 -> 0 has failure_prob 0.25$"):
+            lm.run_tcp_job(spec, topology, data_dir, timeout_s=30.0)
+
     def test_master_as_target_is_rejected(self):
         topology = lm.Topology.full_mesh(0, [1, 2], bandwidth_bytes_per_s=1e6)
         spec = lm.builtin_job("wordcount", job_id=1, target_nodes=[0, 1])
@@ -1088,9 +1120,30 @@ class TestRunTcpJob:
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+def record_accepted_data_frames(patch, into_dir):
+    """Make every ``FrameServer`` built from now on, in this process and in
+    the nodes it forks, write the size of each envelope and result message
+    its handler accepted to ``<into_dir>/<pid>``. The line is written before
+    the frame is acked, so it is on disk before its sender can go on."""
+    init = FrameServer.__init__
+
+    def recording_init(server, host, port, handler):
+        def record(frame):
+            then = handler(frame)
+            if frame[:4] != CONTROL_MAGIC:
+                with open(os.path.join(into_dir, str(os.getpid())), "a") as log:
+                    log.write(f"{len(frame)}\n")
+            return then
+
+        init(server, host, port, record)
+
+    patch.setattr(FrameServer, "__init__", recording_init)
+
+
 class TestRoutesMatchTheSimEngine:
     """TCP slaves skip the nodes that hold nothing for the selector, as
-    sim slaves do, so every count and every slave report is equal."""
+    sim slaves do, so each engine hands ``account`` the same values, and
+    every count and every slave report is equal."""
 
     @pytest.fixture(params=["iot3", "iot8"])
     def node_set(self, request, tmp_path):
@@ -1102,7 +1155,7 @@ class TestRoutesMatchTheSimEngine:
         return lm.Topology.from_file(CONFIGS / f"{request.param}.json"), data_dir
 
     @staticmethod
-    def assert_engines_agree(spec, topology, data_dir, results_only=False):
+    def assert_engines_agree(spec, topology, data_dir, sim_sends, results_only=False):
         cluster = lm.Cluster.from_topology(topology)
         for path in data_dir.glob("node_*.tsv"):
             cluster.nodes[int(path.stem[5:])].ingest(lm.load_records_tsv(path))
@@ -1116,12 +1169,17 @@ class TestRoutesMatchTheSimEngine:
 
             return record
 
-        with pytest.MonkeyPatch.context() as patch:
+        with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as accepted:
             patch.setattr(orchestration, "account", recording("sim"))
             sim = lm.run_job(spec, cluster, lm.SimTransport(topology), results_only=results_only)
             patch.setattr(tcp_cluster, "account", recording("tcp"))
+            record_accepted_data_frames(patch, accepted)
             tcp = lm.run_tcp_job(spec, topology, data_dir, results_only=results_only, timeout_s=30.0)
+            tcp_frames = [int(line) for path in Path(accepted).iterdir() for line in path.read_text().split()]
         assert handed["tcp"] == handed["sim"]
+        # Every counted byte crossed a link: an envelope or a result message its receiver accepted.
+        assert sim.bytes_transferred_total == sum(sim_sends)
+        assert tcp.bytes_transferred_total == sum(tcp_frames)
         assert tcp.final == sim.final
         assert tcp.migrations_total == sim.migrations_total
         assert tcp.bytes_transferred_total == sim.bytes_transferred_total
@@ -1133,18 +1191,18 @@ class TestRoutesMatchTheSimEngine:
     @pytest.mark.parametrize("selector", [b"", b"k4"])
     @pytest.mark.parametrize("slave_count", [1, 3, 9])
     @pytest.mark.parametrize("results_only", [False, True])
-    def test_counts_and_reports_are_equal(self, node_set, selector, slave_count, results_only):
+    def test_counts_and_reports_are_equal(self, node_set, delivered_sim_sends, selector, slave_count, results_only):
         topology, data_dir = node_set
         spec = lm.builtin_job("wordcount", job_id=1, slave_count=slave_count, selector=selector)
-        self.assert_engines_agree(spec, topology, data_dir, results_only)
+        self.assert_engines_agree(spec, topology, data_dir, delivered_sim_sends, results_only)
 
-    def test_raw_data_is_the_targets_heap_bytes(self, tmp_path):
+    def test_raw_data_is_the_targets_heap_bytes(self, tmp_path, delivered_sim_sends):
         # Node 3 holds data but is no target: neither engine reads it.
         data_dir = tmp_path / "data"
         shutil.copytree(CONFIGS / "sample_data", data_dir)
         topology = lm.Topology.from_file(CONFIGS / "iot3.json")
         spec = lm.builtin_job("wordcount", job_id=1, target_nodes=[1, 2])
-        sim = self.assert_engines_agree(spec, topology, data_dir)
+        sim = self.assert_engines_agree(spec, topology, data_dir, delivered_sim_sends)
         targets = [r for n in (1, 2) for r in lm.load_records_tsv(data_dir / f"node_{n}.tsv")]
         assert sim.raw_data_bytes == sum(len(k) + len(v) for k, v in targets)
         assert sim.final == lm.sequential_oracle(spec.task, spec.combine, targets)

@@ -310,6 +310,25 @@ class TestTcpTransport:
         warnings = [r.getMessage() for r in caplog.records]
         assert len(warnings) == 1 and warnings[0].startswith("could not acknowledge a frame: "), warnings
 
+    def test_work_after_the_ack_that_raises_is_logged_and_the_server_serves_on(self, caplog):
+        def fail():
+            raise RuntimeError("hosting failed")
+
+        got = []
+        server = FrameServer("127.0.0.1", 0, lambda frame: got.append(frame) or (fail if frame == b"bad" else None))
+        server.start()
+        try:
+            transport = lm.TcpTransport({1: (server.host, server.port)})
+            assert transport.send(0, 1, b"bad").delivered  # acked before the work runs
+            deadline = time.monotonic() + 10.0
+            while "work after the ack failed" not in caplog.text and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert transport.send(0, 1, b"next").delivered
+        finally:
+            server.stop()
+        assert [(r.getMessage(), r.exc_info[0]) for r in caplog.records] == [("work after the ack failed", RuntimeError)]
+        assert got == [b"bad", b"next"]
+
     def test_a_frame_over_the_cap_fails_before_connecting(self, monkeypatch):
         monkeypatch.setattr(lm.transport, "MAX_FRAME", 1000)
         got = []
