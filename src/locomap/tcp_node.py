@@ -22,16 +22,15 @@ Control frames are the frozen dataclasses of ``locomap.control``, one
 per kind, which both ends build and read through its one codec,
 ``pack_control`` and ``unpack_control``.
 
-Each frame is acknowledged with a single 0x06 byte once the receiver
-has accepted it, and master and node keep one rule: the handler decodes
-the frame before the ack, so a frame that does not decode (an
+Each frame is acknowledged with a single 0x06 byte once the receiver has
+accepted it, and master and node keep one rule: the handler decodes the
+frame before the ack, so a frame that does not decode (an
 ``EnvelopeError`` or a ``DecodeError``) is logged in one line and left
 unacked, and its sender's retry policy takes over. A node acks only the
 kinds it takes: a result message, or a control kind only the master
-takes, is rejected the same way. A node acks an
-envelope before it hosts it, hosts one agent at a time, and drops a
-repeat for the same (job, agent, hop): a sender retrying after a lost
-acknowledgement.
+takes, is rejected the same way. A node acks an envelope before it hosts
+it, hosts one agent at a time, and drops a repeat for the same (job,
+agent, hop): a sender retrying after a lost acknowledgement.
 
 Every frame a node sends, control or data, goes through
 ``TcpTransport.send`` and the one retry loop, ``send_with_retry``. A hop
