@@ -84,8 +84,10 @@ from .transport import (
 
 __version__ = "0.1.0"
 
-# Loaded on first use, so that a node process, which imports only
-# locomap.tcp_node, loads neither the cost experiments nor the master.
+# Loaded on first use. ``python -m locomap.tcp_node`` imports this package
+# first; an eager tcp_cluster would import locomap.tcp_node before runpy
+# runs it, and runpy warns of that. It also keeps the cost experiments and
+# the master out of a node's cold start.
 _LAZY = dict.fromkeys(
     ("BaselineParams", "ComparisonReport", "CostRecord", "compare", "duplication_experiment", "hadoop_baseline", "migration_experiment", "write_cost_csv"),
     "cost",

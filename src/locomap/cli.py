@@ -116,6 +116,17 @@ def _timeout_s(args, default: float) -> float:
     return args.timeout
 
 
+def _import_job_module(name: str) -> None:
+    """Import --job-module, if given, before the job is built; in TCP mode
+    the forked nodes inherit what it registers."""
+    if not name:
+        return
+    try:
+        importlib.import_module(name)
+    except ImportError as exc:
+        raise ConfigError(f"cannot import --job-module {name}: {exc}") from None
+
+
 # Run options that only one mode reads; giving one in the other mode is an error.
 _MODE_ONLY = {"seed": "sim", "base_port": "tcp", "timeout": "tcp", "node_logs": "tcp"}
 
@@ -123,8 +134,7 @@ _MODE_ONLY = {"seed": "sim", "base_port": "tcp", "timeout": "tcp", "node_logs": 
 def _execute(args) -> tuple[dict, object, int]:
     """Shared by run and compare: run the job per the config, build the
     output document, map total failure to exit code 2."""
-    if args.job_module:
-        importlib.import_module(args.job_module)
+    _import_job_module(args.job_module)
     for name, mode in _MODE_ONLY.items():
         if args.mode != mode and getattr(args, name) is not None:
             raise ConfigError(f"--{name.replace('_', '-')} applies to {mode} mode only")
@@ -149,7 +159,6 @@ def _execute(args) -> tuple[dict, object, int]:
                 base_port=args.base_port or 0,
                 timeout_s=_timeout_s(args, 60.0),
                 node_mem_limit=args.mem_limit,
-                job_module=args.job_module,
                 log_dir=args.node_logs,
             )
     except AllSlavesFailed as exc:
@@ -197,8 +206,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.job_module:
-        importlib.import_module(args.job_module)
+    _import_job_module(args.job_module)
     root = Path(args.data_dir)
     if not root.is_dir():
         raise ConfigError(f"data directory {root} does not exist")

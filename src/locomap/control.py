@@ -8,9 +8,7 @@ codec, ``pack_control`` and ``unpack_control``, over the JSON pair
 kind, or whose fields are not exactly its kind's, each of its declared
 type (a selector as hex digit pairs), is a ``DecodeError``. The master's
 node watchers queue ``orchestration.NodeExited``, which is no kind here:
-it never crosses a socket. The kinds live in a module of their own so
-that ``python -m locomap.tcp_node``, which runs that module twice (as
-``__main__`` and as itself), builds them once.
+it never crosses a socket.
 """
 
 import json

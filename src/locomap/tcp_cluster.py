@@ -61,11 +61,11 @@ from .registry import encode_partial  # noqa: F401
 logger = logging.getLogger("locomap.tcp_cluster")
 
 
-def _fork_node(server: FrameServer, node: tuple[int, int, str], host: str, mem_limit: int, job_module: str, log_dir: str) -> int:
+def _fork_node(server: FrameServer, node: tuple[int, int, str], host: str, mem_limit: int, log_dir: str | Path | None) -> int:
     """Fork a process that runs ``tcp_node.serve`` for ``node``, a
-    ``(node_id, port, data_file)``; its pid. The child keeps every module
-    the master imported and puts the ``PYTHONPATH`` entries in front of
-    ``sys.path``, as a new interpreter would."""
+    ``(node_id, port, data_file)``; its pid. The child keeps every module,
+    patch and registered function the master holds, and its stderr goes
+    to ``node_<id>.log`` under ``log_dir``, or to the null device."""
     sys.stdout.flush()
     sys.stderr.flush()
     pid = os.fork()
@@ -76,12 +76,11 @@ def _fork_node(server: FrameServer, node: tuple[int, int, str], host: str, mem_l
     code = 1
     try:
         server._sock.close()  # the child's copy; the master's stays open
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, 2)
-        os.close(devnull)
+        log = os.open(os.path.join(log_dir, f"node_{node[0]}.log") if log_dir else os.devnull, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+        os.dup2(log, 2)
+        os.close(log)
         sys.stderr = open(2, "w", buffering=1, errors="backslashreplace", closefd=False)
-        sys.path[:0] = [entry for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep) if entry]
-        code = serve(*node, (server.host, server.port), host, mem_limit, job_module, log_dir)
+        code = serve(*node, (server.host, server.port), host, mem_limit)
     except BaseException:
         traceback.print_exc()
     finally:
@@ -168,7 +167,6 @@ def run_tcp_job(
     base_port: int = 0,
     timeout_s: float = 60.0,
     node_mem_limit: int = 1 << 30,
-    job_module: str = "",
     log_dir: str | Path | None = None,
 ) -> JobResult:
     """Run one job over freshly forked local node processes.
@@ -206,7 +204,7 @@ def run_tcp_job(
                 node = (node_id, port, str(data_file) if data_file is not None and data_file.exists() else "")
                 # Forked before any thread of this job starts; the listening
                 # socket already queues the nodes' node_ready connections.
-                pids[_fork_node(server, node, host, node_mem_limit, job_module, "" if log_dir is None else str(log_dir))] = node_id
+                pids[_fork_node(server, node, host, node_mem_limit, log_dir)] = node_id
         finally:
             # Every forked node gets its watcher, also when a later fork failed.
             for pid, node_id in pids.items():

@@ -1,16 +1,16 @@
 """Sensor node processes for TCP mode.
 
 ``serve`` runs one node in the calling process. The TCP master forks
-one process per node and runs ``serve`` in each; ``python -m
-locomap.tcp_node --node-id N --master HOST:PORT`` runs one from the
-command line. Each node imports any job module first, so the module's
-patches to this module reach that node and nothing else. A job module
-that the master imports too must start no thread at import, since the
-master forks after it; no node runs ``atexit`` handlers, because every
-node leaves with ``os._exit``, skipping interpreter finalization. Each
-node loads its data file into a heap store, listens for framed
-messages, and decodes each with ``decode_frame``, which tells three
-kinds of traffic apart by the first four bytes of the frame:
+one process per node and runs ``serve`` in each, so a node holds every
+module, patch and registered function the master held when it forked:
+a job module is imported by the master, and must start no thread at
+import, since the master forks after it. ``python -m locomap.tcp_node
+--node-id N --master HOST:PORT`` runs one node from the command line.
+No node runs ``atexit`` handlers, because every node leaves with
+``os._exit``, skipping interpreter finalization. Each node loads its
+data file into a heap store, listens for framed messages, and decodes
+each with ``decode_frame``, which tells three kinds of traffic apart by
+the first four bytes of the frame:
 
   - ``LMAP`` agent envelopes: host the agent over the local heap, pick
     the next hop on the slave's route, and forward it on a fresh connection.
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib
 import logging
 import os
 import socket
@@ -60,7 +59,7 @@ from .envelope import MAGIC, pack, unpack
 from .errors import DecodeError, LocomapError, TransportFailure
 from .nodes import SensorNode, load_records_tsv
 from .orchestration import ResultMessage, decode_result, host_and_route, send_with_retry
-from .registry import DEFAULT_REGISTRY, FunctionRegistry, build_default_registry
+from .registry import DEFAULT_REGISTRY, FunctionRegistry
 from .transport import ACK, TcpTransport, read_frame
 
 logger = logging.getLogger("locomap.tcp_node")
@@ -164,9 +163,9 @@ class FrameServer:
 class NodeProcess:
     """The in-process half of one sensor node: server, hosting, routing."""
 
-    def __init__(self, node: SensorNode, host: str, port: int, master_addr: tuple[str, int], registry: FunctionRegistry | None = None):
+    def __init__(self, node: SensorNode, host: str, port: int, master_addr: tuple[str, int], registry: FunctionRegistry = DEFAULT_REGISTRY):
         self.node = node
-        self.registry = registry or build_default_registry()
+        self.registry = registry
         self.callbacks = LifecycleCallbacks()
         self._jobs: dict[int, RegisterJob] = {}
         self._seen: set[tuple[int, int, int]] = set()
@@ -278,14 +277,9 @@ class NodeProcess:
         return self._send(self._master, "master", pack_control(frame))
 
 
-def serve(node_id: int, port: int, data_file: str, master: tuple[str, int], host="127.0.0.1", mem_limit=1 << 30, job_module="", log_dir="") -> int:
-    """Run one node in this process: import any job module, load the data
-    file (none when empty), serve until shutdown; the exit code. With
-    ``log_dir``, stderr goes to ``node_<id>.log`` there."""
-    if log_dir:
-        log = os.open(os.path.join(log_dir, f"node_{node_id}.log"), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-        os.dup2(log, 2)
-        os.close(log)
+def serve(node_id: int, port: int, data_file: str, master: tuple[str, int], host="127.0.0.1", mem_limit=1 << 30) -> int:
+    """Run one node in this process, logging to stderr: load the data
+    file (none when empty), serve until shutdown; the exit code."""
     logging.basicConfig(
         level=os.environ.get("LOCOMAP_LOG", "INFO").upper(),
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
@@ -293,12 +287,10 @@ def serve(node_id: int, port: int, data_file: str, master: tuple[str, int], host
     )
     node = SensorNode(id=node_id, mem_bytes_limit=mem_limit)
     try:
-        if job_module:
-            importlib.import_module(job_module)
         if data_file:
             stored = node.ingest(load_records_tsv(data_file))
             logger.info("node %s ingested %d records (%d bytes, %d dropped)", node.id, stored, node.heap.total_bytes, node.dropped)
-        return NodeProcess(node, host, port, master, registry=DEFAULT_REGISTRY).run_until_shutdown()
+        return NodeProcess(node, host, port, master).run_until_shutdown()
     except LocomapError as exc:
         logger.error("node %s aborting: %s", node_id, exc)
     except Exception:
@@ -309,26 +301,17 @@ def serve(node_id: int, port: int, data_file: str, master: tuple[str, int], host
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="locomap-node", description="Run one sensor node process")
     parser.add_argument("--node-id", type=int, action="append", required=True, help="the one node this process serves")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=0, help="0 (the default) picks a free port")
     parser.add_argument("--master", required=True, help="host:port of the master listener")
     parser.add_argument("--data-file", default="", help="TSV records to ingest at startup")
-    parser.add_argument("--mem-limit", type=int, default=1 << 30)
-    parser.add_argument("--job-module", default="", help="module imported at startup to register custom functions")
-    parser.add_argument("--log-dir", default="", help="stderr goes to node_<id>.log here")
     args = parser.parse_args(argv)
     if len(args.node_id) > 1:
         parser.error("give --node-id once: a process serves one node")
     host, _, master_port = args.master.partition(":")
-    return serve(args.node_id[0], args.port, args.data_file, (host, int(master_port)), args.host, args.mem_limit, args.job_module, args.log_dir)
+    return serve(args.node_id[0], 0, args.data_file, (host, int(master_port)))
 
 
 if __name__ == "__main__":
-    # Run main from the imported module, not from this __main__ copy, so a
-    # job module's patches to locomap.tcp_node reach the node. Skip
-    # interpreter finalization, as a node forked by the master does.
-    from locomap import tcp_node
-
-    code = tcp_node.main()
+    # Skip interpreter finalization, as a node forked by the master does.
+    code = main()
     logging.shutdown()
     os._exit(code)

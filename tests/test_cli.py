@@ -302,6 +302,49 @@ def test_a_lossy_topology_is_exit_1_in_tcp_mode(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+JOB_MODULE_COMMANDS = {
+    "run-sim": ["run", "--mode", "sim", "--seed", "7", "--topology", CONFIGS / "iot3.json"],
+    "run-tcp": ["run", "--mode", "tcp", "--timeout", "30", "--topology", CONFIGS / "iot3.json"],
+    "oracle": ["oracle"],
+}
+
+
+@pytest.mark.parametrize("argv", JOB_MODULE_COMMANDS.values(), ids=JOB_MODULE_COMMANDS)
+def test_a_job_module_that_cannot_be_imported_is_exit_1_in_one_line(capsys, monkeypatch, argv):
+    # The CLI imports the module before the job is built, so no node is forked.
+    monkeypatch.setattr(tcp_cluster.os, "fork", lambda: pytest.fail("nodes forked"))
+    assert run_cli(*argv, "--data-dir", CONFIGS / "sample_data", "--job-module", "locomap_no_such_job") == 1
+    err = capsys.readouterr().err
+    assert err == "error: cannot import --job-module locomap_no_such_job: No module named 'locomap_no_such_job'\n"
+
+
+def test_a_job_module_on_sys_path_runs_in_every_mode(tmp_path, monkeypatch):
+    # The module registers a map and a job name. The CLI imports it, and in
+    # TCP mode the nodes the master forks hold what it registered.
+    (tmp_path / "locomap_upper_job.py").write_text(
+        "import locomap as lm\n"
+        "\n"
+        "def upper_words(key, value):\n"
+        "    for word in value.split():\n"
+        "        yield word.decode().upper(), 1\n"
+        "\n"
+        "lm.DEFAULT_REGISTRY.register_map('upper-wordcount-map', upper_words)\n"
+        "lm.BUILTIN_JOBS['upper-wordcount'] = ('upper-wordcount-map', 'identity', 'sum-by-key')\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    docs = {}
+    for name, argv in JOB_MODULE_COMMANDS.items():
+        out = tmp_path / f"{name}.json"
+        job = ["--job", "upper-wordcount", "--job-module", "locomap_upper_job"]
+        assert run_cli(*argv, "--data-dir", CONFIGS / "sample_data", *job, "--output", out) == 0
+        docs[name] = json.loads(out.read_text())
+    final = docs["oracle"]["final"]
+    assert final and all(word.isupper() for word in final)
+    for name in ("run-sim", "run-tcp"):
+        assert docs[name]["final"] == final, name
+        assert docs[name]["slaves_failed"] == 0, name
+
+
 class TestCompare:
     def test_default_baseline_matches_reference_costs(self, workspace, capsys):
         code = run_cli("compare", "--topology", workspace / "topo.json", "--data-dir", workspace / "data", "--seed", "2")

@@ -2,6 +2,7 @@ import importlib
 import logging
 import os
 import queue
+import re
 import shutil
 import socket
 import subprocess
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import locomap as lm
-from locomap import AgentRole, orchestration, tcp_cluster
+from locomap import AgentRole, orchestration, tcp_cluster, tcp_node
 from locomap.orchestration import SlaveLedger, account
 from locomap.tcp_cluster import NodeExited, _await_each, _collect, _listen
 from locomap.control import (
@@ -730,7 +731,8 @@ class TestRunTcpJob:
         assert result.final == lm.sequential_oracle(spec.task, spec.combine, records)
 
     def test_a_job_module_imported_by_the_master_reaches_the_nodes(self, tmp_path, monkeypatch):
-        # Found through sys.path only: no PYTHONPATH names its directory.
+        # Found through sys.path only: no PYTHONPATH names its directory, and
+        # no node imports it; each forked node holds what the master imported.
         (tmp_path / "locomap_masteronly.py").write_text(
             "import locomap as lm\n"
             "\n"
@@ -746,7 +748,7 @@ class TestRunTcpJob:
         data_dir = write_node_files(tmp_path, {1: [b"a b", b"c"], 2: [b"a"], 3: [b"b b c"]})
         topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
         spec = lm.JobSpec(job_id=1, task=lm.TaskDescriptor("shout-wordcount", "identity"), combine="sum-by-key")
-        result = lm.run_tcp_job(spec, topology, data_dir, timeout_s=30.0, job_module="locomap_masteronly")
+        result = lm.run_tcp_job(spec, topology, data_dir, timeout_s=30.0)
         assert result.final == {"A": 2, "B": 3, "C": 2}
 
     def test_forks_before_any_thread_of_the_job_starts(self, tmp_path, monkeypatch):
@@ -813,17 +815,15 @@ class TestRunTcpJob:
         log = (tmp_path / "logs" / "node_2.log").read_text()
         assert "node 2 aborting" in log and "node_2.tsv, line 2: empty record key" in log
 
-    def test_job_module_that_cannot_be_imported_fails_fast(self, tmp_path):
+    def test_a_node_log_that_cannot_be_opened_fails_fast(self, tmp_path):
         data_dir = write_node_files(tmp_path, {1: [b"a"], 2: [b"b"]})
+        (tmp_path / "logs" / "node_2.log").mkdir(parents=True)  # a directory where node 2's log goes
         topology = lm.Topology.full_mesh(0, [1, 2], bandwidth_bytes_per_s=1e6)
         spec = lm.builtin_job("wordcount", job_id=1)
         started = time.monotonic()
-        with pytest.raises(lm.ConfigError, match=r"node [12] exited with code 1 before the cluster was ready") as exc:
-            lm.run_tcp_job(spec, topology, data_dir, timeout_s=30.0, job_module="locomap_no_such_job", log_dir=tmp_path / "logs")
+        with pytest.raises(lm.ConfigError, match=r"node 2 exited with code 1 before the cluster was ready"):
+            lm.run_tcp_job(spec, topology, data_dir, timeout_s=30.0, log_dir=tmp_path / "logs")
         assert time.monotonic() - started < 4
-        node = str(exc.value).split()[1]
-        assert "No module named 'locomap_no_such_job'" in (tmp_path / "logs" / f"node_{node}.log").read_text()
-        assert not (tmp_path / "logs" / "launcher.log").exists()
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
     def test_a_node_slow_to_start_is_stopped_when_the_job_fails_early(self, tmp_path, monkeypatch):
@@ -854,32 +854,23 @@ class TestRunTcpJob:
         assert len(seen) == 3  # one fork per node
         assert [pid for pid in seen if process_running(pid)] == []
 
-    def test_node_killed_mid_tour_fails_only_its_slave(self, tmp_path, monkeypatch):
-        # A map function that kills its node process on a "die" record. The
-        # nodes import the module through job_module; this process imports it
-        # too, so the job's map id is registered on the master.
-        (tmp_path / "locomap_killjob.py").write_text(
-            "import os\n"
-            "import locomap as lm\n"
-            "\n"
-            "def die_or_count(key, value):\n"
-            "    if value == b'die':\n"
-            "        os._exit(17)\n"
-            "    for word in value.split():\n"
-            "        yield word.decode(), 1\n"
-            "\n"
-            "lm.DEFAULT_REGISTRY.register_map('die-wordcount', die_or_count)\n"
-        )
-        monkeypatch.syspath_prepend(str(tmp_path))
-        monkeypatch.setenv("PYTHONPATH", str(tmp_path))
-        importlib.import_module("locomap_killjob")
+    def test_node_killed_mid_tour_fails_only_its_slave(self, tmp_path):
+        # A map function that kills its node process on a "die" record,
+        # registered here before the master forks the nodes.
+        def die_or_count(key, value):
+            if value == b"die":
+                os._exit(17)
+            for word in value.split():
+                yield word.decode(), 1
+
+        lm.DEFAULT_REGISTRY.register_map("die-wordcount", die_or_count)
 
         node_values = {1: [b"a b", b"c"], 2: [b"a", b"die"], 3: [b"b b c"]}
         data_dir = write_node_files(tmp_path, node_values)
         topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
         spec = lm.JobSpec(job_id=1, task=lm.TaskDescriptor("die-wordcount", "identity"), combine="sum-by-key")
         started = time.monotonic()
-        result = lm.run_tcp_job(spec, topology, data_dir, timeout_s=30, job_module="locomap_killjob")
+        result = lm.run_tcp_job(spec, topology, data_dir, timeout_s=30)
         # The node's exit report fails the slave at once, not at the deadline.
         assert time.monotonic() - started < 4
 
@@ -899,60 +890,48 @@ class TestRunTcpJob:
         ],
     )
     def test_node_killed_by_the_has_data_query_fails_the_job_fast(self, tmp_path, monkeypatch, when, error):
-        # A job module that makes node 2 exit when the has-data query
-        # arrives: before it acks the query, or right after.
-        (tmp_path / "locomap_querykill.py").write_text(
-            "import os\n"
-            "\n"
-            "from locomap.tcp_node import NodeProcess\n"
-            "on_control = NodeProcess._on_control\n"
-            "\n"
-            "def die_on_query(self, doc):\n"
-            "    if self.node.id == 2 and doc.kind == 'query_data':\n"
-            "        if os.environ['LOCOMAP_DIE_WHEN'] == 'before_ack':\n"
-            "            os._exit(23)\n"
-            "        return lambda: os._exit(23)\n"
-            "    return on_control(self, doc)\n"
-            "\n"
-            "NodeProcess._on_control = die_on_query\n"
-        )
-        monkeypatch.setenv("PYTHONPATH", str(tmp_path))
-        monkeypatch.setenv("LOCOMAP_DIE_WHEN", when)
+        # Node 2 exits when the has-data query arrives: before it acks the
+        # query, or right after. The master never calls NodeProcess; the
+        # nodes it forks inherit the patch.
+        on_control = NodeProcess._on_control
+
+        def die_on_query(self, control):
+            if self.node.id == 2 and isinstance(control, QueryData):
+                if when == "before_ack":
+                    os._exit(23)
+                return lambda: os._exit(23)
+            return on_control(self, control)
+
+        monkeypatch.setattr(NodeProcess, "_on_control", die_on_query)
         data_dir = write_node_files(tmp_path, {1: [b"a"], 2: [b"b"], 3: [b"c"]})
         topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
         spec = lm.builtin_job("wordcount", job_id=1)
         started = time.monotonic()
         with pytest.raises(lm.ConfigError, match=error):
-            lm.run_tcp_job(spec, topology, data_dir, timeout_s=30, job_module="locomap_querykill")
+            lm.run_tcp_job(spec, topology, data_dir, timeout_s=30)
         assert time.monotonic() - started < 4
 
     def test_node_that_cannot_answer_the_has_data_query_fails_the_job_fast(self, tmp_path, monkeypatch):
-        # A job module whose node 2 finds the master refusing every attempt
-        # to deliver its has_data answer; the node gives up and exits 1.
-        (tmp_path / "locomap_hasdatalost.py").write_text(
-            "from locomap.errors import ConnectRefused\n"
-            "from locomap.control import HasData\n"
-            "from locomap.tcp_node import NodeProcess, decode_frame\n"
-            "send = NodeProcess._send\n"
-            "\n"
-            "class Refusing:\n"
-            "    def send(self, src, dst, payload, at=0.0):\n"
-            "        raise ConnectRefused('master refused the has_data answer')\n"
-            "\n"
-            "def lose_has_data(self, transport, dst, payload):\n"
-            "    if self.node.id == 2 and isinstance(decode_frame(payload), HasData):\n"
-            "        transport = Refusing()\n"
-            "    return send(self, transport, dst, payload)\n"
-            "\n"
-            "NodeProcess._send = lose_has_data\n"
-        )
-        monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+        # Node 2 finds the master refusing every attempt to deliver its
+        # has_data answer; the node gives up and exits 1.
+        class Refusing:
+            def send(self, src, dst, payload, at=0.0):
+                raise lm.ConnectRefused("master refused the has_data answer")
+
+        send = NodeProcess._send
+
+        def lose_has_data(self, transport, dst, payload):
+            if self.node.id == 2 and isinstance(decode_frame(payload), HasData):
+                transport = Refusing()
+            return send(self, transport, dst, payload)
+
+        monkeypatch.setattr(NodeProcess, "_send", lose_has_data)
         data_dir = write_node_files(tmp_path, {1: [b"a"], 2: [b"b"], 3: [b"c"]})
         topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
         spec = lm.builtin_job("wordcount", job_id=1)
         started = time.monotonic()
         with pytest.raises(lm.ConfigError, match=r"node 2 exited with code 1 before every node answered the has-data query"):
-            lm.run_tcp_job(spec, topology, data_dir, timeout_s=30, job_module="locomap_hasdatalost")
+            lm.run_tcp_job(spec, topology, data_dir, timeout_s=30)
         assert time.monotonic() - started < 4
 
     @pytest.mark.parametrize(
@@ -966,48 +945,38 @@ class TestRunTcpJob:
         ],
     )
     def test_node_death_fails_its_slave_at_once(self, tmp_path, monkeypatch, where, results_only, migrations):
-        # A job module that makes node 2 exit at one step of its part of
-        # the protocol. The killed slave counts only the hops that arrived.
-        (tmp_path / "locomap_nodedeath.py").write_text(
-            "import os\n"
-            "\n"
-            "from locomap.control import CONTROL_MAGIC\n"
-            "from locomap.tcp_node import NodeProcess\n"
-            "\n"
-            "WHERE = os.environ['LOCOMAP_DIE_WHERE']\n"
-            "accept, host, send = NodeProcess._accept_envelope, NodeProcess._host_and_forward, NodeProcess._send\n"
-            "\n"
-            "def die_at(self, where):\n"
-            "    if self.node.id == 2 and where == WHERE:\n"
-            "        os._exit(29)\n"
-            "\n"
-            "def wrapped_accept(self, agent, nbytes):\n"
-            "    die_at(self, 'accept')\n"
-            "    then = accept(self, agent, nbytes)\n"
-            "    die_at(self, 'arrival_acked')\n"
-            "    return then\n"
-            "\n"
-            "def wrapped_host(self, agent):\n"
-            "    die_at(self, 'hosting')\n"
-            "    return host(self, agent)\n"
-            "\n"
-            "def wrapped_send(self, transport, dst, payload):\n"
-            "    if payload[:4] != CONTROL_MAGIC:\n"
-            "        die_at(self, 'send')\n"
-            "    return send(self, transport, dst, payload)\n"
-            "\n"
-            "NodeProcess._accept_envelope = wrapped_accept\n"
-            "NodeProcess._host_and_forward = wrapped_host\n"
-            "NodeProcess._send = wrapped_send\n"
-        )
-        monkeypatch.setenv("PYTHONPATH", str(tmp_path))
-        monkeypatch.setenv("LOCOMAP_DIE_WHERE", where)
+        # Node 2 exits at one step of its part of the protocol. The killed
+        # slave counts only the hops that arrived.
+        accept, host, send = NodeProcess._accept_envelope, NodeProcess._host_and_forward, NodeProcess._send
+
+        def die_at(node, step):
+            if node.node.id == 2 and step == where:
+                os._exit(29)
+
+        def wrapped_accept(self, agent, nbytes):
+            die_at(self, "accept")
+            then = accept(self, agent, nbytes)
+            die_at(self, "arrival_acked")
+            return then
+
+        def wrapped_host(self, agent):
+            die_at(self, "hosting")
+            return host(self, agent)
+
+        def wrapped_send(self, transport, dst, payload):
+            if payload[:4] != CONTROL_MAGIC:
+                die_at(self, "send")
+            return send(self, transport, dst, payload)
+
+        monkeypatch.setattr(NodeProcess, "_accept_envelope", wrapped_accept)
+        monkeypatch.setattr(NodeProcess, "_host_and_forward", wrapped_host)
+        monkeypatch.setattr(NodeProcess, "_send", wrapped_send)
         node_values = {1: [b"a b", b"c"], 2: [b"a"], 3: [b"b b c"]}
         data_dir = write_node_files(tmp_path, node_values)
         topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
         spec = lm.builtin_job("wordcount", job_id=1)
         started = time.monotonic()
-        result = lm.run_tcp_job(spec, topology, data_dir, results_only=results_only, timeout_s=30, job_module="locomap_nodedeath")
+        result = lm.run_tcp_job(spec, topology, data_dir, results_only=results_only, timeout_s=30)
         assert time.monotonic() - started < 4
 
         assert (result.partials_received, result.slaves_failed, result.slave_count) == (2, 1, 3)
@@ -1019,28 +988,24 @@ class TestRunTcpJob:
         assert killed.migrations == migrations
 
     def test_a_forward_that_does_not_decode_fails_its_slave_at_once(self, tmp_path, monkeypatch):
-        # A job module whose nodes flip one bit of the CRC-32 of every
-        # envelope they forward. The master leaves each unacked, so each
-        # node gives its forward up and reports the slave failed.
-        (tmp_path / "locomap_corruptforward.py").write_text(
-            "from locomap import tcp_node\n"
-            "\n"
-            "pack = tcp_node.pack\n"
-            "\n"
-            "def corrupt_pack(agent, callbacks=None):\n"
-            "    frame = bytearray(pack(agent, callbacks))\n"
-            "    frame[-1] ^= 0x01  # the envelope's CRC-32 ends the frame\n"
-            "    return bytes(frame)\n"
-            "\n"
-            "tcp_node.pack = corrupt_pack\n"
-        )
-        monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+        # The nodes flip one bit of the CRC-32 of every envelope they
+        # forward; the master packs through tcp_cluster.pack, unpatched. The
+        # master leaves each forward unacked, so each node gives it up and
+        # reports the slave failed.
+        pack = tcp_node.pack
+
+        def corrupt_pack(agent, callbacks=None):
+            frame = bytearray(pack(agent, callbacks))
+            frame[-1] ^= 0x01  # the envelope's CRC-32 ends the frame
+            return bytes(frame)
+
+        monkeypatch.setattr(tcp_node, "pack", corrupt_pack)
         data_dir = write_node_files(tmp_path, {1: [b"a b", b"c"], 2: [b"a"], 3: [b"b b c"]})
         topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
         spec = lm.builtin_job("wordcount", job_id=1)
         started = time.monotonic()
         with pytest.raises(lm.AllSlavesFailed) as failed:
-            lm.run_tcp_job(spec, topology, data_dir, timeout_s=30, job_module="locomap_corruptforward")
+            lm.run_tcp_job(spec, topology, data_dir, timeout_s=30)
         assert time.monotonic() - started < 4
 
         result = failed.value.result
@@ -1052,29 +1017,23 @@ class TestRunTcpJob:
             assert report.migrations == 1  # the dispatch; the corrupt hop home never arrived
 
     def test_a_result_whose_partial_does_not_decode_fails_its_slave_at_once(self, tmp_path, monkeypatch):
-        # A job module whose node 2 sends home a result message with a valid
-        # CRC-32 over a partial that is not JSON. The master acks it; the
-        # slave's ledger fails the slave when it is delivered.
-        (tmp_path / "locomap_badpartial.py").write_text(
-            "from locomap import tcp_node\n"
-            "from locomap.orchestration import ResultMessage\n"
-            "\n"
-            "host_and_route = tcp_node.host_and_route\n"
-            "\n"
-            "def bad_partial(node, agent, spec, registry, route, master, results_only):\n"
-            "    agent, nxt, message = host_and_route(node, agent, spec, registry, route, master, results_only)\n"
-            "    if node.id == 2 and message is not None:\n"
-            "        message = ResultMessage(message.from_agent, b'not json')\n"
-            "    return agent, nxt, message\n"
-            "\n"
-            "tcp_node.host_and_route = bad_partial\n"
-        )
-        monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+        # Node 2 sends home a result message with a valid CRC-32 over a
+        # partial that is not JSON. The master acks it; the slave's ledger
+        # fails the slave when it is delivered.
+        host_and_route = tcp_node.host_and_route
+
+        def bad_partial(node, agent, spec, registry, route, master, results_only):
+            agent, nxt, message = host_and_route(node, agent, spec, registry, route, master, results_only)
+            if node.id == 2 and message is not None:
+                message = lm.ResultMessage(message.from_agent, b"not json")
+            return agent, nxt, message
+
+        monkeypatch.setattr(tcp_node, "host_and_route", bad_partial)
         data_dir = write_node_files(tmp_path, {1: [b"a b", b"c"], 2: [b"a"], 3: [b"b b c"]})
         topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
         spec = lm.builtin_job("wordcount", job_id=1)
         started = time.monotonic()
-        result = lm.run_tcp_job(spec, topology, data_dir, results_only=True, timeout_s=30, job_module="locomap_badpartial")
+        result = lm.run_tcp_job(spec, topology, data_dir, results_only=True, timeout_s=30)
         assert time.monotonic() - started < 4
 
         assert (result.partials_received, result.slaves_failed, result.slave_count) == (2, 1, 3)
@@ -1228,6 +1187,20 @@ class TestNodeStartup:
         proc = self.run_python("-m", "locomap.tcp_node", "--help")
         assert proc.returncode == 0, proc.stderr
         assert "--node-id" in proc.stdout
+        assert sorted(set(re.findall(r"--[a-z-]+", proc.stdout))) == ["--data-file", "--help", "--master", "--node-id"]
+        # Run as __main__, the module never imports itself a second time.
+        proc = self.run_python(
+            "-c",
+            "import runpy, sys\n"
+            "sys.argv[1:] = ['--help']\n"
+            "try:\n"
+            "    runpy.run_module('locomap.tcp_node', run_name='__main__')\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print('locomap.tcp_node' in sys.modules)",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_node_import_leaves_out_the_master_and_the_cost_code(self):
         proc = self.run_python(

@@ -1,4 +1,6 @@
 import json
+import logging
+import queue
 import random
 import socket
 import struct
@@ -216,6 +218,26 @@ class TestTcpTransport:
             while "peer closed mid-frame" not in caplog.text and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert [r.getMessage() for r in caplog.records] == ["dropped inbound connection: peer closed mid-frame"]
+            assert lm.TcpTransport({1: (server.host, server.port)}).send(0, 1, b"next").delivered
+        finally:
+            server.stop()
+        assert got == [b"next"]
+
+    def test_server_closes_a_connection_without_a_byte_in_silence_and_serves_the_next(self, caplog, monkeypatch):
+        # Each connection's thread reports when it is done, so the empty
+        # connection is known to be served before the next frame is sent.
+        caplog.set_level(logging.DEBUG, logger="locomap.tcp_node")
+        served = queue.Queue()
+        serve_one = FrameServer._serve_one
+        monkeypatch.setattr(FrameServer, "_serve_one", lambda server, conn: (serve_one(server, conn), served.put(conn)))
+        got = []
+        server = FrameServer("127.0.0.1", 0, got.append)
+        server.start()
+        try:
+            socket.create_connection((server.host, server.port)).close()
+            served.get(timeout=10.0)
+            assert got == []
+            assert caplog.records == []
             assert lm.TcpTransport({1: (server.host, server.port)}).send(0, 1, b"next").delivered
         finally:
             server.stop()
