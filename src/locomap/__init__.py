@@ -74,7 +74,6 @@ from .registry import (
 from .transport import (
     DeliveryReport,
     LINK_PRESETS,
-    SimCpuModel,
     SimLink,
     SimTransport,
     TcpTransport,

@@ -1,5 +1,6 @@
-"""Control frames for TCP mode: the messages that announce nodes, register
-a job, report arrivals and failures, and shut nodes down.
+"""Control frames for TCP mode: the messages that announce each node and
+whether it holds data for the job's selector, register the job, report
+arrivals and failures, and shut nodes down.
 
 Each kind is one frozen dataclass whose fields are the frame's JSON
 fields, and both ends build and read every control frame through one
@@ -46,29 +47,14 @@ class ControlFrame:
 
 @dataclass(frozen=True)
 class NodeReady(ControlFrame, kind="node_ready"):
-    """Node to master, once it serves: where it listens, what it holds."""
+    """Node to master, once it serves: where it listens, what it holds,
+    and whether its heap holds a record for the job's selector."""
 
     node: NodeId
     host: str
     port: int
     heap_bytes: int
     dropped: int
-
-
-@dataclass(frozen=True)
-class QueryData(ControlFrame, kind="query_data"):
-    """Master to node: does the heap hold a record for the selector?"""
-
-    job_id: int
-    selector_hex: Hex
-
-
-@dataclass(frozen=True)
-class HasData(ControlFrame, kind="has_data"):
-    """Node to master: the answer to a ``QueryData``."""
-
-    node: NodeId
-    job_id: int
     has_data: bool
 
 

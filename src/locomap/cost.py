@@ -28,7 +28,7 @@ from .agents import Agent, AgentIdAllocator, AgentRole, LifecycleCallbacks, dupl
 from .envelope import MigrationPhases, migrate
 from .errors import ConfigError, TransportFailure
 from .orchestration import JobResult
-from .transport import SimCpuModel
+from .transport import sim_duplication_times
 
 logger = logging.getLogger("locomap.cost")
 
@@ -106,7 +106,6 @@ def duplication_experiment(
     """
     if mode not in ("sim", "measured"):
         raise ConfigError(f"unknown duplication mode {mode!r}")
-    model = SimCpuModel()
     callbacks = callbacks if callbacks is not None else LifecycleCallbacks()
 
     def sample(mapper: Agent) -> MigrationPhases:
@@ -119,7 +118,7 @@ def duplication_experiment(
         callbacks.fire_arrive(clone)
         t3 = time.perf_counter()
         if mode == "sim":
-            copy_s, callback_s = model.duplication_times(len(copied))
+            copy_s, callback_s = sim_duplication_times(len(copied))
         else:
             copy_s, callback_s = t2 - t1, (t1 - t0) + (t3 - t2)
         return MigrationPhases(copy_s, 0.0, 0.0, callback_s, 0.0)

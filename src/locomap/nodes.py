@@ -43,8 +43,9 @@ class HeapStore:
     """Ordered in-memory records standing in for a file system: two
     parallel lists, ``keys`` and ``values``.
 
-    The first scan after an extend sorts both in place by key alone,
-    stably, so scans see ascending keys, insertion order within a key.
+    The first scan after an extend (``records_matching``, or ``has_match``
+    of a non-empty selector) sorts both in place by key alone, stably, so
+    scans see ascending keys, insertion order within a key.
     ``total_bytes`` adds up the ``nbytes`` of every extend.
     """
 
@@ -85,6 +86,9 @@ class HeapStore:
         return zip(keys[lo:hi], self.values[lo:hi])
 
     def has_match(self, selector: bytes) -> bool:
+        if not selector:
+            # Every record matches the empty prefix: no sort needed.
+            return bool(self.keys)
         keys = self._sort()
         i = bisect_left(keys, selector)
         return i < len(keys) and keys[i].startswith(selector)

@@ -1,13 +1,13 @@
 """Master-side supervision for TCP mode.
 
 The master (this process) forks one node process per sensor node for
-each job, reaps each in a watcher thread, and queues its exit as a
-``NodeExited`` value. The master waits for the nodes to announce
-themselves, asks each whether it holds data for the job's selector,
-plans the routes from the answers as the sim does, registers the job
-with them everywhere, injects the slaves, and then collects whatever
-comes back: arriving agents, remote result messages, failure notices,
-arrival reports and node exits.
+each job, handing each the job's input selector, reaps each in a watcher
+thread, and queues its exit as a ``NodeExited`` value. The master waits
+for the nodes to announce themselves, each saying whether it holds data
+for the selector, plans the routes from the announcements as the sim
+does, registers the job with them everywhere, injects the slaves, and
+then collects whatever comes back: arriving agents, remote result
+messages, failure notices, arrival reports and node exits.
 
 One queue holds every event as a value. The master's listener decodes
 each frame with ``tcp_node.decode_frame`` before it acks it and queues
@@ -49,7 +49,7 @@ from .orchestration import (
     warn_dropped,
 )
 from .registry import DEFAULT_REGISTRY
-from .control import HasData, NodeReady, QueryData, RegisterJob, Shutdown, SlaveFailed, pack_control
+from .control import NodeReady, RegisterJob, Shutdown, SlaveFailed, pack_control
 from .tcp_node import FrameServer, decode_frame, serve
 from .transport import TcpTransport, Topology
 
@@ -61,11 +61,12 @@ from .registry import encode_partial  # noqa: F401
 logger = logging.getLogger("locomap.tcp_cluster")
 
 
-def _fork_node(server: FrameServer, node: tuple[int, int, str], host: str, mem_limit: int, log_dir: str | Path | None) -> int:
+def _fork_node(server: FrameServer, node: tuple[int, int, str], selector: bytes, host: str, mem_limit: int, log_dir: str | Path | None) -> int:
     """Fork a process that runs ``tcp_node.serve`` for ``node``, a
-    ``(node_id, port, data_file)``; its pid. The child keeps every module,
-    patch and registered function the master holds, and its stderr goes
-    to ``node_<id>.log`` under ``log_dir``, or to the null device."""
+    ``(node_id, port, data_file)``, and the job's input ``selector``; its
+    pid. The child keeps every module, patch and registered function the
+    master holds, and its stderr goes to ``node_<id>.log`` under
+    ``log_dir``, or to the null device."""
     sys.stdout.flush()
     sys.stderr.flush()
     pid = os.fork()
@@ -80,7 +81,7 @@ def _fork_node(server: FrameServer, node: tuple[int, int, str], host: str, mem_l
         os.dup2(log, 2)
         os.close(log)
         sys.stderr = open(2, "w", buffering=1, errors="backslashreplace", closefd=False)
-        code = serve(*node, (server.host, server.port), host, mem_limit)
+        code = serve(*node, (server.host, server.port), selector, host, mem_limit)
     except BaseException:
         traceback.print_exc()
     finally:
@@ -111,22 +112,18 @@ def _next_event(events: queue.Queue, deadline: float):
         return None
 
 
-def _await_each(events: queue.Queue, kind: type, expected: tuple[int, ...], deadline: float, before: str) -> dict[int, NodeReady | HasData]:
-    """Wait for one control frame of class ``kind`` from every expected
-    node; returns the frames by node.
-
-    A node that exits first fails the wait at once; ``before`` names the
-    stage in that error.
-    """
-    frames: dict[int, NodeReady | HasData] = {}
+def _await_each(events: queue.Queue, expected: tuple[int, ...], deadline: float) -> dict[int, NodeReady]:
+    """Wait for the ``NodeReady`` frame of every expected node; returns
+    the frames by node. A node that exits first fails the wait at once."""
+    frames: dict[int, NodeReady] = {}
     while len(frames) < len(expected):
         event = _next_event(events, deadline)
         if event is None:
-            raise ConfigError(f"nodes {sorted(set(expected) - set(frames))} sent no {kind.kind} before the deadline")
+            raise ConfigError(f"nodes {sorted(set(expected) - set(frames))} sent no {NodeReady.kind} before the deadline")
         if isinstance(event, NodeExited):
-            raise ConfigError(f"node {event.node} exited with code {event.code} before {before}")
-        if type(event) is not kind or event.node not in expected:
-            logger.warning("unexpected %s before %s", type(event).__name__, before)
+            raise ConfigError(f"node {event.node} exited with code {event.code} before the cluster was ready")
+        if type(event) is not NodeReady or event.node not in expected:
+            logger.warning("unexpected %s before the cluster was ready", type(event).__name__)
             continue
         frames[event.node] = event
         logger.info("node %s: %s", event.node, event)
@@ -204,7 +201,7 @@ def run_tcp_job(
                 node = (node_id, port, str(data_file) if data_file is not None and data_file.exists() else "")
                 # Forked before any thread of this job starts; the listening
                 # socket already queues the nodes' node_ready connections.
-                pids[_fork_node(server, node, host, node_mem_limit, log_dir)] = node_id
+                pids[_fork_node(server, node, spec.task.input_selector, host, node_mem_limit, log_dir)] = node_id
         finally:
             # Every forked node gets its watcher, also when a later fork failed.
             for pid, node_id in pids.items():
@@ -212,7 +209,7 @@ def run_tcp_job(
                 watchers[pid].start()
         server.start()
 
-        ready = _await_each(events, NodeReady, targets, deadline, "the cluster was ready")
+        ready = _await_each(events, targets, deadline)
         raw_bytes = sum(frame.heap_bytes for frame in ready.values())
         warn_dropped({n: ready[n].dropped for n in targets})
         addresses = {n: (frame.host, frame.port) for n, frame in ready.items()}
@@ -221,20 +218,15 @@ def run_tcp_job(
         def send(dst, payload):
             return send_with_retry(lambda: transport.send(master, dst, payload), time.sleep)
 
-        def send_everywhere(control: QueryData | RegisterJob, what: str) -> None:
-            frame = pack_control(control)
-            for node_id in targets:
-                _, fail = send(node_id, frame)
-                if fail is not None:
-                    raise ConfigError(f"could not {what} at node {node_id}: {fail}")
-
-        # Heaps do not change during a job, so one has-data round fixes every
+        # Heaps do not change during a job, so the ready frames fix every
         # route; register_job, carrying the routes, is the last control
         # frame before dispatch.
-        send_everywhere(QueryData(spec.job_id, spec.task.input_selector.hex()), "query data")
-        found = _await_each(events, HasData, targets, deadline, "every node answered the has-data query")
-        routes = plan_routes(plan.assignment, lambda n: found[n].has_data)
-        send_everywhere(RegisterJob.of(spec, results_only, master, transport.addresses, routes), "register the job")
+        routes = plan_routes(plan.assignment, lambda n: ready[n].has_data)
+        registration = pack_control(RegisterJob.of(spec, results_only, master, transport.addresses, routes))
+        for node_id in targets:
+            _, fail = send(node_id, registration)
+            if fail is not None:
+                raise ConfigError(f"could not register the job at node {node_id}: {fail}")
 
         ledgers = open_ledgers(plan, routes)
         for slave in plan.slaves:

@@ -2,20 +2,23 @@
 
 ``serve`` runs one node in the calling process. The TCP master forks
 one process per node and runs ``serve`` in each, so a node holds every
-module, patch and registered function the master held when it forked:
-a job module is imported by the master, and must start no thread at
-import, since the master forks after it. ``python -m locomap.tcp_node
---node-id N --master HOST:PORT`` runs one node from the command line.
-No node runs ``atexit`` handlers, because every node leaves with
-``os._exit``, skipping interpreter finalization. Each node loads its
-data file into a heap store, listens for framed messages, and decodes
-each with ``decode_frame``, which tells three kinds of traffic apart by
-the first four bytes of the frame:
+module, patch and registered function the master held when it forked,
+and the job's input selector the master hands it: a job module is
+imported by the master, and must start no thread at import, since the
+master forks after it. ``python -m locomap.tcp_node --node-id N --master
+HOST:PORT`` runs one node from the command line, with the empty
+selector. No node runs ``atexit`` handlers, because every node leaves
+with ``os._exit``, skipping interpreter finalization. Each node loads
+its data file into a heap store, announces itself with a ``NodeReady``
+frame that says whether its heap holds a record for the selector,
+listens for framed messages, and decodes each with ``decode_frame``,
+which tells three kinds of traffic apart by the first four bytes of the
+frame:
 
   - ``LMAP`` agent envelopes: host the agent over the local heap, pick
     the next hop on the slave's route, and forward it on a fresh connection.
-  - ``LCTL`` control frames: the has-data query (answered with a
-    ``HasData`` frame), job registration with every slave's route, shutdown.
+  - ``LCTL`` control frames: job registration with every slave's route,
+    and shutdown.
   - anything else is a result message, which only the master receives.
 
 Control frames are the frozen dataclasses of ``locomap.control``, one
@@ -39,8 +42,8 @@ sends the master an ``Arrived`` frame and waits for the master's ack, so
 the master knows where every slave is before the sender can let go of
 it. An arrival the master does not ack leaves the envelope unacked, and
 the sender retries or gives the hop up. A node that cannot forward
-reports ``SlaveFailed``; one that cannot deliver its ``NodeReady`` or
-``HasData`` frame exits with code 1.
+reports ``SlaveFailed``; one that cannot deliver its ``NodeReady`` frame
+exits with code 1.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ import socket
 import threading
 
 from .agents import Agent, LifecycleCallbacks
-from .control import CONTROL_MAGIC, Arrived, ControlFrame, HasData, NodeReady, QueryData, RegisterJob, Shutdown, SlaveFailed, pack_control, unpack_control
+from .control import CONTROL_MAGIC, Arrived, ControlFrame, NodeReady, RegisterJob, Shutdown, SlaveFailed, pack_control, unpack_control
 from .control import decode_control, encode_control  # noqa: F401  (perfbench's spawn probe imports them from here)
 from .envelope import MAGIC, pack, unpack
 from .errors import DecodeError, LocomapError, TransportFailure
@@ -173,36 +176,33 @@ class NodeProcess:
         self._hosting = threading.Lock()
         self._master = TcpTransport({"master": master_addr})
         self.shutdown = threading.Event()
-        self.exit_code = 0
         self.server = FrameServer(host, port, self._on_frame)
 
     # -- lifecycle --
 
-    def run_until_shutdown(self) -> int:
-        """Announce the node, then serve until shutdown; the exit code."""
+    def run_until_shutdown(self, selector: bytes) -> int:
+        """Announce the node, and whether its heap holds a record for
+        ``selector``, then serve until shutdown; the exit code. A node
+        that cannot announce itself, after the retry policy, exits with
+        code 1, whose exit the master learns of at once."""
+        ready = NodeReady(self.node.id, self.server.host, self.server.port, self.node.heap.total_bytes, self.node.dropped, not self.node.is_empty(selector))
         self.server.start()
-        self._announce(NodeReady(self.node.id, self.server.host, self.server.port, self.node.heap.total_bytes, self.node.dropped))
-        self.shutdown.wait()
+        code = 0
+        if self._tell_master(ready):
+            self.shutdown.wait()
+        else:
+            logger.error("node %s could not tell the master %r; exiting", self.node.id, ready.kind)
+            code = 1
         self.server.stop()
-        return self.exit_code
-
-    def _announce(self, frame: NodeReady | HasData) -> None:
-        """Send the master a frame it waits for. A node that cannot, after
-        the retry policy, shuts down with exit code 1, whose exit the
-        master learns of at once."""
-        if not self._tell_master(frame):
-            logger.error("node %s could not tell the master %r; exiting", self.node.id, frame.kind)
-            self.exit_code = 1
-            self.shutdown.set()
+        return code
 
     # -- frame handling --
 
     def _on_frame(self, frame: bytes):
         """FrameServer handler; returns what runs after the ack: the hosting
-        step of an accepted envelope, the answer to a has-data query, or
-        the shutdown. A frame that does not decode, or that a node does not
-        take (a result message, or a control kind sent to the master), raises,
-        unacked."""
+        step of an accepted envelope, or the shutdown. A frame that does not
+        decode, or that a node does not take (a result message, or a control
+        kind sent to the master), raises, unacked."""
         value = decode_frame(frame)
         if isinstance(value, Agent):
             return self._accept_envelope(value, len(frame))
@@ -211,10 +211,7 @@ class NodeProcess:
         return self._on_control(value)
 
     def _on_control(self, control: ControlFrame):
-        if isinstance(control, QueryData):
-            found = not self.node.is_empty(bytes.fromhex(control.selector_hex))
-            return lambda: self._announce(HasData(self.node.id, control.job_id, found))
-        elif isinstance(control, RegisterJob):
+        if isinstance(control, RegisterJob):
             self.registry.check_job(control.spec)
             with self._lock:
                 self._jobs[control.job_id] = control
@@ -277,9 +274,10 @@ class NodeProcess:
         return self._send(self._master, "master", pack_control(frame))
 
 
-def serve(node_id: int, port: int, data_file: str, master: tuple[str, int], host="127.0.0.1", mem_limit=1 << 30) -> int:
+def serve(node_id: int, port: int, data_file: str, master: tuple[str, int], selector=b"", host="127.0.0.1", mem_limit=1 << 30) -> int:
     """Run one node in this process, logging to stderr: load the data
-    file (none when empty), serve until shutdown; the exit code."""
+    file (none when empty), announce whether it holds a record for
+    ``selector``, serve until shutdown; the exit code."""
     logging.basicConfig(
         level=os.environ.get("LOCOMAP_LOG", "INFO").upper(),
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
@@ -290,7 +288,7 @@ def serve(node_id: int, port: int, data_file: str, master: tuple[str, int], host
         if data_file:
             stored = node.ingest(load_records_tsv(data_file))
             logger.info("node %s ingested %d records (%d bytes, %d dropped)", node.id, stored, node.heap.total_bytes, node.dropped)
-        return NodeProcess(node, host, port, master).run_until_shutdown()
+        return NodeProcess(node, host, port, master).run_until_shutdown(selector)
     except LocomapError as exc:
         logger.error("node %s aborting: %s", node_id, exc)
     except Exception:

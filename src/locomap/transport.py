@@ -198,32 +198,21 @@ class Topology:
         return cls.from_dict(doc)
 
 
-@dataclass(frozen=True)
-class SimCpuModel:
-    """Deterministic CPU-side costs for the simulator.
+# Deterministic CPU-side costs for the simulator. Real pack/unpack work
+# still runs; only the *reported* durations come from these rates, so
+# repeated runs produce identical timing files. They are roughly
+# memcpy-class hardware: they set the scale, and the tests only rely on
+# ordering and monotonicity.
+SIM_COPY_BYTES_PER_S = 1.0e9
+SIM_CHECKSUM_BYTES_PER_S = 4.0e9
+SIM_FIXED_OP_S = 200e-6
+SIM_CALLBACK_S = 50e-6
+SIM_VERIFY_OVERHEAD_S = 25e-6
 
-    Real pack/unpack work still runs; only the *reported* durations come
-    from this model, so repeated runs produce identical timing files.
-    Rates are roughly memcpy-class hardware; they set the scale, the tests
-    only rely on ordering and monotonicity.
-    """
 
-    copy_bytes_per_s: float = 1.0e9
-    checksum_bytes_per_s: float = 4.0e9
-    fixed_op_s: float = 200e-6
-    callback_s: float = 50e-6
-    verify_overhead_s: float = 25e-6
-
-    def duplication_times(self, payload_bytes: int) -> tuple[float, float]:
-        """(copy_s, callback_s) for duplicating one agent."""
-        copy_s = self.fixed_op_s + payload_bytes / self.copy_bytes_per_s
-        return copy_s, 2 * self.callback_s
-
-    def migration_cpu_times(self, envelope_bytes: int) -> tuple[float, float, float]:
-        """(prepare_s, unpack_s, verify_s) for one migration."""
-        side = self.fixed_op_s + envelope_bytes / self.copy_bytes_per_s + self.callback_s
-        verify = self.verify_overhead_s + envelope_bytes / self.checksum_bytes_per_s
-        return side, side, verify
+def sim_duplication_times(payload_bytes: int) -> tuple[float, float]:
+    """Modeled (copy_s, callback_s) for duplicating one agent."""
+    return SIM_FIXED_OP_S + payload_bytes / SIM_COPY_BYTES_PER_S, 2 * SIM_CALLBACK_S
 
 
 class SimTransport:
@@ -236,7 +225,6 @@ class SimTransport:
 
     def __init__(self, topology: Topology):
         self.topology = topology
-        self.cpu_model = SimCpuModel()
         self._rng = random.Random(topology.rng_seed)
 
     def send(self, src: NodeId, dst: NodeId, payload: bytes, at: float = 0.0) -> DeliveryReport:
@@ -247,7 +235,10 @@ class SimTransport:
         return report
 
     def cpu_phase_times(self, envelope_bytes: int) -> tuple[float, float, float]:
-        return self.cpu_model.migration_cpu_times(envelope_bytes)
+        """Modeled (prepare_s, unpack_s, verify_s) for one migration."""
+        side = SIM_FIXED_OP_S + envelope_bytes / SIM_COPY_BYTES_PER_S + SIM_CALLBACK_S
+        verify = SIM_VERIFY_OVERHEAD_S + envelope_bytes / SIM_CHECKSUM_BYTES_PER_S
+        return side, side, verify
 
 
 # --- TCP framing -----------------------------------------------------------

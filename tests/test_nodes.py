@@ -39,6 +39,17 @@ class TestHeapStore:
         assert list(every) == [(b"b", b"1"), (b"c", b"2")]
         assert list(some) == [(b"c", b"2")]
 
+    def test_the_empty_selector_matches_without_a_sort(self):
+        # Every record matches the empty prefix, so has_match answers from
+        # the key count; the first records_matching still sorts.
+        heap = lm.HeapStore()
+        assert not heap.has_match(b"")
+        heap.extend(lm.Records.of([(b"b", b"1"), (b"a", b"2")]))
+        assert heap.has_match(b"")
+        assert (heap.keys, heap.values) == ([b"b", b"a"], [b"1", b"2"])
+        assert list(heap.records_matching(b"")) == [(b"a", b"2"), (b"b", b"1")]
+        assert (heap.keys, heap.values) == ([b"a", b"b"], [b"2", b"1"])
+
     def test_total_bytes_never_drifts(self):
         rng = random.Random(9)
         node = lm.SensorNode(id=1, mem_bytes_limit=2000)

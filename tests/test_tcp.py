@@ -21,9 +21,7 @@ from locomap.tcp_cluster import NodeExited, _await_each, _collect, _listen
 from locomap.control import (
     CONTROL_MAGIC,
     Arrived,
-    HasData,
     NodeReady,
-    QueryData,
     RegisterJob,
     Shutdown,
     SlaveFailed,
@@ -55,16 +53,8 @@ class TestFrameClassification:
 # holds nodes 2 and 11, so its int keys must sort as numbers.
 CONTROL_FRAMES = {
     "node_ready": (
-        NodeReady(node=1, host="127.0.0.1", port=9001, heap_bytes=35, dropped=2),
-        b'LCTL{"dropped": 2, "heap_bytes": 35, "host": "127.0.0.1", "node": 1, "port": 9001, "type": "node_ready"}',
-    ),
-    "query_data": (
-        QueryData(job_id=4, selector_hex="74656d702f"),
-        b'LCTL{"job_id": 4, "selector_hex": "74656d702f", "type": "query_data"}',
-    ),
-    "has_data": (
-        HasData(node=2, job_id=4, has_data=True),
-        b'LCTL{"has_data": true, "job_id": 4, "node": 2, "type": "has_data"}',
+        NodeReady(node=1, host="127.0.0.1", port=9001, heap_bytes=35, dropped=2, has_data=True),
+        b'LCTL{"dropped": 2, "has_data": true, "heap_bytes": 35, "host": "127.0.0.1", "node": 1, "port": 9001, "type": "node_ready"}',
     ),
     "register_job": (
         RegisterJob(
@@ -98,14 +88,16 @@ MALFORMED_CONTROLS = {
     "not-json": b"LCTL{not json",
     "json-list": b'LCTL[{"type": "shutdown"}]',
     "unknown-type": encode_control({"type": "job_done", "job_id": 4}),
+    # The has-data round's two kinds are gone: each node says so in its node_ready.
+    "unknown-type-query-data": b'LCTL{"job_id": 4, "selector_hex": "74656d702f", "type": "query_data"}',
+    "unknown-type-has-data": b'LCTL{"has_data": true, "job_id": 4, "node": 2, "type": "has_data"}',
     "missing-field": encode_control({"type": "arrived", "agent_id": 10, "job_id": 4, "hop": 0, "bytes": 40}),
     "extra-field": encode_control({"type": "shutdown", "now": True}),
-    "bool-for-int": encode_control({"type": "has_data", "node": True, "job_id": 4, "has_data": True}),
+    "bool-for-int": encode_control({"type": "arrived", "agent_id": 10, "job_id": 4, "hop": True, "bytes": 40, "node": 1}),
     "list-for-str": encode_control({"type": "slave_failed", "agent_id": 10, "job_id": 4, "reason": ["gave up"]}),
     "route-not-a-list": CONTROL_FRAMES["register_job"][1].replace(b'"13": []', b'"13": "2"'),
     "address-key-not-a-node": CONTROL_FRAMES["register_job"][1].replace(b'"11": [', b'"x": ['),
     "address-missing-its-port": CONTROL_FRAMES["register_job"][1].replace(b', 9011]', b"]"),
-    "query-selector-not-hex": CONTROL_FRAMES["query_data"][1].replace(b'"74656d702f"', b'"zz"'),
     "register-selector-not-hex": CONTROL_FRAMES["register_job"][1].replace(b'"74656d702f"', b'"7"'),
     # Only the master's own watchers report a node's exit, as a value.
     "node-exited": encode_control({"type": "node_exited", "node": 2, "code": 0}),
@@ -190,7 +182,7 @@ class TestControlCodec:
     def test_node_leaves_every_frame_it_does_not_take_unacked(self, master_inbox, caplog):
         server, events = master_inbox
         proc = start_node(lm.SensorNode(id=1), server)
-        not_taken = {f"{kind} frame": CONTROL_FRAMES[kind][1] for kind in ("node_ready", "has_data", "arrived", "slave_failed")}
+        not_taken = {f"{kind} frame": CONTROL_FRAMES[kind][1] for kind in ("node_ready", "arrived", "slave_failed")}
         not_taken["result message"] = lm.ResultMessage(from_agent=10, partial=PARTIAL).encode()
         try:
             transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
@@ -288,19 +280,24 @@ class TestNodeProcess:
             proc.server.stop()
 
     @pytest.mark.parametrize("selector, expect", [(b"", True), (b"temp/", True), (b"hum/", False)])
-    def test_answers_the_has_data_query(self, master_inbox, selector, expect):
+    def test_node_ready_says_whether_the_heap_holds_the_selector(self, master_inbox, selector, expect):
         server, events = master_inbox
         node = lm.SensorNode(id=1)
         node.ingest([(b"temp/1", b"20")])
-        proc = start_node(node, server)
+        proc = NodeProcess(node, "127.0.0.1", 0, (server.host, server.port))
+        codes = []
+        runner = threading.Thread(target=lambda: codes.append(proc.run_until_shutdown(selector)))
+        runner.start()
         try:
-            transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
-            transport.send(0, 1, encode_control({"type": "query_data", "job_id": 4, "selector_hex": selector.hex()}))
             (frame,) = drain(events, 1)
-            assert decode_control(frame) == {"type": "has_data", "node": 1, "job_id": 4, "has_data": expect}
+            assert decode_control(frame) == {
+                "type": "node_ready", "node": 1, "host": proc.server.host, "port": proc.server.port,
+                "heap_bytes": 8, "dropped": 0, "has_data": expect,
+            }
         finally:
             proc.shutdown.set()
-            proc.server.stop()
+            runner.join(10.0)
+        assert codes == [0]
 
     def test_unreachable_next_hop_reports_slave_failed(self, master_inbox):
         server, events = master_inbox
@@ -618,8 +615,8 @@ class TestMasterAccounting:
         state = SlaveLedger(agent_id=10, partition=(1,))
         events: queue.Queue = queue.Queue()
         for event in (
-            NodeReady(node=1, host="127.0.0.1", port=1234, heap_bytes=5, dropped=0),
-            HasData(node=1, job_id=4, has_data=True),
+            NodeReady(node=1, host="127.0.0.1", port=1234, heap_bytes=5, dropped=0, has_data=True),
+            Shutdown(),
             Arrived(agent_id=99, job_id=4, hop=0, bytes=40, node=1),  # no such slave
             SlaveFailed(agent_id=10, job_id=4, reason="gave up"),
         ):
@@ -634,22 +631,22 @@ class TestMasterAccounting:
 
     def test_await_each_skips_events_it_does_not_wait_for(self):
         events: queue.Queue = queue.Queue()
-        expect = NodeReady(node=1, host="127.0.0.1", port=1234, heap_bytes=5, dropped=0)
+        expect = NodeReady(node=1, host="127.0.0.1", port=1234, heap_bytes=5, dropped=0, has_data=True)
         for event in (
-            HasData(node=1, job_id=4, has_data=True),
-            NodeReady(node=7, host="127.0.0.1", port=1235, heap_bytes=5, dropped=0),
+            Arrived(agent_id=10, job_id=4, hop=0, bytes=40, node=1),
+            NodeReady(node=7, host="127.0.0.1", port=1235, heap_bytes=5, dropped=0, has_data=True),
             lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4),
             expect,
         ):
             events.put(event)
-        assert _await_each(events, NodeReady, (1,), time.monotonic() + 5.0, "the cluster was ready") == {1: expect}
+        assert _await_each(events, (1,), time.monotonic() + 5.0) == {1: expect}
         assert events.empty()
 
     def test_await_each_names_the_silent_nodes_at_its_deadline(self):
         events: queue.Queue = queue.Queue()
-        events.put(NodeReady(node=2, host="127.0.0.1", port=1234, heap_bytes=5, dropped=0))
+        events.put(NodeReady(node=2, host="127.0.0.1", port=1234, heap_bytes=5, dropped=0, has_data=False))
         with pytest.raises(lm.ConfigError, match=r"^nodes \[1, 3\] sent no node_ready before the deadline$"):
-            _await_each(events, NodeReady, (1, 2, 3), time.monotonic() + 0.2, "the cluster was ready")
+            _await_each(events, (1, 2, 3), time.monotonic() + 0.2)
 
     def test_deadline_fails_the_unresolved_slaves(self):
         registry = lm.build_default_registry()
@@ -716,6 +713,33 @@ class TestRunTcpJob:
             assert got.final == expect.final
             assert got.migrations_total == expect.migrations_total
             assert got.bytes_transferred_total == expect.bytes_transferred_total
+
+    @pytest.mark.parametrize("results_only, data", [(False, lm.Agent), (True, lm.ResultMessage)])
+    def test_the_master_hears_only_node_ready_arrived_and_data_frames(self, tmp_path, monkeypatch, results_only, data):
+        # Every value the master's listener queues, and every control frame
+        # the master sends: 12 control frames in all for 3 nodes.
+        heard, told = [], []
+        decode, send = tcp_cluster.decode_frame, lm.TcpTransport.send
+
+        def hearing(frame):
+            value = decode(frame)
+            heard.append(value)
+            return value
+
+        def telling(transport, src, dst, payload, at=0.0):
+            if payload[:4] == CONTROL_MAGIC:
+                told.append(unpack_control(payload).kind)  # in the master only: a node appends to its own copy
+            return send(transport, src, dst, payload, at)
+
+        monkeypatch.setattr(tcp_cluster, "decode_frame", hearing)
+        monkeypatch.setattr(lm.TcpTransport, "send", telling)
+        data_dir = write_node_files(tmp_path, {1: [b"a b", b"c"], 2: [b"a"], 3: [b"b b c"]})
+        topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
+        result = lm.run_tcp_job(lm.builtin_job("wordcount", job_id=1), topology, data_dir, results_only=results_only, timeout_s=30.0)
+        assert result.partials_received == 3
+        assert sorted(type(value).__name__ for value in heard) == sorted(["NodeReady", "Arrived", data.__name__] * 3)
+        assert all(value.has_data for value in heard if isinstance(value, NodeReady))
+        assert told == ["register_job"] * 3 + ["shutdown"] * 3
 
     def test_runs_without_starting_an_interpreter(self, tmp_path, monkeypatch):
         def no_popen(*args, **kwargs):
@@ -882,55 +906,46 @@ class TestRunTcpJob:
         assert killed.migrations == 1
         assert killed.fail_reason == "node 2 exited with code 17 while holding the slave"
 
-    @pytest.mark.parametrize(
-        "when, error",
-        [
-            ("before_ack", r"could not query data at node 2"),
-            ("after_ack", r"node 2 exited with code 23 before every node answered the has-data query"),
-        ],
-    )
-    def test_node_killed_by_the_has_data_query_fails_the_job_fast(self, tmp_path, monkeypatch, when, error):
-        # Node 2 exits when the has-data query arrives: before it acks the
-        # query, or right after. The master never calls NodeProcess; the
-        # nodes it forks inherit the patch.
-        on_control = NodeProcess._on_control
+    def test_node_that_exits_computing_its_has_data_answer_fails_the_job_fast(self, tmp_path, monkeypatch):
+        # Node 2 exits while it checks its heap for the job's selector, before
+        # its node_ready. The master never calls is_empty; the nodes it forks
+        # inherit the patch.
+        is_empty = lm.SensorNode.is_empty
 
-        def die_on_query(self, control):
-            if self.node.id == 2 and isinstance(control, QueryData):
-                if when == "before_ack":
-                    os._exit(23)
-                return lambda: os._exit(23)
-            return on_control(self, control)
+        def die_checking(self, selector=b""):
+            if self.id == 2:
+                os._exit(23)
+            return is_empty(self, selector)
 
-        monkeypatch.setattr(NodeProcess, "_on_control", die_on_query)
+        monkeypatch.setattr(lm.SensorNode, "is_empty", die_checking)
         data_dir = write_node_files(tmp_path, {1: [b"a"], 2: [b"b"], 3: [b"c"]})
         topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
         spec = lm.builtin_job("wordcount", job_id=1)
         started = time.monotonic()
-        with pytest.raises(lm.ConfigError, match=error):
+        with pytest.raises(lm.ConfigError, match=r"node 2 exited with code 23 before the cluster was ready"):
             lm.run_tcp_job(spec, topology, data_dir, timeout_s=30)
         assert time.monotonic() - started < 4
 
-    def test_node_that_cannot_answer_the_has_data_query_fails_the_job_fast(self, tmp_path, monkeypatch):
+    def test_node_whose_node_ready_is_refused_fails_the_job_fast(self, tmp_path, monkeypatch):
         # Node 2 finds the master refusing every attempt to deliver its
-        # has_data answer; the node gives up and exits 1.
+        # node_ready; the node gives up and exits 1.
         class Refusing:
             def send(self, src, dst, payload, at=0.0):
-                raise lm.ConnectRefused("master refused the has_data answer")
+                raise lm.ConnectRefused("master refused the node_ready")
 
         send = NodeProcess._send
 
-        def lose_has_data(self, transport, dst, payload):
-            if self.node.id == 2 and isinstance(decode_frame(payload), HasData):
+        def lose_node_ready(self, transport, dst, payload):
+            if self.node.id == 2 and isinstance(decode_frame(payload), NodeReady):
                 transport = Refusing()
             return send(self, transport, dst, payload)
 
-        monkeypatch.setattr(NodeProcess, "_send", lose_has_data)
+        monkeypatch.setattr(NodeProcess, "_send", lose_node_ready)
         data_dir = write_node_files(tmp_path, {1: [b"a"], 2: [b"b"], 3: [b"c"]})
         topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
         spec = lm.builtin_job("wordcount", job_id=1)
         started = time.monotonic()
-        with pytest.raises(lm.ConfigError, match=r"node 2 exited with code 1 before every node answered the has-data query"):
+        with pytest.raises(lm.ConfigError, match=r"node 2 exited with code 1 before the cluster was ready"):
             lm.run_tcp_job(spec, topology, data_dir, timeout_s=30)
         assert time.monotonic() - started < 4
 
