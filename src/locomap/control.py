@@ -1,30 +1,27 @@
 """Control frames for TCP mode: the messages that announce each node and
-whether it holds data for the job's selector, register the job, report
-arrivals and failures, and shut nodes down.
+whether it holds data for the job's selector, hand each node the
+addresses and routes the master learns after it forks the nodes, report
+arrivals and failures, and shut nodes down. The job itself never crosses
+a socket: each node holds it from the fork.
 
 Each kind is one frozen dataclass whose fields are the frame's JSON
 fields, and both ends build and read every control frame through one
 codec, ``pack_control`` and ``unpack_control``, over the JSON pair
 ``encode_control``/``decode_control``. A frame whose ``type`` names no
 kind, or whose fields are not exactly its kind's, each of its declared
-type (a selector as hex digit pairs), is a ``DecodeError``. The master's
-node watchers queue ``orchestration.NodeExited``, which is no kind here:
-it never crosses a socket.
+type, is a ``DecodeError``. The master's node watchers queue
+``orchestration.NodeExited``, which is no kind here: it never crosses a
+socket.
 """
 
 import json
-import re
 from dataclasses import dataclass, fields
-from typing import ClassVar, NewType, get_args, get_origin
+from typing import ClassVar, get_args, get_origin
 
-from .agents import JobSpec, NodeId, TaskDescriptor
+from .agents import NodeId
 from .errors import DecodeError
 
 CONTROL_MAGIC = b"LCTL"
-
-# A selector's bytes as hex digit pairs, since JSON holds no bytes.
-Hex = NewType("Hex", str)
-_HEX_PAIRS = re.compile("(?:[0-9a-fA-F]{2})*")
 
 
 def encode_control(doc: dict) -> bytes:
@@ -60,29 +57,13 @@ class NodeReady(ControlFrame, kind="node_ready"):
 
 @dataclass(frozen=True)
 class RegisterJob(ControlFrame, kind="register_job"):
-    """Master to node: everything a node needs to route agents for one
-    job. ``addresses`` maps each node to its listener and ``routes`` each
-    slave's agent id to its planned route."""
+    """Master to node: what the master learns only after it forks the
+    nodes. ``addresses`` maps each node to its listener and ``routes``
+    each slave's agent id to its planned route."""
 
     job_id: int
-    map_fn_id: str
-    reduce_fn_id: str
-    selector_hex: Hex
-    combine: str
-    results_only: bool
-    master: NodeId
     addresses: dict[NodeId, tuple[str, int]]
     routes: dict[int, tuple[NodeId, ...]]
-
-    @classmethod
-    def of(cls, spec: JobSpec, results_only: bool, master: NodeId, addresses, routes) -> "RegisterJob":
-        task = spec.task
-        return cls(spec.job_id, task.map_fn_id, task.reduce_fn_id, task.input_selector.hex(), spec.combine, results_only, master, addresses, routes)
-
-    @property
-    def spec(self) -> JobSpec:
-        task = TaskDescriptor(self.map_fn_id, self.reduce_fn_id, bytes.fromhex(self.selector_hex))
-        return JobSpec(job_id=self.job_id, task=task, combine=self.combine)
 
 
 @dataclass(frozen=True)
@@ -141,12 +122,9 @@ def unpack_control(data: bytes) -> ControlFrame:
 
 def _typed(value, hint, name: str):
     """``value``, read from JSON, as ``hint``: a scalar of exactly that
-    type, a string of hex digit pairs, a tuple from a list, or a dict with
-    int keys from string keys."""
+    type, a tuple from a list, or a dict with int keys from string keys."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is None and type(value) is hint:
-        return value
-    if hint is Hex and type(value) is str and _HEX_PAIRS.fullmatch(value):
         return value
     if origin is tuple and type(value) is list:
         items = args[:1] * len(value) if args[1:] == (Ellipsis,) else args

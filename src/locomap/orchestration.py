@@ -84,7 +84,6 @@ def builtin_job(
 # --- result messages --------------------------------------------------------
 
 RESULT_HEADER = struct.Struct(">QII")  # agent id, partial length, CRC-32 of partial
-RESULT_HEADER_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -96,17 +95,17 @@ class ResultMessage:
 
     @property
     def size_bytes(self) -> int:
-        return len(self.partial) + RESULT_HEADER_BYTES
+        return len(self.partial) + RESULT_HEADER.size
 
     def encode(self) -> bytes:
         return RESULT_HEADER.pack(self.from_agent, len(self.partial), crc32(self.partial) & 0xFFFFFFFF) + self.partial
 
 
 def decode_result(data: bytes) -> ResultMessage:
-    if len(data) < RESULT_HEADER_BYTES:
+    if len(data) < RESULT_HEADER.size:
         raise DecodeError("result message shorter than its header")
     agent_id, length, stated_crc = RESULT_HEADER.unpack_from(data, 0)
-    partial = data[RESULT_HEADER_BYTES:]
+    partial = data[RESULT_HEADER.size:]
     if len(partial) != length:
         raise DecodeError(f"result message declares {length} partial bytes, has {len(partial)}")
     if crc32(partial) & 0xFFFFFFFF != stated_crc:

@@ -1,13 +1,15 @@
 """Master-side supervision for TCP mode.
 
 The master (this process) forks one node process per sensor node for
-each job, handing each the job's input selector, reaps each in a watcher
-thread, and queues its exit as a ``NodeExited`` value. The master waits
-for the nodes to announce themselves, each saying whether it holds data
-for the selector, plans the routes from the announcements as the sim
-does, registers the job with them everywhere, injects the slaves, and
-then collects whatever comes back: arriving agents, remote result
-messages, failure notices, arrival reports and node exits.
+each job, handing each the whole job (its spec, ``results_only`` and
+the master's node id), reaps each in a watcher thread, and queues its
+exit as a ``NodeExited`` value. The master waits for the nodes to
+announce themselves, each saying whether it holds data for the job's
+selector, plans the routes from the announcements as the sim does,
+registers the job everywhere with what it learned after the fork (every
+node's address and every slave's route), injects the slaves, and then
+collects whatever comes back: arriving agents, remote result messages,
+failure notices, arrival reports and node exits.
 
 One queue holds every event as a value. The master's listener decodes
 each frame with ``tcp_node.decode_frame`` before it acks it and queues
@@ -50,7 +52,7 @@ from .orchestration import (
 )
 from .registry import DEFAULT_REGISTRY
 from .control import NodeReady, RegisterJob, Shutdown, SlaveFailed, pack_control
-from .tcp_node import FrameServer, decode_frame, serve
+from .tcp_node import FrameServer, NodeJob, decode_frame, serve
 from .transport import TcpTransport, Topology
 
 # perfbench's tracer patches these names here as well as in orchestration,
@@ -61,12 +63,12 @@ from .registry import encode_partial  # noqa: F401
 logger = logging.getLogger("locomap.tcp_cluster")
 
 
-def _fork_node(server: FrameServer, node: tuple[int, int, str], selector: bytes, host: str, mem_limit: int, log_dir: str | Path | None) -> int:
+def _fork_node(server: FrameServer, node: tuple[int, int, str], job: NodeJob, host: str, mem_limit: int, log_dir: str | Path | None) -> int:
     """Fork a process that runs ``tcp_node.serve`` for ``node``, a
-    ``(node_id, port, data_file)``, and the job's input ``selector``; its
-    pid. The child keeps every module, patch and registered function the
-    master holds, and its stderr goes to ``node_<id>.log`` under
-    ``log_dir``, or to the null device."""
+    ``(node_id, port, data_file)``, and ``job``; its pid. The child keeps
+    every module, patch and registered function the master holds, and its
+    stderr goes to ``node_<id>.log`` under ``log_dir``, or to the null
+    device."""
     sys.stdout.flush()
     sys.stderr.flush()
     pid = os.fork()
@@ -81,7 +83,7 @@ def _fork_node(server: FrameServer, node: tuple[int, int, str], selector: bytes,
         os.dup2(log, 2)
         os.close(log)
         sys.stderr = open(2, "w", buffering=1, errors="backslashreplace", closefd=False)
-        code = serve(*node, (server.host, server.port), selector, host, mem_limit)
+        code = serve(*node, (server.host, server.port), job, host, mem_limit)
     except BaseException:
         traceback.print_exc()
     finally:
@@ -201,7 +203,7 @@ def run_tcp_job(
                 node = (node_id, port, str(data_file) if data_file is not None and data_file.exists() else "")
                 # Forked before any thread of this job starts; the listening
                 # socket already queues the nodes' node_ready connections.
-                pids[_fork_node(server, node, spec.task.input_selector, host, node_mem_limit, log_dir)] = node_id
+                pids[_fork_node(server, node, NodeJob(spec, results_only, master), host, node_mem_limit, log_dir)] = node_id
         finally:
             # Every forked node gets its watcher, also when a later fork failed.
             for pid, node_id in pids.items():
@@ -219,10 +221,10 @@ def run_tcp_job(
             return send_with_retry(lambda: transport.send(master, dst, payload), time.sleep)
 
         # Heaps do not change during a job, so the ready frames fix every
-        # route; register_job, carrying the routes, is the last control
-        # frame before dispatch.
+        # route; register_job, carrying the addresses and routes, is the
+        # last control frame before dispatch.
         routes = plan_routes(plan.assignment, lambda n: ready[n].has_data)
-        registration = pack_control(RegisterJob.of(spec, results_only, master, transport.addresses, routes))
+        registration = pack_control(RegisterJob(spec.job_id, transport.addresses, routes))
         for node_id in targets:
             _, fail = send(node_id, registration)
             if fail is not None:

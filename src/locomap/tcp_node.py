@@ -1,24 +1,26 @@
 """Sensor node processes for TCP mode.
 
 ``serve`` runs one node in the calling process. The TCP master forks
-one process per node and runs ``serve`` in each, so a node holds every
-module, patch and registered function the master held when it forked,
-and the job's input selector the master hands it: a job module is
-imported by the master, and must start no thread at import, since the
-master forks after it. ``python -m locomap.tcp_node --node-id N --master
-HOST:PORT`` runs one node from the command line, with the empty
-selector. No node runs ``atexit`` handlers, because every node leaves
-with ``os._exit``, skipping interpreter finalization. Each node loads
-its data file into a heap store, announces itself with a ``NodeReady``
-frame that says whether its heap holds a record for the selector,
-listens for framed messages, and decodes each with ``decode_frame``,
-which tells three kinds of traffic apart by the first four bytes of the
-frame:
+one process per node and runs ``serve`` in each, handing it the whole
+job as a ``NodeJob``: the job's spec, whether slaves go home as result
+messages, and the master's node id. So a node holds every module, patch
+and registered function the master held when it forked, and the job it
+serves: a job module is imported by the master, and must start no
+thread at import, since the master forks after it. ``python -m
+locomap.tcp_node --node-id N --master HOST:PORT`` runs one node from the
+command line with no job: it answers ``has_data`` for the empty
+selector and hosts nothing. No node runs ``atexit`` handlers, because
+every node leaves with ``os._exit``, skipping interpreter finalization.
+Each node loads its data file into a heap store, announces itself with
+a ``NodeReady`` frame that says whether its heap holds a record for the
+job's selector, listens for framed messages, and decodes each with
+``decode_frame``, which tells three kinds of traffic apart by the first
+four bytes of the frame:
 
   - ``LMAP`` agent envelopes: host the agent over the local heap, pick
     the next hop on the slave's route, and forward it on a fresh connection.
-  - ``LCTL`` control frames: job registration with every slave's route,
-    and shutdown.
+  - ``LCTL`` control frames: the job's registration, with every node's
+    address and every slave's route, and shutdown.
   - anything else is a result message, which only the master receives.
 
 Control frames are the frozen dataclasses of ``locomap.control``, one
@@ -30,10 +32,12 @@ accepted it, and master and node keep one rule: the handler decodes the
 frame before the ack, so a frame that does not decode (an
 ``EnvelopeError`` or a ``DecodeError``) is logged in one line and left
 unacked, and its sender's retry policy takes over. A node acks only the
-kinds it takes: a result message, or a control kind only the master
-takes, is rejected the same way. A node acks an envelope before it hosts
-it, hosts one agent at a time, and drops a repeat for the same (job,
-agent, hop): a sender retrying after a lost acknowledgement.
+frames it takes: a result message, a control kind only the master takes,
+or a registration for a job other than its own (every registration, for
+a node with no job) is rejected the same way. A node acks an envelope
+before it hosts it, hosts one agent at a time, and drops a repeat for
+the same (job, agent, hop): a sender retrying after a lost
+acknowledgement.
 
 Every frame a node sends, control or data, goes through
 ``TcpTransport.send`` and the one retry loop, ``send_with_retry``. A hop
@@ -54,15 +58,16 @@ import logging
 import os
 import socket
 import threading
+from typing import NamedTuple
 
-from .agents import Agent, LifecycleCallbacks
+from .agents import Agent, JobSpec, LifecycleCallbacks, NodeId
 from .control import CONTROL_MAGIC, Arrived, ControlFrame, NodeReady, RegisterJob, Shutdown, SlaveFailed, pack_control, unpack_control
 from .control import decode_control, encode_control  # noqa: F401  (perfbench's spawn probe imports them from here)
 from .envelope import MAGIC, pack, unpack
 from .errors import DecodeError, LocomapError, TransportFailure
 from .nodes import SensorNode, load_records_tsv
 from .orchestration import ResultMessage, decode_result, host_and_route, send_with_retry
-from .registry import DEFAULT_REGISTRY, FunctionRegistry
+from .registry import DEFAULT_REGISTRY
 from .transport import ACK, TcpTransport, read_frame
 
 logger = logging.getLogger("locomap.tcp_node")
@@ -163,14 +168,25 @@ class FrameServer:
                 logger.exception("work after the ack failed")
 
 
-class NodeProcess:
-    """The in-process half of one sensor node: server, hosting, routing."""
+class NodeJob(NamedTuple):
+    """The job a node serves, as the master held it when it forked: its
+    spec, whether slaves go home as result messages, and the master's id."""
 
-    def __init__(self, node: SensorNode, host: str, port: int, master_addr: tuple[str, int], registry: FunctionRegistry = DEFAULT_REGISTRY):
+    spec: JobSpec
+    results_only: bool
+    master: NodeId
+
+
+class NodeProcess:
+    """The in-process half of one sensor node: server, hosting, routing.
+    A node with no ``job`` hosts nothing."""
+
+    def __init__(self, node: SensorNode, host: str, port: int, master_addr: tuple[str, int], job: NodeJob | None = None, registry=DEFAULT_REGISTRY):
         self.node = node
+        self.job = job
         self.registry = registry
         self.callbacks = LifecycleCallbacks()
-        self._jobs: dict[int, RegisterJob] = {}
+        self._registration: RegisterJob | None = None
         self._seen: set[tuple[int, int, int]] = set()
         self._lock = threading.Lock()
         self._hosting = threading.Lock()
@@ -180,11 +196,13 @@ class NodeProcess:
 
     # -- lifecycle --
 
-    def run_until_shutdown(self, selector: bytes) -> int:
-        """Announce the node, and whether its heap holds a record for
-        ``selector``, then serve until shutdown; the exit code. A node
-        that cannot announce itself, after the retry policy, exits with
-        code 1, whose exit the master learns of at once."""
+    def run_until_shutdown(self) -> int:
+        """Announce the node, and whether its heap holds a record for its
+        job's selector (the empty one, with no job), then serve until
+        shutdown; the exit code. A node that cannot announce itself, after
+        the retry policy, exits with code 1, whose exit the master learns
+        of at once."""
+        selector = self.job.spec.task.input_selector if self.job else b""
         ready = NodeReady(self.node.id, self.server.host, self.server.port, self.node.heap.total_bytes, self.node.dropped, not self.node.is_empty(selector))
         self.server.start()
         code = 0
@@ -212,9 +230,9 @@ class NodeProcess:
 
     def _on_control(self, control: ControlFrame):
         if isinstance(control, RegisterJob):
-            self.registry.check_job(control.spec)
-            with self._lock:
-                self._jobs[control.job_id] = control
+            if self.job is None or control.job_id != self.job.spec.job_id:
+                raise DecodeError(f"node {self.node.id} takes no {control.kind} frame for job {control.job_id}")
+            self._registration = control
             logger.info("node %s registered job %s", self.node.id, control.job_id)
         elif isinstance(control, Shutdown):
             # Set after the ack: once it is set the node may exit at any time.
@@ -247,15 +265,14 @@ class NodeProcess:
     def _host_and_forward(self, agent: Agent) -> None:
         """Host the agent and send it on; one agent at a time per node."""
         with self._hosting:
-            with self._lock:
-                reg = self._jobs.get(agent.job_id)
-            if reg is None:
+            reg = self._registration
+            if reg is None or reg.job_id != agent.job_id:
                 logger.error("node %s has no registration for job %s", self.node.id, agent.job_id)
                 self._tell_master(SlaveFailed(agent.id, agent.job_id, "job not registered at node"))
                 return
 
             route = reg.routes.get(agent.id, ())
-            agent, nxt, message = host_and_route(self.node, agent, reg.spec, self.registry, route, reg.master, reg.results_only)
+            agent, nxt, message = host_and_route(self.node, agent, self.job.spec, self.registry, route, self.job.master, self.job.results_only)
             payload = message.encode() if message is not None else pack(agent, self.callbacks)
             if not self._send(TcpTransport(reg.addresses), nxt, payload):
                 self._tell_master(SlaveFailed(agent.id, agent.job_id, f"could not forward to node {nxt}"))
@@ -274,10 +291,11 @@ class NodeProcess:
         return self._send(self._master, "master", pack_control(frame))
 
 
-def serve(node_id: int, port: int, data_file: str, master: tuple[str, int], selector=b"", host="127.0.0.1", mem_limit=1 << 30) -> int:
+def serve(node_id: int, port: int, data_file: str, master_addr: tuple[str, int], job: NodeJob | None = None, host="127.0.0.1", mem_limit=1 << 30) -> int:
     """Run one node in this process, logging to stderr: load the data
-    file (none when empty), announce whether it holds a record for
-    ``selector``, serve until shutdown; the exit code."""
+    file (none when empty), announce whether it holds a record for the
+    selector of ``job``, serve ``job`` until shutdown; the exit code. With
+    no job the node answers for the empty selector and hosts nothing."""
     logging.basicConfig(
         level=os.environ.get("LOCOMAP_LOG", "INFO").upper(),
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
@@ -288,7 +306,7 @@ def serve(node_id: int, port: int, data_file: str, master: tuple[str, int], sele
         if data_file:
             stored = node.ingest(load_records_tsv(data_file))
             logger.info("node %s ingested %d records (%d bytes, %d dropped)", node.id, stored, node.heap.total_bytes, node.dropped)
-        return NodeProcess(node, host, port, master).run_until_shutdown(selector)
+        return NodeProcess(node, host, port, master_addr, job).run_until_shutdown()
     except LocomapError as exc:
         logger.error("node %s aborting: %s", node_id, exc)
     except Exception:

@@ -157,18 +157,21 @@ class Topology:
         try:
             master = int(doc["master"])
             nodes = [int(n) for n in doc["nodes"]]
+            rng_seed = int(doc.get("rng_seed", 0))
         except (KeyError, TypeError, ValueError) as exc:
-            raise TopologyError(f"topology needs integer 'master' and 'nodes': {exc}") from exc
-        rng_seed = int(doc.get("rng_seed", 0))
-        defaults = dict(LINK_PRESETS.get(doc.get("preset", "iot"), LINK_PRESETS["iot"]))
-        if "preset" in doc and doc["preset"] not in LINK_PRESETS:
-            raise TopologyError(f"unknown preset {doc['preset']!r}")
-        defaults["failure_prob"] = 0.0
+            raise TopologyError(f"topology needs integer 'master' and 'nodes', and an integer 'rng_seed' if any: {exc}") from exc
+        preset = doc.get("preset", "iot")
+        if type(preset) is not str or preset not in LINK_PRESETS:
+            raise TopologyError(f"unknown preset {preset!r}, have {sorted(LINK_PRESETS)}")
+        defaults = dict(LINK_PRESETS[preset], failure_prob=0.0)
         overrides = doc.get("default_link", {})
+        try:
+            defaults.update({key: float(value) for key, value in overrides.items()})
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise TopologyError(f"bad default_link {overrides!r}: {exc}") from exc
         unknown = set(overrides) - {"bandwidth_bytes_per_s", "latency_s", "failure_prob"}
         if unknown:
             raise TopologyError(f"unknown default_link keys: {sorted(unknown)}")
-        defaults.update(overrides)
         topo = cls.full_mesh(master, nodes, rng_seed=rng_seed, **defaults)
         for entry in doc.get("links", []):
             try:

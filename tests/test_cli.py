@@ -302,6 +302,24 @@ def test_a_lossy_topology_is_exit_1_in_tcp_mode(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+BAD_TOPOLOGY_VALUES = {
+    "rng-seed-not-an-int": ("rng_seed", "abc"),
+    "preset-a-list": ("preset", ["iot"]),
+    "default-link-not-an-object": ("default_link", 5),
+    "default-link-latency-not-a-number": ("default_link", {"latency_s": "slow"}),
+}
+
+
+@pytest.mark.parametrize("key, value", BAD_TOPOLOGY_VALUES.values(), ids=BAD_TOPOLOGY_VALUES)
+def test_a_topology_value_of_the_wrong_type_is_exit_1_in_one_line(workspace, capsys, key, value):
+    topo = workspace / "bad_topo.json"
+    topo.write_text(json.dumps({"master": 0, "nodes": [1, 2], key: value}))
+    assert run_cli("run", "--topology", topo, "--data-dir", workspace / "data") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and key in err
+    assert "Traceback" not in err
+
+
 JOB_MODULE_COMMANDS = {
     "run-sim": ["run", "--mode", "sim", "--seed", "7", "--topology", CONFIGS / "iot3.json"],
     "run-tcp": ["run", "--mode", "tcp", "--timeout", "30", "--topology", CONFIGS / "iot3.json"],

@@ -30,7 +30,7 @@ from locomap.control import (
     pack_control,
     unpack_control,
 )
-from locomap.tcp_node import FrameServer, NodeProcess, decode_frame
+from locomap.tcp_node import FrameServer, NodeJob, NodeProcess, decode_frame
 from locomap.transport import write_frame
 
 from helpers import wordcount_reference
@@ -59,18 +59,11 @@ CONTROL_FRAMES = {
     "register_job": (
         RegisterJob(
             job_id=9,
-            map_fn_id="wordcount-map",
-            reduce_fn_id="identity",
-            selector_hex="74656d702f",
-            combine="sum-by-key",
-            results_only=True,
-            master=0,
             addresses={0: ("127.0.0.1", 9000), 2: ("127.0.0.1", 9002), 11: ("127.0.0.1", 9011)},
             routes={12: (2, 11), 13: ()},
         ),
         b'LCTL{"addresses": {"0": ["127.0.0.1", 9000], "2": ["127.0.0.1", 9002], "11": ["127.0.0.1", 9011]}, '
-        b'"combine": "sum-by-key", "job_id": 9, "map_fn_id": "wordcount-map", "master": 0, "reduce_fn_id": "identity", '
-        b'"results_only": true, "routes": {"12": [2, 11], "13": []}, "selector_hex": "74656d702f", "type": "register_job"}',
+        b'"job_id": 9, "routes": {"12": [2, 11], "13": []}, "type": "register_job"}',
     ),
     "arrived": (
         Arrived(agent_id=12, job_id=9, hop=1, bytes=55, node=11),
@@ -98,7 +91,10 @@ MALFORMED_CONTROLS = {
     "route-not-a-list": CONTROL_FRAMES["register_job"][1].replace(b'"13": []', b'"13": "2"'),
     "address-key-not-a-node": CONTROL_FRAMES["register_job"][1].replace(b'"11": [', b'"x": ['),
     "address-missing-its-port": CONTROL_FRAMES["register_job"][1].replace(b', 9011]', b"]"),
-    "register-selector-not-hex": CONTROL_FRAMES["register_job"][1].replace(b'"74656d702f"', b'"7"'),
+    # The registration that carried the job's spec: each node now holds the job from the fork.
+    "register-job-with-its-spec": b'LCTL{"addresses": {"0": ["127.0.0.1", 9000], "2": ["127.0.0.1", 9002], "11": ["127.0.0.1", 9011]}, '
+    b'"combine": "sum-by-key", "job_id": 9, "map_fn_id": "wordcount-map", "master": 0, "reduce_fn_id": "identity", '
+    b'"results_only": true, "routes": {"12": [2, 11], "13": []}, "selector_hex": "74656d702f", "type": "register_job"}',
     # Only the master's own watchers report a node's exit, as a value.
     "node-exited": encode_control({"type": "node_exited", "node": 2, "code": 0}),
 }
@@ -133,10 +129,6 @@ class TestControlCodec:
         assert frame.kind == decode_control(wire)["type"]
         assert pack_control(frame) == wire
         assert unpack_control(wire) == frame
-
-    def test_registration_rebuilds_the_job_spec(self):
-        spec = lm.builtin_job("wordcount", job_id=9, selector=b"temp/")
-        assert unpack_control(pack_control(RegisterJob.of(spec, True, 0, {0: ("127.0.0.1", 9000)}, {12: ()}))).spec == spec
 
     @pytest.mark.parametrize("frame", MALFORMED_CONTROLS.values(), ids=MALFORMED_CONTROLS)
     def test_malformed_frame_is_a_decode_error(self, frame):
@@ -208,9 +200,23 @@ def master_inbox():
     server.stop()
 
 
-def start_node(node, master_server):
-    proc = NodeProcess(node, "127.0.0.1", 0, (master_server.host, master_server.port), registry=lm.build_default_registry())
+def start_node(node, master_server, job=None):
+    proc = NodeProcess(node, "127.0.0.1", 0, (master_server.host, master_server.port), job, registry=lm.build_default_registry())
     proc.server.start()
+    return proc
+
+
+def start_job_node(node, master_server, routes, results_only=False, others=None):
+    """A node forked with wordcount job 4 of master 0, and that job's
+    registration: ``routes``, and the addresses of the master, the node
+    and ``others``."""
+    proc = start_node(node, master_server, NodeJob(lm.builtin_job("wordcount", job_id=4), results_only, 0))
+    addresses = {0: (master_server.host, master_server.port), node.id: (proc.server.host, proc.server.port), **(others or {})}
+    try:
+        lm.TcpTransport({node.id: addresses[node.id]}).send(0, node.id, pack_control(RegisterJob(4, addresses, routes)))
+    except BaseException:
+        proc.server.stop()
+        raise
     return proc
 
 
@@ -223,18 +229,9 @@ class TestNodeProcess:
         server, events = master_inbox
         node = lm.SensorNode(id=1)
         node.ingest([(b"r", b"a b a")])
-        proc = start_node(node, server)
+        proc = start_job_node(node, server, {10: (1,)})
         try:
             transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
-            spec = lm.builtin_job("wordcount", job_id=4)
-            reg = RegisterJob.of(
-                spec=spec,
-                results_only=False,
-                master=0,
-                addresses={0: (server.host, server.port), 1: (proc.server.host, proc.server.port)},
-                routes={10: (1,)},
-            )
-            transport.send(0, 1, pack_control(reg))
             dispatched = lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4))
             transport.send(0, 1, dispatched)
 
@@ -256,18 +253,9 @@ class TestNodeProcess:
         server, events = master_inbox
         node = lm.SensorNode(id=1)
         node.ingest([(b"r", b"x y")])
-        proc = start_node(node, server)
+        proc = start_job_node(node, server, {10: (1,)}, results_only=True)
         try:
             transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
-            spec = lm.builtin_job("wordcount", job_id=4)
-            reg = RegisterJob.of(
-                spec=spec,
-                results_only=True,
-                master=0,
-                addresses={0: (server.host, server.port), 1: (proc.server.host, proc.server.port)},
-                routes={10: (1,)},
-            )
-            transport.send(0, 1, pack_control(reg))
             transport.send(0, 1, lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4)))
             arrived, frame = drain(events, 2)
             assert (decode_control(arrived)["type"], decode_control(arrived)["hop"]) == ("arrived", 0)
@@ -284,9 +272,10 @@ class TestNodeProcess:
         server, events = master_inbox
         node = lm.SensorNode(id=1)
         node.ingest([(b"temp/1", b"20")])
-        proc = NodeProcess(node, "127.0.0.1", 0, (server.host, server.port))
+        job = NodeJob(lm.builtin_job("wordcount", job_id=4, selector=selector), False, 0)
+        proc = NodeProcess(node, "127.0.0.1", 0, (server.host, server.port), job)
         codes = []
-        runner = threading.Thread(target=lambda: codes.append(proc.run_until_shutdown(selector)))
+        runner = threading.Thread(target=lambda: codes.append(proc.run_until_shutdown()))
         runner.start()
         try:
             (frame,) = drain(events, 1)
@@ -306,23 +295,9 @@ class TestNodeProcess:
         dead_port = probe.getsockname()[1]
         probe.close()
 
-        node = lm.SensorNode(id=1)
-        proc = start_node(node, server)
+        proc = start_job_node(lm.SensorNode(id=1), server, {10: (1, 2)}, others={2: ("127.0.0.1", dead_port)})
         try:
             transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
-            spec = lm.builtin_job("wordcount", job_id=4)
-            reg = RegisterJob.of(
-                spec=spec,
-                results_only=False,
-                master=0,
-                addresses={
-                    0: (server.host, server.port),
-                    1: (proc.server.host, proc.server.port),
-                    2: ("127.0.0.1", dead_port),
-                },
-                routes={10: (1, 2)},
-            )
-            transport.send(0, 1, pack_control(reg))
             transport.send(0, 1, lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4)))
             arrived, failure = (decode_control(f) for f in drain(events, 2, timeout=15.0))
             assert (arrived["type"], arrived["agent_id"], arrived["hop"], arrived["node"]) == ("arrived", 10, 0, 1)
@@ -337,20 +312,12 @@ class TestNodeProcess:
         server, events = master_inbox
         node = lm.SensorNode(id=1)
         node.ingest([(b"r", b" ".join(b"w%d" % i for i in range(200)))])
-        proc = start_node(node, server)
+        proc = start_job_node(node, server, {10: (1,)})
         # Control frames and the empty dispatched agent fit; the agent
         # carrying a 200-word partial home does not.
         monkeypatch.setattr(lm.transport, "MAX_FRAME", 1000)
         try:
             transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
-            reg = RegisterJob.of(
-                spec=lm.builtin_job("wordcount", job_id=4),
-                results_only=False,
-                master=0,
-                addresses={0: (server.host, server.port), 1: (proc.server.host, proc.server.port)},
-                routes={10: (1,)},
-            )
-            transport.send(0, 1, pack_control(reg))
             transport.send(0, 1, lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4)))
             arrived, failure = (decode_control(f) for f in drain(events, 2, timeout=15.0))
             assert (arrived["type"], arrived["hop"]) == ("arrived", 0)
@@ -368,8 +335,7 @@ class TestNodeProcess:
         node1.ingest([(b"r", b"a b")])
         node2 = lm.SensorNode(id=2)
         node2.ingest([(b"s", b"a")])
-        proc1 = start_node(node1, server)
-        proc2 = start_node(node2, server)
+        proc2 = start_job_node(node2, server, {10: (1, 2)})
         hosted = []
         host = node2.host
         monkeypatch.setattr(node2, "host", lambda agent, spec, registry: hosted.append(agent.id) or host(agent, spec, registry))
@@ -392,22 +358,9 @@ class TestNodeProcess:
 
         lossy = FrameServer("127.0.0.1", 0, lose_first_ack)
         lossy.start()
+        proc1 = start_job_node(node1, server, {10: (1, 2)}, others={2: (lossy.host, lossy.port)})
         try:
-            spec = lm.builtin_job("wordcount", job_id=4)
-            reg = RegisterJob.of(
-                spec=spec,
-                results_only=False,
-                master=0,
-                addresses={
-                    0: (server.host, server.port),
-                    1: (proc1.server.host, proc1.server.port),
-                    2: (lossy.host, lossy.port),
-                },
-                routes={10: (1, 2)},
-            )
-            transport = lm.TcpTransport({1: (proc1.server.host, proc1.server.port), 2: (proc2.server.host, proc2.server.port)})
-            for node_id in (1, 2):
-                transport.send(0, node_id, pack_control(reg))
+            transport = lm.TcpTransport({1: (proc1.server.host, proc1.server.port)})
             transport.send(0, 1, lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4)))
 
             first, second, envelope = drain(events, 3)
@@ -446,17 +399,9 @@ class TestNodeProcess:
         node.ingest([(b"r", b"a")])
         hosted = []
         monkeypatch.setattr(node, "host", lambda agent, registry: hosted.append(agent.id))
-        proc = start_node(node, server)
+        proc = start_job_node(node, server, {10: (1,)})
         try:
             transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
-            reg = RegisterJob.of(
-                spec=lm.builtin_job("wordcount", job_id=4),
-                results_only=False,
-                master=0,
-                addresses={0: (server.host, server.port), 1: (proc.server.host, proc.server.port)},
-                routes={10: (1,)},
-            )
-            transport.send(0, 1, pack_control(reg))
             envelope = lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4))
             for _ in range(2):
                 with pytest.raises(lm.TransportFailure, match="closed without acknowledging"):
@@ -476,19 +421,11 @@ class TestNodeProcess:
         server, events = master_inbox
         node = lm.SensorNode(id=1)
         node.ingest([(b"r", b"a")])
-        proc = start_node(node, server)
+        proc = start_job_node(node, server, {10: (1,)})
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
-            reg = RegisterJob.of(
-                spec=lm.builtin_job("wordcount", job_id=4),
-                results_only=False,
-                master=0,
-                addresses={0: (server.host, server.port), 1: (proc.server.host, proc.server.port)},
-                routes={10: (1,)},
-            )
-            transport.send(0, 1, pack_control(reg))
             envelope = lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4))
             senders = [threading.Thread(target=transport.send, args=(0, 1, envelope)) for _ in range(8)]
             for sender in senders:
@@ -519,6 +456,53 @@ class TestNodeProcess:
         finally:
             proc.shutdown.set()
             proc.server.stop()
+
+    def test_refuses_a_registration_for_another_job(self, master_inbox, caplog):
+        # The node was forked with job 4: job 5's registration is left
+        # unacked and not in force, so job 5's slave fails at the node.
+        server, events = master_inbox
+        proc = start_job_node(lm.SensorNode(id=1), server, {10: (1,)})
+        try:
+            transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
+            with pytest.raises(lm.TransportFailure, match="closed without acknowledging"):
+                transport.send(0, 1, pack_control(RegisterJob(5, {0: (server.host, server.port)}, {11: (1,)})))
+            rejected = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+            assert rejected == ["rejected a frame: DecodeError: node 1 takes no register_job frame for job 5"]
+            transport.send(0, 1, lm.pack(lm.Agent(id=11, role=AgentRole.SLAVE, job_id=5)))
+            arrived, failed = (decode_control(f) for f in drain(events, 2))
+            assert (arrived["type"], arrived["job_id"]) == ("arrived", 5)
+            assert (failed["type"], failed["agent_id"], failed["reason"]) == ("slave_failed", 11, "job not registered at node")
+        finally:
+            proc.shutdown.set()
+            proc.server.stop()
+
+    def test_a_node_without_a_job_refuses_every_registration(self, master_inbox, caplog):
+        # The command-line form: has_data answers for the empty selector,
+        # no registration is ever acked, and a slave fails at the node.
+        server, events = master_inbox
+        node = lm.SensorNode(id=1)
+        node.ingest([(b"temp/1", b"20")])
+        proc = NodeProcess(node, "127.0.0.1", 0, (server.host, server.port))
+        codes = []
+        runner = threading.Thread(target=lambda: codes.append(proc.run_until_shutdown()))
+        runner.start()
+        try:
+            (ready,) = drain(events, 1)
+            assert decode_frame(ready) == NodeReady(1, proc.server.host, proc.server.port, 8, 0, True)
+            transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
+            for job_id in (0, 1, 4):
+                with pytest.raises(lm.TransportFailure, match="closed without acknowledging"):
+                    transport.send(0, 1, pack_control(RegisterJob(job_id, {0: (server.host, server.port)}, {10: (1,)})))
+            rejected = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+            assert rejected == [f"rejected a frame: DecodeError: node 1 takes no register_job frame for job {n}" for n in (0, 1, 4)]
+            transport.send(0, 1, lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4)))
+            arrived, failed = (decode_control(f) for f in drain(events, 2))
+            assert arrived["type"] == "arrived"
+            assert (failed["type"], failed["reason"]) == ("slave_failed", "job not registered at node")
+        finally:
+            proc.shutdown.set()
+            runner.join(10.0)
+        assert codes == [0]
 
     def test_shutdown_is_set_only_after_the_ack(self, master_inbox):
         server, _ = master_inbox

@@ -61,6 +61,16 @@ class TestLinkValidation:
             lm.SimLink(src=0, dst=1, bandwidth_bytes_per_s=1, latency_s=-0.1)
 
 
+# A topology file with one value of the wrong type; each is a TopologyError
+# naming its key.
+BAD_TOPOLOGY_VALUES = {
+    "rng-seed-not-an-int": ("rng_seed", "abc"),
+    "preset-a-list": ("preset", ["iot"]),
+    "default-link-not-an-object": ("default_link", 5),
+    "default-link-latency-not-a-number": ("default_link", {"latency_s": "slow"}),
+}
+
+
 class TestTopology:
     def test_full_mesh_links_every_ordered_pair(self):
         topo = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
@@ -110,6 +120,13 @@ class TestTopology:
             lm.Topology.from_dict({"master": 0, "nodes": [1], "links": [{"from": 5, "to": 6}]})
         with pytest.raises(lm.TopologyError):
             lm.Topology.from_dict({"nodes": [1]})
+
+    @pytest.mark.parametrize("key, value", BAD_TOPOLOGY_VALUES.values(), ids=BAD_TOPOLOGY_VALUES)
+    def test_a_value_of_the_wrong_type_is_a_topology_error(self, tmp_path, key, value):
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps({"master": 0, "nodes": [1], key: value}))
+        with pytest.raises(lm.TopologyError, match=key):
+            lm.Topology.from_file(path)
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "topo.json"
