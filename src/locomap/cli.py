@@ -34,7 +34,7 @@ from .nodes import load_records_tsv
 from .orchestration import Cluster, builtin_job, run_job, sequential_oracle
 from .tcp_cluster import run_tcp_job
 from .tcp_node import FrameServer
-from .transport import SimTransport, TcpTransport, Topology
+from .transport import SimTransport, TcpTransport, Topology, read_topology_file
 
 logger = logging.getLogger("locomap.cli")
 
@@ -69,22 +69,22 @@ def _write_output(doc: dict, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_topology(args) -> tuple[Topology, dict]:
+def _load_topology(args) -> tuple[Topology, bool]:
+    """The topology file's Topology, and whether the file gives a seed."""
     if not args.topology:
         raise ConfigError("--topology is required")
     path = Path(args.topology)
     if not path.exists():
         raise ConfigError(f"topology file {path} does not exist")
-    topology = Topology.from_file(path)
-    raw = json.loads(path.read_text())
-    return topology, raw
+    doc = read_topology_file(path)
+    return Topology.from_dict(doc), "rng_seed" in doc
 
 
-def _resolve_seed(args, raw_topology: dict, topology: Topology) -> int:
+def _resolve_seed(args, seeded: bool, topology: Topology) -> int:
     if args.seed is not None:
         topology.rng_seed = args.seed
         return args.seed
-    if "rng_seed" in raw_topology:
+    if seeded:
         return topology.rng_seed
     raise ConfigError("sim mode needs a seed: pass --seed or put rng_seed in the topology file")
 
@@ -138,13 +138,13 @@ def _execute(args) -> tuple[dict, object, int]:
     for name, mode in _MODE_ONLY.items():
         if args.mode != mode and getattr(args, name) is not None:
             raise ConfigError(f"--{name.replace('_', '-')} applies to {mode} mode only")
-    topology, raw = _load_topology(args)
+    topology, seeded = _load_topology(args)
     files = _data_files(topology, args.data_dir)
     spec = builtin_job(args.job, job_id=args.job_id, slave_count=args.slave_count)
     code = 0
     try:
         if args.mode == "sim":
-            seed = _resolve_seed(args, raw, topology)
+            seed = _resolve_seed(args, seeded, topology)
             cluster = Cluster.from_topology(topology, mem_bytes_limit=args.mem_limit)
             for node_id, path in files.items():
                 cluster.nodes[node_id].ingest(load_records_tsv(path))

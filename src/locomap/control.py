@@ -9,17 +9,19 @@ fields, and both ends build and read every control frame through one
 codec, ``pack_control`` and ``unpack_control``, over the JSON pair
 ``encode_control``/``decode_control``. A frame whose ``type`` names no
 kind, or whose fields are not exactly its kind's, each of its declared
-type, is a ``DecodeError``. The master's node watchers queue
+type, is a ``DecodeError``. Fields are read by ``transport.typed``, the
+reader that also reads topology files. The master's node watchers queue
 ``orchestration.NodeExited``, which is no kind here: it never crosses a
 socket.
 """
 
 import json
 from dataclasses import dataclass, fields
-from typing import ClassVar, get_args, get_origin
+from typing import ClassVar, TypedDict
 
 from .agents import NodeId
 from .errors import DecodeError
+from .transport import typed
 
 CONTROL_MAGIC = b"LCTL"
 
@@ -92,8 +94,8 @@ class Shutdown(ControlFrame, kind="shutdown"):
     """Master to node: stop serving and exit."""
 
 
-# Each kind's class and the declared type of each of its fields, by ``type``.
-_KINDS = {cls.kind: (cls, {f.name: f.type for f in fields(cls)}) for cls in ControlFrame.__subclasses__()}
+# Each kind's class and the schema of its fields, every one required, by ``type``.
+_KINDS = {cls.kind: (cls, TypedDict(cls.kind, {f.name: f.type for f in fields(cls)})) for cls in ControlFrame.__subclasses__()}
 
 
 def pack_control(frame: ControlFrame) -> bytes:
@@ -111,25 +113,8 @@ def unpack_control(data: bytes) -> ControlFrame:
         raise DecodeError("not a control frame")
     try:
         doc = decode_control(data)
-        cls, types = _KINDS[doc.pop("type")]
+        cls, schema = _KINDS[doc.pop("type")]
     except (ValueError, AttributeError, TypeError, KeyError) as exc:
         # Not JSON, not a JSON object, or no known type.
         raise DecodeError(f"unreadable control frame: {exc!r}") from None
-    if doc.keys() != types.keys():
-        raise DecodeError(f"{cls.kind} frame has fields {sorted(doc)}, not {sorted(types)}")
-    return cls(**{name: _typed(doc[name], hint, name) for name, hint in types.items()})
-
-
-def _typed(value, hint, name: str):
-    """``value``, read from JSON, as ``hint``: a scalar of exactly that
-    type, a tuple from a list, or a dict with int keys from string keys."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is None and type(value) is hint:
-        return value
-    if origin is tuple and type(value) is list:
-        items = args[:1] * len(value) if args[1:] == (Ellipsis,) else args
-        if len(items) == len(value):
-            return tuple(_typed(item, t, name) for item, t in zip(value, items))
-    if origin is dict and type(value) is dict and all(key.isdecimal() for key in value):
-        return {int(key): _typed(item, args[1], name) for key, item in value.items()}
-    raise DecodeError(f"control field {name!r} holds {value!r:.80}, not {hint}")
+    return cls(**typed(doc, schema, cls.kind, DecodeError))

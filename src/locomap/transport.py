@@ -12,15 +12,16 @@ answers with a single 0x06 acknowledgement byte. One fresh connection is
 opened per send, so connection setup is paid per migration.
 """
 
-from __future__ import annotations
-
 import json
 import logging
+import math
 import random
 import socket
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import TypedDict, get_args, get_origin, is_typeddict
 
 from .agents import NodeId
 from .errors import ConnectRefused, FrameTooLarge, SendTimeout, TopologyError, TransportFailure
@@ -50,12 +51,13 @@ class SimLink:
     failure_prob: float = 0.0
 
     def __post_init__(self):
-        if self.bandwidth_bytes_per_s <= 0:
-            raise TopologyError("link bandwidth must be positive")
-        if self.latency_s < 0:
-            raise TopologyError("link latency must be non-negative")
+        # Each range is closed to NaN: every comparison with NaN is false.
+        if not 0 < self.bandwidth_bytes_per_s < math.inf:
+            raise TopologyError(f"link {self.src}->{self.dst} bandwidth must be positive and finite, not {self.bandwidth_bytes_per_s}")
+        if not 0 <= self.latency_s < math.inf:
+            raise TopologyError(f"link {self.src}->{self.dst} latency must be non-negative and finite, not {self.latency_s}")
         if not 0.0 <= self.failure_prob <= 1.0:
-            raise TopologyError("failure probability must be in [0, 1]")
+            raise TopologyError(f"link {self.src}->{self.dst} failure probability must be in [0, 1], not {self.failure_prob}")
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,58 @@ def sim_send(link: SimLink, payload_bytes: int, rng: random.Random) -> DeliveryR
     )
 
 
+def typed(value, hint, path: str, error: type[Exception]):
+    """``value``, read from JSON, as ``hint``; anything else raises ``error``
+    naming ``path``. It reads control frames (``control.unpack_control``)
+    and topology files (``Topology.from_dict``). A scalar is of exactly its
+    type (a JSON ``true`` is no ``int``); a ``float`` is a finite JSON int
+    or float; a tuple is read from a list, and a dict with int keys from an
+    object with decimal keys. A ``TypedDict`` is an object with its
+    required keys, any of its optional keys and no other key."""
+    origin, args = get_origin(hint), get_args(hint)
+    if hint is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif origin is None and type(value) is hint:
+        return value
+    if origin is tuple and type(value) is list:
+        items = args[:1] * len(value) if args[1:] == (Ellipsis,) else args
+        if len(items) == len(value):
+            return tuple(typed(item, t, f"{path}[{i}]", error) for i, (item, t) in enumerate(zip(value, items)))
+    if origin is dict and type(value) is dict and all(key.isdecimal() for key in value):
+        return {int(key): typed(item, args[1], f"{path}[{key}]", error) for key, item in value.items()}
+    if is_typeddict(hint) and type(value) is dict:
+        required, optional = hint.__required_keys__, hint.__optional_keys__
+        if not required <= value.keys() <= required | optional:
+            raise error(f"{path} has keys {sorted(value)}, not {sorted(required)} and any of {sorted(optional)}")
+        return {key: typed(item, hint.__annotations__[key], f"{path}.{key}", error) for key, item in value.items()}
+    raise error(f"{path} holds {value!r:.80}, not {hint}")
+
+
+# The topology file's schema. Each required key sits in a functional
+# TypedDict base: ``from`` is a keyword, and Python 3.10 has no NotRequired.
+class LinkParams(TypedDict, total=False):
+    """A link's numbers; one left out keeps its default."""
+
+    bandwidth_bytes_per_s: float
+    latency_s: float
+    failure_prob: float
+
+
+class LinkOverride(TypedDict("LinkEnds", {"from": NodeId, "to": NodeId}), LinkParams):
+    """A ``links`` entry: the directed link ``from`` -> ``to`` and the numbers it sets."""
+
+
+class TopologyFile(TypedDict("TopologyNodes", {"master": NodeId, "nodes": tuple[NodeId, ...]}), total=False):
+    """A topology file: its master, its sensor nodes and, optionally, the
+    rest. ``default_link`` overrides the preset's numbers on every link."""
+
+    preset: str
+    rng_seed: int
+    default_link: LinkParams
+    links: tuple[LinkOverride, ...]
+
+
 @dataclass
 class Topology:
     """Nodes, directed links and the master designation for one network."""
@@ -111,9 +165,12 @@ class Topology:
     def __post_init__(self):
         self.nodes = tuple(sorted(self.nodes))
         if len(set(self.nodes)) != len(self.nodes):
-            raise TopologyError("duplicate node ids in topology")
+            raise TopologyError(f"topology.nodes lists a node twice: {self.nodes!r:.80}")
         if self.master in self.nodes:
-            raise TopologyError("master must not appear in the sensor node list")
+            raise TopologyError(f"topology.nodes lists the master {self.master}")
+        if not all(0 <= n <= 0xFFFFFFFF for n in (self.master, *self.nodes)):
+            # An envelope's itinerary carries each node id as a u32.
+            raise TopologyError("topology.master and topology.nodes must be u32 ids")
 
     def link(self, src: NodeId, dst: NodeId) -> SimLink:
         try:
@@ -132,14 +189,14 @@ class Topology:
         rng_seed: int = 0,
     ) -> "Topology":
         """Fully connected topology with uniform link parameters."""
-        everyone = sorted(set(nodes) | {master})
+        everyone = sorted((master, *nodes))
         links = {
             (a, b): SimLink(a, b, bandwidth_bytes_per_s, latency_s, failure_prob)
             for a in everyone
             for b in everyone
             if a != b
         }
-        return cls(master=master, nodes=tuple(n for n in everyone if n != master), links=links, rng_seed=rng_seed)
+        return cls(master=master, nodes=nodes, links=links, rng_seed=rng_seed)
 
     @classmethod
     def from_preset(
@@ -152,53 +209,37 @@ class Topology:
         return cls.full_mesh(master, nodes, failure_prob=failure_prob, rng_seed=rng_seed, **params)
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "Topology":
-        """Build from the documented JSON topology schema."""
-        try:
-            master = int(doc["master"])
-            nodes = [int(n) for n in doc["nodes"]]
-            rng_seed = int(doc.get("rng_seed", 0))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TopologyError(f"topology needs integer 'master' and 'nodes', and an integer 'rng_seed' if any: {exc}") from exc
+    def from_dict(cls, doc) -> "Topology":
+        """Build from a topology file's JSON value, read as ``TopologyFile``:
+        any other key, or a value of another type, is a TopologyError that
+        names its path."""
+        doc = typed(doc, TopologyFile, "topology", TopologyError)
         preset = doc.get("preset", "iot")
-        if type(preset) is not str or preset not in LINK_PRESETS:
-            raise TopologyError(f"unknown preset {preset!r}, have {sorted(LINK_PRESETS)}")
-        defaults = dict(LINK_PRESETS[preset], failure_prob=0.0)
-        overrides = doc.get("default_link", {})
-        try:
-            defaults.update({key: float(value) for key, value in overrides.items()})
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise TopologyError(f"bad default_link {overrides!r}: {exc}") from exc
-        unknown = set(overrides) - {"bandwidth_bytes_per_s", "latency_s", "failure_prob"}
-        if unknown:
-            raise TopologyError(f"unknown default_link keys: {sorted(unknown)}")
-        topo = cls.full_mesh(master, nodes, rng_seed=rng_seed, **defaults)
-        for entry in doc.get("links", []):
-            try:
-                link = SimLink(
-                    src=int(entry["from"]),
-                    dst=int(entry["to"]),
-                    bandwidth_bytes_per_s=float(entry.get("bandwidth_bytes_per_s", defaults["bandwidth_bytes_per_s"])),
-                    latency_s=float(entry.get("latency_s", defaults["latency_s"])),
-                    failure_prob=float(entry.get("failure_prob", defaults["failure_prob"])),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise TopologyError(f"bad link entry {entry!r}: {exc}") from exc
-            if (link.src, link.dst) not in topo.links:
-                raise TopologyError(f"link override {link.src}->{link.dst} names unknown nodes")
-            topo.links[(link.src, link.dst)] = link
+        if preset not in LINK_PRESETS:
+            raise TopologyError(f"topology.preset holds {preset!r:.80}, not one of {sorted(LINK_PRESETS)}")
+        defaults = {**LINK_PRESETS[preset], "failure_prob": 0.0, **doc.get("default_link", {})}
+        topo = cls.full_mesh(doc["master"], doc["nodes"], rng_seed=doc.get("rng_seed", 0), **defaults)
+        for i, entry in enumerate(doc.get("links", ())):
+            ends = entry.pop("from"), entry.pop("to")
+            if ends not in topo.links:
+                raise TopologyError(f"topology.links[{i}] names {ends[0]}->{ends[1]}, no link between two nodes")
+            topo.links[ends] = SimLink(*ends, **{**defaults, **entry})
         return topo
 
     @classmethod
     def from_file(cls, path) -> "Topology":
-        path = Path(path)
-        try:
-            doc = json.loads(path.read_text())
-        except OSError as exc:
-            raise TopologyError(f"cannot read topology file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise TopologyError(f"topology file is not valid JSON: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(read_topology_file(path))
+
+
+def read_topology_file(path) -> object:
+    """The JSON value a topology file holds; TopologyError if the file
+    cannot be read or is not UTF-8 JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise TopologyError(f"cannot read topology file: {exc}") from exc
+    except ValueError as exc:
+        raise TopologyError(f"topology file is not valid JSON: {exc}") from exc
 
 
 # Deterministic CPU-side costs for the simulator. Real pack/unpack work

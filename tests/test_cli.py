@@ -304,9 +304,21 @@ def test_a_lossy_topology_is_exit_1_in_tcp_mode(capsys, monkeypatch):
 
 BAD_TOPOLOGY_VALUES = {
     "rng-seed-not-an-int": ("rng_seed", "abc"),
+    "rng-seed-a-float": ("rng_seed", 1.7),
     "preset-a-list": ("preset", ["iot"]),
     "default-link-not-an-object": ("default_link", 5),
     "default-link-latency-not-a-number": ("default_link", {"latency_s": "slow"}),
+    "default-link-bandwidth-nan": ("default_link", {"bandwidth_bytes_per_s": float("nan")}),
+    "links-not-a-list": ("links", 5),
+    "link-latency-nan": ("links", [{"from": 0, "to": 1, "latency_s": float("nan")}]),
+    "link-key-misspelled": ("links", [{"from": 0, "to": 1, "failure_porb": 0.5}]),
+    "default-link-key-misspelled": ("default_links", {"failure_prob": 0.5}),
+    "master-infinity": ("master", float("inf")),
+    "node-a-bool": ("nodes", [True]),
+    "nodes-a-string": ("nodes", "12"),
+    "nodes-list-the-master": ("nodes", [0, 1, 2]),
+    "nodes-list-an-id-twice": ("nodes", [1, 1, 2]),
+    "node-id-over-u32": ("nodes", [1, 2, 2**40]),
 }
 
 

@@ -1,11 +1,14 @@
+import copy
 import json
 import logging
+import math
 import queue
 import random
 import socket
 import struct
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -60,15 +63,96 @@ class TestLinkValidation:
         with pytest.raises(lm.TopologyError):
             lm.SimLink(src=0, dst=1, bandwidth_bytes_per_s=1, latency_s=-0.1)
 
+    @pytest.mark.parametrize("name", ["bandwidth_bytes_per_s", "latency_s", "failure_prob"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_number_that_is_not_finite(self, name, value):
+        with pytest.raises(lm.TopologyError):
+            lm.SimLink(**{"src": 0, "dst": 1, "bandwidth_bytes_per_s": 1, name: value})
 
-# A topology file with one value of the wrong type; each is a TopologyError
-# naming its key.
+
+# A topology file with one value of the wrong type, or a key it may not
+# have; each is a TopologyError naming its key.
 BAD_TOPOLOGY_VALUES = {
     "rng-seed-not-an-int": ("rng_seed", "abc"),
+    "rng-seed-a-float": ("rng_seed", 1.7),
     "preset-a-list": ("preset", ["iot"]),
     "default-link-not-an-object": ("default_link", 5),
     "default-link-latency-not-a-number": ("default_link", {"latency_s": "slow"}),
+    "default-link-bandwidth-nan": ("default_link", {"bandwidth_bytes_per_s": math.nan}),
+    "links-not-a-list": ("links", 5),
+    "link-latency-nan": ("links", [{"from": 0, "to": 1, "latency_s": math.nan}]),
+    "link-key-misspelled": ("links", [{"from": 0, "to": 1, "failure_porb": 0.5}]),
+    "default-link-key-misspelled": ("default_links", {"failure_prob": 0.5}),
+    "master-infinity": ("master", math.inf),
+    "node-a-bool": ("nodes", [True]),
+    "nodes-a-string": ("nodes", "12"),
+    "nodes-list-the-master": ("nodes", [0, 1]),
+    "nodes-list-an-id-twice": ("nodes", [1, 1]),
+    "node-id-over-u32": ("nodes", [2**40]),
 }
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Each shipped config: master, nodes, rng_seed, and the numbers of its every
+# link (bandwidth, latency, failure probability).
+SHIPPED_CONFIGS = {
+    "iot3": (0, (1, 2, 3), 7, 250e3, 0.02, 0.0),
+    "iot8": (0, tuple(range(1, 9)), 42, 250e3, 0.02, 0.0),
+    "iot8_lossy": (0, tuple(range(1, 9)), 42, 250e3, 0.02, 0.5),
+    "lab8": (0, tuple(range(1, 9)), 42, 125e6, 0.0005, 0.0),
+}
+
+# What the mutation test puts at each path of a shipped config.
+MUTANT_VALUES = [None, True, 1.5, math.nan, math.inf, -math.inf, "", "12", [], {}, 2**70]
+
+
+def json_paths(value, path=()):
+    """Each path into a JSON value and the value there, its own first."""
+    yield path, value
+    items = value.items() if type(value) is dict else enumerate(value) if type(value) is list else ()
+    for key, item in items:
+        yield from json_paths(item, (*path, key))
+
+
+def put(doc, path, value):
+    """A copy of ``doc`` with ``value`` at ``path``."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def holds_as_written(topo, doc) -> bool:
+    """Whether ``topo`` holds exactly what the topology file ``doc`` says:
+    an id or seed is a JSON int, not a bool; ids fit u32, are unique, and
+    the master is not listed in ``nodes``; each link number is a finite
+    JSON number, held as the float equal to it; no other key is set. The
+    shipped configs set no ``links``, so no mutant does."""
+    if type(doc) is not dict or not doc.keys() <= {"master", "nodes", "preset", "rng_seed", "default_link"}:
+        return False
+    master, nodes, seed = doc["master"], doc["nodes"], doc.get("rng_seed", 0)
+    if type(nodes) is not list or not all(type(n) is int for n in (master, *nodes, seed, topo.master, *topo.nodes, topo.rng_seed)):
+        return False
+    if len(set(nodes)) != len(nodes) or master in nodes or not all(0 <= n <= 0xFFFFFFFF for n in (master, *nodes)):
+        return False
+    if (topo.master, topo.nodes, topo.rng_seed) != (master, tuple(sorted(nodes)), seed):
+        return False
+    preset, default_link = doc.get("preset", "iot"), doc.get("default_link", {})
+    if type(preset) is not str or preset not in lm.LINK_PRESETS or type(default_link) is not dict:
+        return False
+    numbers = {**lm.LINK_PRESETS[preset], "failure_prob": 0.0, **default_link}
+    if numbers.keys() != {"bandwidth_bytes_per_s", "latency_s", "failure_prob"}:
+        return False
+    if not all(type(v) in (int, float) and math.isfinite(v) for v in numbers.values()):
+        return False
+    everyone = (master, *nodes)
+    if topo.links.keys() != {(a, b) for a in everyone for b in everyone if a != b}:
+        return False
+    return all(type(getattr(link, k)) is float and getattr(link, k) == v for link in topo.links.values() for k, v in numbers.items())
 
 
 class TestTopology:
@@ -85,10 +169,14 @@ class TestTopology:
     def test_master_must_not_be_a_sensor_node(self):
         with pytest.raises(lm.TopologyError):
             lm.Topology(master=1, nodes=(1, 2))
+        with pytest.raises(lm.TopologyError, match="lists the master 1"):
+            lm.Topology.from_preset("iot", master=1, nodes=[1, 2])
 
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(lm.TopologyError):
             lm.Topology(master=0, nodes=(1, 1))
+        with pytest.raises(lm.TopologyError, match="lists a node twice"):
+            lm.Topology.from_preset("iot", master=0, nodes=[1, 1, 2])
 
     def test_presets(self):
         lab = lm.Topology.from_preset("lab", master=0, nodes=[1])
@@ -127,6 +215,37 @@ class TestTopology:
         path.write_text(json.dumps({"master": 0, "nodes": [1], key: value}))
         with pytest.raises(lm.TopologyError, match=key):
             lm.Topology.from_file(path)
+
+    @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+    def test_a_shipped_config_reads_as_written(self, name):
+        master, nodes, seed, *numbers = SHIPPED_CONFIGS[name]
+        topo = lm.Topology.from_file(CONFIGS / f"{name}.json")
+        assert (topo.master, topo.nodes, topo.rng_seed) == (master, nodes, seed)
+        everyone = (master, *nodes)
+        assert topo.links == {(a, b): lm.SimLink(a, b, *numbers) for a in everyone for b in everyone if a != b}
+
+    def test_every_one_value_mutation_of_a_shipped_config_is_an_error_or_read_as_written(self):
+        # Each value of MUTANT_VALUES at every path of each config, and one
+        # unknown key added to each of its objects.
+        configs = {path.stem: json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))}
+        assert configs.keys() == SHIPPED_CONFIGS.keys()
+        wrong = []
+        for name, config in configs.items():
+            paths = list(json_paths(config))
+            mutants = [(path, value) for path, _ in paths for value in MUTANT_VALUES]
+            mutants += [(path, {**obj, "unknown": 1}) for path, obj in paths if type(obj) is dict]
+            for path, value in mutants:
+                doc = put(config, path, value)
+                try:
+                    topo = lm.Topology.from_dict(copy.deepcopy(doc))
+                except lm.TopologyError:
+                    continue
+                except Exception as exc:
+                    wrong.append((name, path, value, exc))
+                    continue
+                if not holds_as_written(topo, doc):
+                    wrong.append((name, path, value, topo))
+        assert wrong == []
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "topo.json"
