@@ -1,18 +1,18 @@
 """Control frames for TCP mode: the messages that announce each node and
-whether it holds data for the job's selector, hand each node the
-addresses and routes the master learns after it forks the nodes, report
-arrivals and failures, and shut nodes down. The job itself never crosses
-a socket: each node holds it from the fork.
+whether it holds data for the job's selector, hand each node the routes
+the master plans from those answers, report arrivals and failures, and
+shut nodes down. The job and every node's address never cross a socket:
+each node holds them from the fork.
 
 Each kind is one frozen dataclass whose fields are the frame's JSON
 fields, and both ends build and read every control frame through one
 codec, ``pack_control`` and ``unpack_control``, over the JSON pair
 ``encode_control``/``decode_control``. A frame whose ``type`` names no
 kind, or whose fields are not exactly its kind's, each of its declared
-type, is a ``DecodeError``. Fields are read by ``transport.typed``, the
-reader that also reads topology files. The master's node watchers queue
-``orchestration.NodeExited``, which is no kind here: it never crosses a
-socket.
+type, is a ``DecodeError``; so is an object that repeats a key. Fields
+are read by ``transport.typed``, the reader that also reads topology
+files. The master's node watchers queue ``orchestration.NodeExited``,
+which is no kind here: it never crosses a socket.
 """
 
 import json
@@ -21,7 +21,7 @@ from typing import ClassVar, TypedDict
 
 from .agents import NodeId
 from .errors import DecodeError
-from .transport import typed
+from .transport import typed, unique_keys
 
 CONTROL_MAGIC = b"LCTL"
 
@@ -31,7 +31,7 @@ def encode_control(doc: dict) -> bytes:
 
 
 def decode_control(data: bytes) -> dict:
-    return json.loads(data[4:].decode("utf-8"))
+    return json.loads(data[4:].decode("utf-8"), object_pairs_hook=unique_keys)
 
 
 class ControlFrame:
@@ -47,7 +47,9 @@ class ControlFrame:
 @dataclass(frozen=True)
 class NodeReady(ControlFrame, kind="node_ready"):
     """Node to master, once it serves: where it listens, what it holds,
-    and whether its heap holds a record for the job's selector."""
+    and whether its heap holds a record for the job's selector. The
+    master bound the listener itself, and reads neither ``host`` nor
+    ``port``."""
 
     node: NodeId
     host: str
@@ -60,11 +62,9 @@ class NodeReady(ControlFrame, kind="node_ready"):
 @dataclass(frozen=True)
 class RegisterJob(ControlFrame, kind="register_job"):
     """Master to node: what the master learns only after it forks the
-    nodes. ``addresses`` maps each node to its listener and ``routes``
-    each slave's agent id to its planned route."""
+    nodes, ``routes``, each slave's agent id to its planned route."""
 
     job_id: int
-    addresses: dict[NodeId, tuple[str, int]]
     routes: dict[int, tuple[NodeId, ...]]
 
 
@@ -114,7 +114,8 @@ def unpack_control(data: bytes) -> ControlFrame:
     try:
         doc = decode_control(data)
         cls, schema = _KINDS[doc.pop("type")]
+        return cls(**typed(doc, schema, cls.kind, DecodeError))
     except (ValueError, AttributeError, TypeError, KeyError) as exc:
-        # Not JSON, not a JSON object, or no known type.
+        # Not JSON, not a JSON object, a repeated key, no known type, or
+        # an int key past the interpreter's digit limit.
         raise DecodeError(f"unreadable control frame: {exc!r}") from None
-    return cls(**typed(doc, schema, cls.kind, DecodeError))

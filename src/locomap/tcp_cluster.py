@@ -1,15 +1,17 @@
 """Master-side supervision for TCP mode.
 
-The master (this process) forks one node process per sensor node for
-each job, handing each the whole job (its spec, ``results_only`` and
-the master's node id), reaps each in a watcher thread, and queues its
-exit as a ``NodeExited`` value. The master waits for the nodes to
-announce themselves, each saying whether it holds data for the job's
-selector, plans the routes from the announcements as the sim does,
-registers the job everywhere with what it learned after the fork (every
-node's address and every slave's route), injects the slaves, and then
-collects whatever comes back: arriving agents, remote result messages,
-failure notices, arrival reports and node exits.
+The master (this process) binds its own listener and every node's
+before it forks anything, then forks one node process per sensor node
+for each job, handing each its listener and the whole job (its spec,
+``results_only``, the master's node id and every node's address),
+reaps each in a watcher thread, and queues its exit as a ``NodeExited``
+value. The master waits for the nodes to announce themselves, each
+saying whether it holds data for the job's selector, plans the routes
+from the announcements as the sim does, registers the job everywhere
+with the one thing it learned after the fork (every slave's route),
+injects the slaves, and then collects whatever comes back: arriving
+agents, remote result messages, failure notices, arrival reports and
+node exits.
 
 One queue holds every event as a value. The master's listener decodes
 each frame with ``tcp_node.decode_frame`` before it acks it and queues
@@ -29,6 +31,7 @@ import logging
 import os
 import queue
 import signal
+import socket
 import sys
 import threading
 import time
@@ -52,7 +55,7 @@ from .orchestration import (
 )
 from .registry import DEFAULT_REGISTRY
 from .control import NodeReady, RegisterJob, Shutdown, SlaveFailed, pack_control
-from .tcp_node import FrameServer, NodeJob, decode_frame, serve
+from .tcp_node import FrameServer, NodeJob, decode_frame, listen, serve
 from .transport import TcpTransport, Topology
 
 # perfbench's tracer patches these names here as well as in orchestration,
@@ -63,12 +66,16 @@ from .registry import encode_partial  # noqa: F401
 logger = logging.getLogger("locomap.tcp_cluster")
 
 
-def _fork_node(server: FrameServer, node: tuple[int, int, str], job: NodeJob, host: str, mem_limit: int, log_dir: str | Path | None) -> int:
+def _fork_node(node: tuple[int, str], listener: socket.socket, inherited: list[socket.socket], job: NodeJob, mem_limit: int, log_dir: str | Path | None) -> int:
     """Fork a process that runs ``tcp_node.serve`` for ``node``, a
-    ``(node_id, port, data_file)``, and ``job``; its pid. The child keeps
-    every module, patch and registered function the master holds, and its
-    stderr goes to ``node_<id>.log`` under ``log_dir``, or to the null
-    device."""
+    ``(node_id, data_file)``, on ``listener`` and ``job``; its pid. The
+    child keeps every module, patch and registered function the master
+    holds, and its stderr goes to ``node_<id>.log`` under ``log_dir``, or
+    to the null device. It closes its copies of the ``inherited``
+    listeners, the master's and those of the nodes forked after it:
+    connections to a node that has exited are refused at once only if no
+    live process holds its listener. Closing, not shutting down: a
+    shutdown acts on the socket in every process that holds it."""
     sys.stdout.flush()
     sys.stderr.flush()
     pid = os.fork()
@@ -78,12 +85,13 @@ def _fork_node(server: FrameServer, node: tuple[int, int, str], job: NodeJob, ho
     # with os._exit, and an uncaught error prints its traceback and exits 1.
     code = 1
     try:
-        server._sock.close()  # the child's copy; the master's stays open
+        for sock in inherited:
+            sock.close()
         log = os.open(os.path.join(log_dir, f"node_{node[0]}.log") if log_dir else os.devnull, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
         os.dup2(log, 2)
         os.close(log)
         sys.stderr = open(2, "w", buffering=1, errors="backslashreplace", closefd=False)
-        code = serve(*node, (server.host, server.port), job, host, mem_limit)
+        code = serve(node[0], listener, node[1], job.addresses[job.master], job, mem_limit)
     except BaseException:
         traceback.print_exc()
     finally:
@@ -100,10 +108,7 @@ def _listen(host: str, port: int, events: queue.Queue) -> FrameServer:
     """The master's listener. It queues the value each frame holds before
     it acks the frame, so a frame that does not decode is never queued or
     acked; any local process can connect to it."""
-    try:
-        return FrameServer(host, port, lambda frame: events.put(decode_frame(frame)))
-    except (OSError, OverflowError) as exc:
-        raise ConfigError(f"the master cannot listen on {host}:{port}: {exc}") from None
+    return FrameServer(host, port, lambda frame: events.put(decode_frame(frame)), listen(host, port, "the master"))
 
 
 def _next_event(events: queue.Queue, deadline: float):
@@ -170,10 +175,11 @@ def run_tcp_job(
 ) -> JobResult:
     """Run one job over freshly forked local node processes.
 
-    With ``base_port`` 0 every listener picks a free ephemeral port and
-    the master learns node ports from their ready announcements; a
-    nonzero value puts the master at base_port and node i at
-    base_port+1+i. With ``log_dir``, each node's stderr goes to
+    The master binds every listener before it forks the first node, so a
+    port that cannot be bound is a ConfigError naming its node and port,
+    and no node is forked. With ``base_port`` 0 every listener gets a free
+    ephemeral port; a nonzero value puts the master at base_port and node
+    i at base_port+1+i. With ``log_dir``, each node's stderr goes to
     ``node_<id>.log`` there. Data files are looked up as
     ``node_<id>.tsv`` under ``data_dir`` and loaded by the node processes
     themselves. A topology with a lossy link is a ConfigError, since TCP
@@ -187,6 +193,7 @@ def run_tcp_job(
 
     events: queue.Queue = queue.Queue()
     server = _listen(host, base_port, events)
+    listeners: dict[int, socket.socket] = {}  # the master's copy of each node's, until it forks the node
     pids: dict[int, int] = {}  # node ids by pid
     watchers: dict[int, threading.Thread] = {}
     transport: TcpTransport | None = None
@@ -194,16 +201,21 @@ def run_tcp_job(
     deadline = started + timeout_s
 
     try:
+        for index, node_id in enumerate(targets):
+            listeners[node_id] = listen(host, 0 if base_port == 0 else base_port + 1 + index, f"node {node_id}")
+        addresses = {n: listener.getsockname()[:2] for n, listener in listeners.items()} | {master: (server.host, server.port)}
+        job = NodeJob(spec, results_only, master, addresses)
         if log_dir is not None:
             Path(log_dir).mkdir(parents=True, exist_ok=True)
         try:
-            for index, node_id in enumerate(targets):
+            for node_id in targets:
                 data_file = Path(data_dir) / f"node_{node_id}.tsv" if data_dir is not None else None
-                port = 0 if base_port == 0 else base_port + 1 + index
-                node = (node_id, port, str(data_file) if data_file is not None and data_file.exists() else "")
+                node = (node_id, str(data_file) if data_file is not None and data_file.exists() else "")
                 # Forked before any thread of this job starts; the listening
-                # socket already queues the nodes' node_ready connections.
-                pids[_fork_node(server, node, NodeJob(spec, results_only, master), host, node_mem_limit, log_dir)] = node_id
+                # sockets already queue the nodes' connections. The master
+                # closes its copy of the node's listener once it has forked.
+                with listeners.pop(node_id) as listener:
+                    pids[_fork_node(node, listener, [server._sock, *listeners.values()], job, node_mem_limit, log_dir)] = node_id
         finally:
             # Every forked node gets its watcher, also when a later fork failed.
             for pid, node_id in pids.items():
@@ -214,17 +226,16 @@ def run_tcp_job(
         ready = _await_each(events, targets, deadline)
         raw_bytes = sum(frame.heap_bytes for frame in ready.values())
         warn_dropped({n: ready[n].dropped for n in targets})
-        addresses = {n: (frame.host, frame.port) for n, frame in ready.items()}
-        transport = TcpTransport({**addresses, master: (server.host, server.port)})
+        transport = TcpTransport(addresses)
 
         def send(dst, payload):
             return send_with_retry(lambda: transport.send(master, dst, payload), time.sleep)
 
         # Heaps do not change during a job, so the ready frames fix every
-        # route; register_job, carrying the addresses and routes, is the
-        # last control frame before dispatch.
+        # route; register_job, carrying the routes, is the last control
+        # frame before dispatch.
         routes = plan_routes(plan.assignment, lambda n: ready[n].has_data)
-        registration = pack_control(RegisterJob(spec.job_id, transport.addresses, routes))
+        registration = pack_control(RegisterJob(spec.job_id, routes))
         for node_id in targets:
             _, fail = send(node_id, registration)
             if fail is not None:
@@ -243,6 +254,8 @@ def run_tcp_job(
 
         _collect(events, ledgers, plan.combine, deadline)
     finally:
+        for listener in listeners.values():  # of nodes never forked
+            listener.close()
         if transport is not None:
             shutdown = pack_control(Shutdown())
             for node_id in targets:

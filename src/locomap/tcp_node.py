@@ -1,26 +1,28 @@
 """Sensor node processes for TCP mode.
 
-``serve`` runs one node in the calling process. The TCP master forks
-one process per node and runs ``serve`` in each, handing it the whole
-job as a ``NodeJob``: the job's spec, whether slaves go home as result
-messages, and the master's node id. So a node holds every module, patch
-and registered function the master held when it forked, and the job it
-serves: a job module is imported by the master, and must start no
-thread at import, since the master forks after it. ``python -m
-locomap.tcp_node --node-id N --master HOST:PORT`` runs one node from the
-command line with no job: it answers ``has_data`` for the empty
-selector and hosts nothing. No node runs ``atexit`` handlers, because
-every node leaves with ``os._exit``, skipping interpreter finalization.
-Each node loads its data file into a heap store, announces itself with
-a ``NodeReady`` frame that says whether its heap holds a record for the
-job's selector, listens for framed messages, and decodes each with
+``serve`` runs one node in the calling process, on a listening socket
+it is handed. The TCP master binds every node's listener, then forks
+one process per node and runs ``serve`` in each, handing it its
+listener and the whole job as a ``NodeJob``: the job's spec, whether
+slaves go home as result messages, the master's node id and every
+node's address. So a node holds every module, patch and registered
+function the master held when it forked, and the job it serves: a job
+module is imported by the master, and must start no thread at import,
+since the master forks after it. ``python -m locomap.tcp_node --node-id
+N --master HOST:PORT`` runs one node from the command line with no job:
+it binds its own listener, answers ``has_data`` for the empty selector
+and hosts nothing. No node runs ``atexit`` handlers, because every node
+leaves with ``os._exit``, skipping interpreter finalization. Each node
+loads its data file into a heap store, announces itself with a
+``NodeReady`` frame that says whether its heap holds a record for the
+job's selector, serves framed messages, and decodes each with
 ``decode_frame``, which tells three kinds of traffic apart by the first
 four bytes of the frame:
 
   - ``LMAP`` agent envelopes: host the agent over the local heap, pick
     the next hop on the slave's route, and forward it on a fresh connection.
-  - ``LCTL`` control frames: the job's registration, with every node's
-    address and every slave's route, and shutdown.
+  - ``LCTL`` control frames: the job's registration, with every slave's
+    route, and shutdown.
   - anything else is a result message, which only the master receives.
 
 Control frames are the frozen dataclasses of ``locomap.control``, one
@@ -60,11 +62,11 @@ import socket
 import threading
 from typing import NamedTuple
 
-from .agents import Agent, JobSpec, LifecycleCallbacks, NodeId
+from .agents import Agent, JobSpec, NodeId
 from .control import CONTROL_MAGIC, Arrived, ControlFrame, NodeReady, RegisterJob, Shutdown, SlaveFailed, pack_control, unpack_control
 from .control import decode_control, encode_control  # noqa: F401  (perfbench's spawn probe imports them from here)
 from .envelope import MAGIC, pack, unpack
-from .errors import DecodeError, LocomapError, TransportFailure
+from .errors import ConfigError, DecodeError, LocomapError, TransportFailure
 from .nodes import SensorNode, load_records_tsv
 from .orchestration import ResultMessage, decode_result, host_and_route, send_with_retry
 from .registry import DEFAULT_REGISTRY
@@ -89,20 +91,29 @@ def decode_frame(frame: bytes) -> Agent | ControlFrame | ResultMessage:
     return decode_result(frame)
 
 
-class FrameServer:
-    """Accepts connections, reads one frame each, hands it off, acks, and
-    then runs the callable the handler returned, if any."""
+def listen(host: str, port: int, who: str) -> socket.socket:
+    """A socket listening at host:port for ``who``, port 0 picking a free
+    one. A port in use or out of range is a ConfigError naming ``who``,
+    the host and the port."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.bind((host, port))
+        sock.listen(64)
+    except (OSError, OverflowError) as exc:
+        sock.close()
+        raise ConfigError(f"{who} cannot listen on {host}:{port}: {exc}") from None
+    return sock
 
-    def __init__(self, host: str, port: int, handler):
+
+class FrameServer:
+    """Accepts connections on ``listener``, or without one on a socket it
+    binds at host:port; reads one frame each, hands it off, acks, and then
+    runs the callable the handler returned, if any."""
+
+    def __init__(self, host: str, port: int, handler, listener: socket.socket | None = None):
         self._handler = handler
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._sock.bind((host, port))
-            self._sock.listen(64)
-        except BaseException:  # a port in use or out of range
-            self._sock.close()
-            raise
+        self._sock = listen(host, port, "a frame server") if listener is None else listener
         self.host, self.port = self._sock.getsockname()[:2]
         self._thread = threading.Thread(target=self._accept_loop, daemon=True)
 
@@ -111,7 +122,10 @@ class FrameServer:
 
     def stop(self) -> None:
         # Shutting the listening socket down fails the blocked accept() at
-        # once, so stopping never waits for a connection or a timeout.
+        # once, so stopping never waits for a connection or a timeout. A
+        # shutdown acts in every process that holds the socket; by the time
+        # a forked node stops, no other process holds its listener, since
+        # tcp_cluster closes every other copy right after the fork.
         with contextlib.suppress(OSError):
             self._sock.shutdown(socket.SHUT_RDWR)
         if self._thread.is_alive():
@@ -170,29 +184,30 @@ class FrameServer:
 
 class NodeJob(NamedTuple):
     """The job a node serves, as the master held it when it forked: its
-    spec, whether slaves go home as result messages, and the master's id."""
+    spec, whether slaves go home as result messages, the master's id, and
+    the address of every node, the master's too."""
 
     spec: JobSpec
     results_only: bool
     master: NodeId
+    addresses: dict[NodeId, tuple[str, int]]
 
 
 class NodeProcess:
-    """The in-process half of one sensor node: server, hosting, routing.
-    A node with no ``job`` hosts nothing."""
+    """The in-process half of one sensor node: server, hosting, routing,
+    serving ``listener``. A node with no ``job`` hosts nothing."""
 
-    def __init__(self, node: SensorNode, host: str, port: int, master_addr: tuple[str, int], job: NodeJob | None = None, registry=DEFAULT_REGISTRY):
+    def __init__(self, node: SensorNode, listener: socket.socket, master_addr: tuple[str, int], job: NodeJob | None = None):
         self.node = node
         self.job = job
-        self.registry = registry
-        self.callbacks = LifecycleCallbacks()
         self._registration: RegisterJob | None = None
         self._seen: set[tuple[int, int, int]] = set()
         self._lock = threading.Lock()
         self._hosting = threading.Lock()
-        self._master = TcpTransport({"master": master_addr})
+        # Every peer's address, the master's also under the name "master".
+        self._peers = TcpTransport({**(job.addresses if job else {}), "master": master_addr})
         self.shutdown = threading.Event()
-        self.server = FrameServer(host, port, self._on_frame)
+        self.server = FrameServer(*listener.getsockname()[:2], self._on_frame, listener)
 
     # -- lifecycle --
 
@@ -259,7 +274,6 @@ class NodeProcess:
             if not self._tell_master(Arrived(agent.id, agent.job_id, hop, nbytes, self.node.id)):
                 raise TransportFailure(f"master did not ack the arrival of agent {agent.id}")
             self._seen.add(key)
-            self.callbacks.fire_arrive(agent)
         return lambda: self._host_and_forward(agent)
 
     def _host_and_forward(self, agent: Agent) -> None:
@@ -272,9 +286,9 @@ class NodeProcess:
                 return
 
             route = reg.routes.get(agent.id, ())
-            agent, nxt, message = host_and_route(self.node, agent, self.job.spec, self.registry, route, self.job.master, self.job.results_only)
-            payload = message.encode() if message is not None else pack(agent, self.callbacks)
-            if not self._send(TcpTransport(reg.addresses), nxt, payload):
+            agent, nxt, message = host_and_route(self.node, agent, self.job.spec, DEFAULT_REGISTRY, route, self.job.master, self.job.results_only)
+            payload = message.encode() if message is not None else pack(agent)
+            if not self._send(self._peers, nxt, payload):
                 self._tell_master(SlaveFailed(agent.id, agent.job_id, f"could not forward to node {nxt}"))
 
     # -- outbound --
@@ -288,14 +302,15 @@ class NodeProcess:
 
     def _tell_master(self, frame: ControlFrame) -> bool:
         """Every control frame to the master; True once the master acked it."""
-        return self._send(self._master, "master", pack_control(frame))
+        return self._send(self._peers, "master", pack_control(frame))
 
 
-def serve(node_id: int, port: int, data_file: str, master_addr: tuple[str, int], job: NodeJob | None = None, host="127.0.0.1", mem_limit=1 << 30) -> int:
-    """Run one node in this process, logging to stderr: load the data
-    file (none when empty), announce whether it holds a record for the
-    selector of ``job``, serve ``job`` until shutdown; the exit code. With
-    no job the node answers for the empty selector and hosts nothing."""
+def serve(node_id: int, listener: socket.socket, data_file: str, master_addr: tuple[str, int], job: NodeJob | None = None, mem_limit=1 << 30) -> int:
+    """Run one node on ``listener`` in this process, logging to stderr:
+    load the data file (none when empty), announce whether it holds a
+    record for the selector of ``job``, serve ``job`` until shutdown; the
+    exit code. With no job the node answers for the empty selector and
+    hosts nothing."""
     logging.basicConfig(
         level=os.environ.get("LOCOMAP_LOG", "INFO").upper(),
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
@@ -306,7 +321,7 @@ def serve(node_id: int, port: int, data_file: str, master_addr: tuple[str, int],
         if data_file:
             stored = node.ingest(load_records_tsv(data_file))
             logger.info("node %s ingested %d records (%d bytes, %d dropped)", node.id, stored, node.heap.total_bytes, node.dropped)
-        return NodeProcess(node, host, port, master_addr, job).run_until_shutdown()
+        return NodeProcess(node, listener, master_addr, job).run_until_shutdown()
     except LocomapError as exc:
         logger.error("node %s aborting: %s", node_id, exc)
     except Exception:
@@ -323,7 +338,7 @@ def main(argv=None) -> int:
     if len(args.node_id) > 1:
         parser.error("give --node-id once: a process serves one node")
     host, _, master_port = args.master.partition(":")
-    return serve(args.node_id[0], 0, args.data_file, (host, int(master_port)))
+    return serve(args.node_id[0], listen("127.0.0.1", 0, f"node {args.node_id[0]}"), args.data_file, (host, int(master_port)))
 
 
 if __name__ == "__main__":

@@ -106,9 +106,10 @@ def typed(value, hint, path: str, error: type[Exception]):
     naming ``path``. It reads control frames (``control.unpack_control``)
     and topology files (``Topology.from_dict``). A scalar is of exactly its
     type (a JSON ``true`` is no ``int``); a ``float`` is a finite JSON int
-    or float; a tuple is read from a list, and a dict with int keys from an
-    object with decimal keys. A ``TypedDict`` is an object with its
-    required keys, any of its optional keys and no other key."""
+    or float; a ``tuple[T, ...]`` is read from a list, and a dict with int
+    keys from an object whose every key is an int as ``str`` writes it (no
+    sign, no leading zero, ASCII digits only). A ``TypedDict`` is an object
+    with its required keys, any of its optional keys and no other key."""
     origin, args = get_origin(hint), get_args(hint)
     if hint is float:
         if type(value) in (int, float) and abs(value) <= sys.float_info.max:
@@ -116,10 +117,8 @@ def typed(value, hint, path: str, error: type[Exception]):
     elif origin is None and type(value) is hint:
         return value
     if origin is tuple and type(value) is list:
-        items = args[:1] * len(value) if args[1:] == (Ellipsis,) else args
-        if len(items) == len(value):
-            return tuple(typed(item, t, f"{path}[{i}]", error) for i, (item, t) in enumerate(zip(value, items)))
-    if origin is dict and type(value) is dict and all(key.isdecimal() for key in value):
+        return tuple(typed(item, args[0], f"{path}[{i}]", error) for i, item in enumerate(value))
+    if origin is dict and type(value) is dict and all(key.isdecimal() and str(int(key)) == key for key in value):
         return {int(key): typed(item, args[1], f"{path}[{key}]", error) for key, item in value.items()}
     if is_typeddict(hint) and type(value) is dict:
         required, optional = hint.__required_keys__, hint.__optional_keys__
@@ -200,13 +199,13 @@ class Topology:
 
     @classmethod
     def from_preset(
-        cls, name: str, master: NodeId, nodes, failure_prob: float = 0.0, rng_seed: int = 0
+        cls, name: str, master: NodeId, nodes, rng_seed: int = 0
     ) -> "Topology":
         try:
             params = LINK_PRESETS[name]
         except KeyError:
             raise TopologyError(f"unknown link preset {name!r}, have {sorted(LINK_PRESETS)}") from None
-        return cls.full_mesh(master, nodes, failure_prob=failure_prob, rng_seed=rng_seed, **params)
+        return cls.full_mesh(master, nodes, rng_seed=rng_seed, **params)
 
     @classmethod
     def from_dict(cls, doc) -> "Topology":
@@ -231,11 +230,20 @@ class Topology:
         return cls.from_dict(read_topology_file(path))
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``json``'s object hook: the object as a dict, or a ValueError if
+    it repeats a key, which would leave only the last of its values."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        raise ValueError(f"an object repeats one of its keys {[key for key, _ in pairs]!r:.80}")
+    return doc
+
+
 def read_topology_file(path) -> object:
     """The JSON value a topology file holds; TopologyError if the file
-    cannot be read or is not UTF-8 JSON."""
+    cannot be read or is not UTF-8 JSON, or repeats a key in an object."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
     except OSError as exc:
         raise TopologyError(f"cannot read topology file: {exc}") from exc
     except ValueError as exc:

@@ -282,13 +282,19 @@ def test_bad_input_is_exit_1_and_named(workspace, capsys, monkeypatch, argv, nam
     assert "Traceback" not in err
 
 
-def test_a_master_port_out_of_range_is_exit_1(workspace, capsys, monkeypatch):
-    # The master's listener cannot be bound, so no node is forked.
+@pytest.mark.parametrize(
+    "base_port, named",
+    [("70000", "the master cannot listen on 127.0.0.1:70000"), ("65535", "node 1 cannot listen on 127.0.0.1:65536")],
+    ids=["master-over-65535", "node-1-over-65535"],
+)
+def test_a_master_port_out_of_range_is_exit_1(workspace, capsys, monkeypatch, base_port, named):
+    # The master binds every listener before it forks: one it cannot bind,
+    # its own or node 1's at base+1, is one error line, and no node is forked.
     monkeypatch.setattr(tcp_cluster.os, "fork", lambda: pytest.fail("nodes forked"))
-    argv = ["run", "--mode", "tcp", "--base-port", "70000", "--topology", workspace / "topo.json", "--data-dir", workspace / "data"]
+    argv = ["run", "--mode", "tcp", "--base-port", base_port, "--topology", workspace / "topo.json", "--data-dir", workspace / "data"]
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: the master cannot listen on 127.0.0.1:70000")
+    assert err.startswith(f"error: {named}: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

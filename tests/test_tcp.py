@@ -1,7 +1,9 @@
+import contextlib
 import importlib
 import logging
 import os
 import queue
+import random
 import re
 import shutil
 import socket
@@ -30,7 +32,7 @@ from locomap.control import (
     pack_control,
     unpack_control,
 )
-from locomap.tcp_node import FrameServer, NodeJob, NodeProcess, decode_frame
+from locomap.tcp_node import FrameServer, NodeJob, NodeProcess, decode_frame, listen
 from locomap.transport import write_frame
 
 from helpers import wordcount_reference
@@ -50,20 +52,15 @@ class TestFrameClassification:
 
 
 # One frame of every kind and its bytes on the wire. The register_job frame
-# holds nodes 2 and 11, so its int keys must sort as numbers.
+# holds agents 12 and 13 and their routes over nodes 2 and 11.
 CONTROL_FRAMES = {
     "node_ready": (
         NodeReady(node=1, host="127.0.0.1", port=9001, heap_bytes=35, dropped=2, has_data=True),
         b'LCTL{"dropped": 2, "has_data": true, "heap_bytes": 35, "host": "127.0.0.1", "node": 1, "port": 9001, "type": "node_ready"}',
     ),
     "register_job": (
-        RegisterJob(
-            job_id=9,
-            addresses={0: ("127.0.0.1", 9000), 2: ("127.0.0.1", 9002), 11: ("127.0.0.1", 9011)},
-            routes={12: (2, 11), 13: ()},
-        ),
-        b'LCTL{"addresses": {"0": ["127.0.0.1", 9000], "2": ["127.0.0.1", 9002], "11": ["127.0.0.1", 9011]}, '
-        b'"job_id": 9, "routes": {"12": [2, 11], "13": []}, "type": "register_job"}',
+        RegisterJob(job_id=9, routes={12: (2, 11), 13: ()}),
+        b'LCTL{"job_id": 9, "routes": {"12": [2, 11], "13": []}, "type": "register_job"}',
     ),
     "arrived": (
         Arrived(agent_id=12, job_id=9, hop=1, bytes=55, node=11),
@@ -89,8 +86,18 @@ MALFORMED_CONTROLS = {
     "bool-for-int": encode_control({"type": "arrived", "agent_id": 10, "job_id": 4, "hop": True, "bytes": 40, "node": 1}),
     "list-for-str": encode_control({"type": "slave_failed", "agent_id": 10, "job_id": 4, "reason": ["gave up"]}),
     "route-not-a-list": CONTROL_FRAMES["register_job"][1].replace(b'"13": []', b'"13": "2"'),
-    "address-key-not-a-node": CONTROL_FRAMES["register_job"][1].replace(b'"11": [', b'"x": ['),
-    "address-missing-its-port": CONTROL_FRAMES["register_job"][1].replace(b', 9011]', b"]"),
+    "route-key-not-an-agent-id": CONTROL_FRAMES["register_job"][1].replace(b'"12": [', b'"x": ['),
+    # Only the form str(int) writes reads as an int key, so no two keys read as one id.
+    "route-key-with-a-leading-zero": CONTROL_FRAMES["register_job"][1].replace(b'"12": [', b'"012": ['),
+    "route-key-a-non-ascii-digit": CONTROL_FRAMES["register_job"][1].replace(b'"13": [', '"١٣": ['.encode()),
+    "route-key-over-the-int-digit-limit": CONTROL_FRAMES["register_job"][1].replace(b'"13": [', b'"' + b"1" * 5000 + b'": ['),
+    # json would keep the last of two equal keys.
+    "repeated-field": CONTROL_FRAMES["register_job"][1].replace(b'"job_id": 9', b'"job_id": 9, "job_id": 5'),
+    "repeated-route-key": CONTROL_FRAMES["register_job"][1].replace(b'"13": []', b'"12": []'),
+    # The registration that carried every node's address: the master binds
+    # every listener before it forks, so each node holds them from the fork.
+    "register-job-with-addresses": b'LCTL{"addresses": {"0": ["127.0.0.1", 9000], "2": ["127.0.0.1", 9002], "11": ["127.0.0.1", 9011]}, '
+    b'"job_id": 9, "routes": {"12": [2, 11], "13": []}, "type": "register_job"}',
     # The registration that carried the job's spec: each node now holds the job from the fork.
     "register-job-with-its-spec": b'LCTL{"addresses": {"0": ["127.0.0.1", 9000], "2": ["127.0.0.1", 9002], "11": ["127.0.0.1", 9011]}, '
     b'"combine": "sum-by-key", "job_id": 9, "map_fn_id": "wordcount-map", "master": 0, "reduce_fn_id": "identity", '
@@ -200,20 +207,21 @@ def master_inbox():
     server.stop()
 
 
-def start_node(node, master_server, job=None):
-    proc = NodeProcess(node, "127.0.0.1", 0, (master_server.host, master_server.port), job, registry=lm.build_default_registry())
+def start_node(node, master_server, job=None, listener=None):
+    proc = NodeProcess(node, listener or listen("127.0.0.1", 0, "the node"), (master_server.host, master_server.port), job)
     proc.server.start()
     return proc
 
 
 def start_job_node(node, master_server, routes, results_only=False, others=None):
-    """A node forked with wordcount job 4 of master 0, and that job's
-    registration: ``routes``, and the addresses of the master, the node
-    and ``others``."""
-    proc = start_node(node, master_server, NodeJob(lm.builtin_job("wordcount", job_id=4), results_only, 0))
-    addresses = {0: (master_server.host, master_server.port), node.id: (proc.server.host, proc.server.port), **(others or {})}
+    """A node forked with wordcount job 4 of master 0 and the addresses of
+    the master, the node and ``others``, and that job's registration:
+    ``routes``."""
+    listener = listen("127.0.0.1", 0, "the node")
+    addresses = {0: (master_server.host, master_server.port), node.id: listener.getsockname()[:2], **(others or {})}
+    proc = start_node(node, master_server, NodeJob(lm.builtin_job("wordcount", job_id=4), results_only, 0, addresses), listener)
     try:
-        lm.TcpTransport({node.id: addresses[node.id]}).send(0, node.id, pack_control(RegisterJob(4, addresses, routes)))
+        lm.TcpTransport({node.id: addresses[node.id]}).send(0, node.id, pack_control(RegisterJob(4, routes)))
     except BaseException:
         proc.server.stop()
         raise
@@ -272,8 +280,8 @@ class TestNodeProcess:
         server, events = master_inbox
         node = lm.SensorNode(id=1)
         node.ingest([(b"temp/1", b"20")])
-        job = NodeJob(lm.builtin_job("wordcount", job_id=4, selector=selector), False, 0)
-        proc = NodeProcess(node, "127.0.0.1", 0, (server.host, server.port), job)
+        job = NodeJob(lm.builtin_job("wordcount", job_id=4, selector=selector), False, 0, {})
+        proc = NodeProcess(node, listen("127.0.0.1", 0, "the node"), (server.host, server.port), job)
         codes = []
         runner = threading.Thread(target=lambda: codes.append(proc.run_until_shutdown()))
         runner.start()
@@ -374,7 +382,6 @@ class TestNodeProcess:
             assert retried.wait(10.0)
             assert len(deliveries) == 2 and deliveries[0] == deliveries[1]
             assert hosted == [10]
-            assert proc2.callbacks.arrive_count == 1
             assert events.empty()
         finally:
             for proc in (proc1, proc2):
@@ -411,7 +418,6 @@ class TestNodeProcess:
             with pytest.raises(queue.Empty):
                 events.get(timeout=1.0)
             assert hosted == []
-            assert proc.callbacks.arrive_count == 0
         finally:
             proc.shutdown.set()
             proc.server.stop()
@@ -437,7 +443,6 @@ class TestNodeProcess:
             arrived, home = drain(events, 2)
             assert decode_control(arrived)["hop"] == 0
             assert lm.unpack(home).itinerary == (1,)
-            assert proc.callbacks.arrive_count == 1
             assert events.empty()
         finally:
             sys.setswitchinterval(interval)
@@ -465,7 +470,7 @@ class TestNodeProcess:
         try:
             transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
             with pytest.raises(lm.TransportFailure, match="closed without acknowledging"):
-                transport.send(0, 1, pack_control(RegisterJob(5, {0: (server.host, server.port)}, {11: (1,)})))
+                transport.send(0, 1, pack_control(RegisterJob(5, {11: (1,)})))
             rejected = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
             assert rejected == ["rejected a frame: DecodeError: node 1 takes no register_job frame for job 5"]
             transport.send(0, 1, lm.pack(lm.Agent(id=11, role=AgentRole.SLAVE, job_id=5)))
@@ -482,7 +487,7 @@ class TestNodeProcess:
         server, events = master_inbox
         node = lm.SensorNode(id=1)
         node.ingest([(b"temp/1", b"20")])
-        proc = NodeProcess(node, "127.0.0.1", 0, (server.host, server.port))
+        proc = NodeProcess(node, listen("127.0.0.1", 0, "the node"), (server.host, server.port))
         codes = []
         runner = threading.Thread(target=lambda: codes.append(proc.run_until_shutdown()))
         runner.start()
@@ -492,7 +497,7 @@ class TestNodeProcess:
             transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
             for job_id in (0, 1, 4):
                 with pytest.raises(lm.TransportFailure, match="closed without acknowledging"):
-                    transport.send(0, 1, pack_control(RegisterJob(job_id, {0: (server.host, server.port)}, {10: (1,)})))
+                    transport.send(0, 1, pack_control(RegisterJob(job_id, {10: (1,)})))
             rejected = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
             assert rejected == [f"rejected a frame: DecodeError: node 1 takes no register_job frame for job {n}" for n in (0, 1, 4)]
             transport.send(0, 1, lm.pack(lm.Agent(id=10, role=AgentRole.SLAVE, job_id=4)))
@@ -650,6 +655,21 @@ def write_node_files(tmp_path, node_values):
     return data
 
 
+def free_base_port(count: int) -> int:
+    """A base port below the ephemeral range (32768 up, on Linux), so no
+    connection takes one of its ports mid-test, whose ``count`` ports from
+    it up can all be bound now."""
+    while True:
+        base = random.randrange(20000, 32768 - count)
+        with contextlib.ExitStack() as held:
+            try:
+                for port in range(base, base + count):
+                    held.enter_context(listen("127.0.0.1", port, "a probe"))
+            except lm.ConfigError:
+                continue
+        return base
+
+
 class TestRunTcpJob:
     def test_three_node_wordcount_matches_reference(self, tmp_path, caplog):
         caplog.set_level(logging.INFO, logger="locomap.transport")
@@ -775,17 +795,32 @@ class TestRunTcpJob:
         assert lm.run_tcp_job(spec, topology, data_dir, timeout_s=30.0).final == {"a": 1, "b": 1}
         assert counts == [before, before]  # one fork per node
 
-    def test_a_master_port_in_use_is_a_config_error_and_forks_nothing(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("offset, who", [(0, "the master"), (1, "node 1"), (2, "node 2")], ids=["master", "node-1", "node-2"])
+    def test_a_master_port_in_use_is_a_config_error_and_forks_nothing(self, tmp_path, monkeypatch, offset, who):
+        # The master binds its own listener and every node's before it forks.
         monkeypatch.setattr(tcp_cluster.os, "fork", lambda: pytest.fail("forked a node"))
         data_dir = write_node_files(tmp_path, {1: [b"a"], 2: [b"b"]})
         topology = lm.Topology.full_mesh(0, [1, 2], bandwidth_bytes_per_s=1e6)
         spec = lm.builtin_job("wordcount", job_id=1)
+        base = free_base_port(3)
         with socket.socket() as held:
-            held.bind(("127.0.0.1", 0))
+            held.bind(("127.0.0.1", base + offset))
             held.listen()
-            port = held.getsockname()[1]
-            with pytest.raises(lm.ConfigError, match=f"the master cannot listen on 127.0.0.1:{port}"):
-                lm.run_tcp_job(spec, topology, data_dir, base_port=port, timeout_s=30.0)
+            with pytest.raises(lm.ConfigError, match=f"^{who} cannot listen on 127.0.0.1:{base + offset}: "):
+                lm.run_tcp_job(spec, topology, data_dir, base_port=base, timeout_s=30.0)
+
+    def test_a_fixed_base_port_puts_node_i_at_base_plus_1_plus_i(self, tmp_path, monkeypatch):
+        heard, decode = [], tcp_cluster.decode_frame
+        monkeypatch.setattr(tcp_cluster, "decode_frame", lambda frame: heard.append(decode(frame)) or heard[-1])
+        node_values = {1: [b"a b", b"c"], 2: [b"a"], 3: [b"b b c"]}
+        data_dir = write_node_files(tmp_path, node_values)
+        topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
+        base = free_base_port(4)
+        result = lm.run_tcp_job(lm.builtin_job("wordcount", job_id=1), topology, data_dir, base_port=base, timeout_s=30.0)
+        assert result.final == wordcount_reference([v for values in node_values.values() for v in values])
+        ready = [(value.node, value.host, value.port) for value in heard if isinstance(value, NodeReady)]
+        # Node i, the i-th target counting from 0, listened at base+1+i.
+        assert sorted(ready) == [(1, "127.0.0.1", base + 1), (2, "127.0.0.1", base + 2), (3, "127.0.0.1", base + 3)]
 
     def test_a_lossy_link_is_a_config_error_and_forks_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setattr(tcp_cluster, "_listen", lambda *a: pytest.fail("listened"))
@@ -986,6 +1021,30 @@ class TestRunTcpJob:
         assert "node 2" in killed.fail_reason
         assert killed.migrations == migrations
 
+    def test_a_peer_that_exits_after_its_node_ready_refuses_connections_at_once(self, tmp_path, monkeypatch):
+        # Node 2 exits as node 1's forward of the one slave reaches it. No
+        # process keeps a copy of node 2's listener, so node 1's retries are
+        # refused at once instead of queueing in a backlog until they time
+        # out, and node 1 reports the slave failed.
+        accept = NodeProcess._accept_envelope
+
+        def die_at_node_2(self, agent, nbytes):
+            if self.node.id == 2:
+                os._exit(31)
+            return accept(self, agent, nbytes)
+
+        monkeypatch.setattr(NodeProcess, "_accept_envelope", die_at_node_2)
+        data_dir = write_node_files(tmp_path, {1: [b"a"], 2: [b"b"], 3: [b"c"]})
+        topology = lm.Topology.full_mesh(0, [1, 2, 3], bandwidth_bytes_per_s=1e6)
+        spec = lm.builtin_job("wordcount", job_id=1, slave_count=1)
+        started = time.monotonic()
+        with pytest.raises(lm.AllSlavesFailed) as failed:
+            lm.run_tcp_job(spec, topology, data_dir, timeout_s=30)
+        assert time.monotonic() - started < 4
+        (report,) = failed.value.result.slave_reports
+        # Only the dispatch to node 1 arrived.
+        assert (report.nodes, report.migrations, report.fail_reason) == ((1, 2, 3), 1, "could not forward to node 2")
+
     def test_a_forward_that_does_not_decode_fails_its_slave_at_once(self, tmp_path, monkeypatch):
         # The nodes flip one bit of the CRC-32 of every envelope they
         # forward; the master packs through tcp_cluster.pack, unpatched. The
@@ -1085,7 +1144,7 @@ def record_accepted_data_frames(patch, into_dir):
     the frame is acked, so it is on disk before its sender can go on."""
     init = FrameServer.__init__
 
-    def recording_init(server, host, port, handler):
+    def recording_init(server, host, port, handler, listener=None):
         def record(frame):
             then = handler(frame)
             if frame[:4] != CONTROL_MAGIC:
@@ -1093,7 +1152,7 @@ def record_accepted_data_frames(patch, into_dir):
                     log.write(f"{len(frame)}\n")
             return then
 
-        init(server, host, port, record)
+        init(server, host, port, record, listener)
 
     patch.setattr(FrameServer, "__init__", recording_init)
 

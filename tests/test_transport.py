@@ -247,6 +247,18 @@ class TestTopology:
                     wrong.append((name, path, value, topo))
         assert wrong == []
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"master": 0, "master": 5, "nodes": [1]}', '{"master": 0, "nodes": [1], "default_link": {"latency_s": 0.5, "latency_s": 9.0}}'],
+        ids=["top-level", "nested"],
+    )
+    def test_a_repeated_key_is_a_topology_error(self, tmp_path, text):
+        # json alone would keep the last of the two values.
+        path = tmp_path / "topo.json"
+        path.write_text(text)
+        with pytest.raises(lm.TopologyError, match="repeats one of its keys"):
+            lm.Topology.from_file(path)
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "topo.json"
         path.write_text(json.dumps({"master": 0, "nodes": [1], "rng_seed": 3}))
