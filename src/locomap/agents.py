@@ -76,6 +76,7 @@ class TaskDescriptor:
 class JobSpec:
     """One job submission.
 
+    ``job_id`` must fit in u64, as the envelope carries it.
     ``slave_count`` defaults to one slave per target node. ``combine``
     names a registered commutative monoid; that algebra is what makes the
     reducer order-independent.
@@ -88,6 +89,8 @@ class JobSpec:
     target_nodes: tuple[NodeId, ...] | None = None
 
     def __post_init__(self):
+        if not 0 <= self.job_id < 1 << 64:
+            raise ConfigError(f"job_id must fit in u64 (0 to 2**64-1), got {self.job_id}")
         if self.slave_count is not None and self.slave_count < 1:
             raise ConfigError("slave_count must be at least 1 when given")
         if self.target_nodes is not None:

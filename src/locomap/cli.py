@@ -17,6 +17,7 @@ import importlib
 import json
 import logging
 import os
+import signal
 import sys
 import threading
 from itertools import chain
@@ -315,6 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     logging.basicConfig(
         level=os.environ.get("LOCOMAP_LOG", "WARNING").upper(),
@@ -322,11 +327,18 @@ def main(argv=None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
+    # SIGTERM unwinds the command as an exception does, so a TCP run shuts
+    # down and reaps its nodes. Only the main thread can set a handler.
+    in_main_thread = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal) if in_main_thread else None
     try:
         return args.fn(args)
     except (LocomapError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if in_main_thread:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

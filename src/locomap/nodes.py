@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .agents import Agent, AgentRole, NodeId, record_visit
 from .errors import ConfigError, ExecutionError, RoleError, UnknownFunction
-from .registry import FunctionRegistry, decode_partial, encode_partial
+from .registry import DEFAULT_REGISTRY, decode_partial, encode_partial
 
 
 @dataclass
@@ -135,23 +135,24 @@ class SensorNode:
     def is_empty(self, selector: bytes = b"") -> bool:
         return not self.heap.has_match(selector)
 
-    def host(self, agent: Agent, spec, registry: FunctionRegistry) -> Agent:
+    def host(self, agent: Agent, spec) -> Agent:
         """Run the map task of ``spec``, the ``JobSpec`` of the agent's job
         that the caller holds, over matching heap records, in place.
 
         Emitted key/value pairs are folded into the agent's payload with
-        the job's combine operation, both looked up in ``registry`` by the
-        spec's ids; a batch kernel registered for the map and combine
-        replaces the per-record map calls. The heap is never modified. The
-        node lands on the itinerary even when the map function blows up, so
-        a tour can continue past a bad node (ExecutionError carries the
-        visited agent).
+        the job's combine operation, both looked up by the spec's ids in
+        ``DEFAULT_REGISTRY``, the one set of functions this process holds;
+        a batch kernel registered for the map and combine replaces the
+        per-record map calls. The heap is never modified. The node lands
+        on the itinerary even when the map function blows up, so a tour
+        can continue past a bad node (ExecutionError carries the visited
+        agent).
         """
         if agent.role is not AgentRole.SLAVE:
             raise RoleError(f"a {agent.role.name} agent cannot process node data")
-        map_fn = registry.resolve_map(spec.task.map_fn_id)
-        combine = registry.resolve_combine(spec.combine)
-        batch_map = registry.batch_map(spec.task.map_fn_id, spec.combine)
+        map_fn = DEFAULT_REGISTRY.resolve_map(spec.task.map_fn_id)
+        combine = DEFAULT_REGISTRY.resolve_combine(spec.combine)
+        batch_map = DEFAULT_REGISTRY.batch_map(spec.task.map_fn_id, spec.combine)
 
         visited = record_visit(agent, self.id)
         if not self.heap.has_match(spec.task.input_selector):

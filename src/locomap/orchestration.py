@@ -36,7 +36,6 @@ from .agents import (
     AgentIdAllocator,
     AgentRole,
     JobSpec,
-    LifecycleCallbacks,
     NodeId,
     TaskDescriptor,
     duplicate,
@@ -54,7 +53,7 @@ from .errors import (
     TransportFailure,
 )
 from .nodes import SensorNode
-from .registry import BUILTIN_JOBS, DEFAULT_REGISTRY, FunctionRegistry, decode_partial, encode_partial
+from .registry import BUILTIN_JOBS, DEFAULT_REGISTRY, decode_partial, encode_partial
 from .transport import Topology
 
 logger = logging.getLogger("locomap.orchestration")
@@ -347,16 +346,18 @@ class JobPlan:
     reduce_fn: Callable[[Any], Any]
 
 
-def plan_job(spec: JobSpec, topology: Topology, registry: FunctionRegistry) -> JobPlan:
-    """Check that the job's functions resolve and its targets exist, and
-    split the targets among slaves. Planning writes nothing to the
-    registry: the spec travels with the job.
+def plan_job(spec: JobSpec, topology: Topology) -> JobPlan:
+    """Check that the job's functions resolve in ``DEFAULT_REGISTRY``,
+    which planning never writes to, and that its targets exist, and split
+    the targets among slaves. The first id that does not resolve, of the
+    map, the reduce and the combine in that order, raises UnknownFunction,
+    so a half-registered job never reaches a node.
 
     Without explicit ``target_nodes`` every sensor node is a target.
     """
-    registry.check_job(spec)
-    combine = registry.resolve_combine(spec.combine)
-    reduce_fn = registry.resolve_reduce(spec.task.reduce_fn_id)
+    DEFAULT_REGISTRY.resolve_map(spec.task.map_fn_id)
+    reduce_fn = DEFAULT_REGISTRY.resolve_reduce(spec.task.reduce_fn_id)
+    combine = DEFAULT_REGISTRY.resolve_combine(spec.combine)
     master = topology.master
     if spec.target_nodes is not None:
         if master in spec.target_nodes:
@@ -481,24 +482,24 @@ def account(ledgers: dict[AgentId, SlaveLedger], combine, event) -> None:
 
 
 def host_and_route(
-    node: SensorNode, agent: Agent, spec: JobSpec, registry: FunctionRegistry, route: tuple[NodeId, ...], master: NodeId, results_only: bool
+    node: SensorNode, agent: Agent, spec: JobSpec, route: tuple[NodeId, ...], master: NodeId, results_only: bool
 ) -> tuple[Agent, NodeId, ResultMessage | None]:
-    """One hop step of either engine, a function of its arguments: host the
-    agent at ``node`` under ``spec``, its job's spec (a failed map task is
-    logged and the tour goes on), then pick the next hop: the route's node
-    at the agent's itinerary length, or the master once the route is used
-    up. Returns (agent, next hop, result message); the message, sent in
-    the agent's place, is None unless the next hop is the master and
-    ``results_only`` is set."""
+    """One hop step of either engine, a function of its arguments and of
+    ``DEFAULT_REGISTRY``: host the agent at ``node`` under ``spec``, its
+    job's spec (a failed map task is logged and the tour goes on), then
+    pick the next hop: the route's node at the agent's itinerary length,
+    or the master once the route is used up. Returns (agent, next hop,
+    result message); the message, sent in the agent's place, is None
+    unless the next hop is the master and ``results_only`` is set."""
     try:
-        agent = node.host(agent, spec, registry)
+        agent = node.host(agent, spec)
     except ExecutionError as exc:
         logger.warning("map task failed on node %s, continuing tour: %s", node.id, exc)
         agent = exc.agent
     visited = len(agent.itinerary)
     nxt = route[visited] if visited < len(route) else master
     if nxt == master and results_only:
-        return agent, nxt, home_message(agent, registry.resolve_combine(spec.combine))
+        return agent, nxt, home_message(agent, DEFAULT_REGISTRY.resolve_combine(spec.combine))
     return agent, nxt, None
 
 
@@ -508,8 +509,6 @@ def _tour(
     cluster: Cluster,
     transport,
     spec: JobSpec,
-    registry: FunctionRegistry,
-    callbacks: LifecycleCallbacks,
     results_only: bool,
     report: Callable[[Any], None],
 ) -> float:
@@ -545,13 +544,13 @@ def _tour(
         return value
 
     agent, loc, nxt = slave, master, route[0]
-    while (outcome := send(lambda at: migrate(agent, loc, nxt, transport, callbacks, at=at))) is not None:
+    while (outcome := send(lambda at: migrate(agent, loc, nxt, transport, at=at))) is not None:
         agent, loc = outcome.agent, nxt
         if loc == master:
             report(agent)
             break
         report(Arrived(agent.id, spec.job_id, len(agent.itinerary), outcome.bytes, loc))
-        agent, nxt, message = host_and_route(cluster.nodes[loc], agent, spec, registry, route, master, results_only)
+        agent, nxt, message = host_and_route(cluster.nodes[loc], agent, spec, route, master, results_only)
         if message is not None:
             wire = message.encode()
             if send(lambda at: transport.send(loc, master, wire, at=at)) is not None:
@@ -565,18 +564,15 @@ def run_job(
     cluster: Cluster,
     transport,
     *,
-    registry: FunctionRegistry | None = None,
     results_only: bool = False,
-    callbacks: LifecycleCallbacks | None = None,
 ) -> JobResult:
-    """Execute one job end to end over a simulated transport.
+    """Execute one job end to end over a simulated transport, resolving
+    its function ids in ``DEFAULT_REGISTRY`` as a TCP node does.
 
     ``results_only`` skips the slaves' final migration and ships only the
     result message over the last hop.
     """
-    registry = registry or DEFAULT_REGISTRY
-    plan = plan_job(spec, cluster.topology, registry)
-    callbacks = callbacks if callbacks is not None else LifecycleCallbacks()
+    plan = plan_job(spec, cluster.topology)
     raw_bytes = sum(cluster.nodes[n].heap.total_bytes for n in plan.targets)
     warn_dropped({n: cluster.nodes[n].dropped for n in plan.targets})
 
@@ -584,7 +580,7 @@ def run_job(
     routes = plan_routes(plan.assignment, lambda n: not cluster.nodes[n].is_empty(selector))
     ledgers = open_ledgers(plan, routes)
     finished_at = [
-        _tour(slave, routes[slave.id], cluster, transport, spec, registry, callbacks, results_only, lambda event: account(ledgers, plan.combine, event))
+        _tour(slave, routes[slave.id], cluster, transport, spec, results_only, lambda event: account(ledgers, plan.combine, event))
         for slave in plan.slaves
         if routes[slave.id]
     ]
@@ -595,18 +591,16 @@ def sequential_oracle(
     task: TaskDescriptor,
     combine_id: str,
     pairs: Iterable[tuple[bytes, bytes]],
-    registry: FunctionRegistry | None = None,
 ) -> Any:
     """Single-process reference over ``(key, value)`` pairs: map
-    everything, fold once, reduce.
+    everything, fold once, reduce, with the functions of ``DEFAULT_REGISTRY``.
 
     This is what a run must equal whenever the combine is a commutative
     monoid, regardless of node count, slave count or arrival order.
     """
-    registry = registry or DEFAULT_REGISTRY
-    map_fn = registry.resolve_map(task.map_fn_id)
-    combine = registry.resolve_combine(combine_id)
-    reduce_fn = registry.resolve_reduce(task.reduce_fn_id)
+    map_fn = DEFAULT_REGISTRY.resolve_map(task.map_fn_id)
+    combine = DEFAULT_REGISTRY.resolve_combine(combine_id)
+    reduce_fn = DEFAULT_REGISTRY.resolve_reduce(task.reduce_fn_id)
 
     def emissions():
         for key, value in pairs:

@@ -166,13 +166,6 @@ class FunctionRegistry:
         except KeyError:
             raise UnknownFunction(f"no combine operation registered as {name!r}") from None
 
-    def check_job(self, spec) -> None:
-        """Raise UnknownFunction unless all three of a job's function ids
-        resolve, so a half-registered job never reaches a node."""
-        self.resolve_map(spec.task.map_fn_id)
-        self.resolve_reduce(spec.task.reduce_fn_id)
-        self.resolve_combine(spec.combine)
-
 
 # --- built-in workload: sum-by-key partials (dict[str, number]) ---------
 
@@ -257,6 +250,9 @@ def build_default_registry() -> FunctionRegistry:
     return reg
 
 
+# The one registry of this process: both engines, the oracle and every
+# node forked from it resolve a job's function ids here. Register custom
+# functions on it; nothing rebinds the name.
 DEFAULT_REGISTRY = build_default_registry()
 
 # Built-in jobs the CLI and tests refer to by name.

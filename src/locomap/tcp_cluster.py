@@ -53,7 +53,6 @@ from .orchestration import (
     send_with_retry,
     warn_dropped,
 )
-from .registry import DEFAULT_REGISTRY
 from .control import NodeReady, RegisterJob, Shutdown, SlaveFailed, pack_control
 from .tcp_node import FrameServer, NodeJob, decode_frame, listen, serve
 from .transport import TcpTransport, Topology
@@ -64,6 +63,9 @@ from .orchestration import aggregate, retry_policy  # noqa: F401
 from .registry import encode_partial  # noqa: F401
 
 logger = logging.getLogger("locomap.tcp_cluster")
+
+# Every listener's address: each node is forked on this machine.
+LOOPBACK = "127.0.0.1"
 
 
 def _fork_node(node: tuple[int, str], listener: socket.socket, inherited: list[socket.socket], job: NodeJob, mem_limit: int, log_dir: str | Path | None) -> int:
@@ -85,6 +87,9 @@ def _fork_node(node: tuple[int, str], listener: socket.socket, inherited: list[s
     # with os._exit, and an uncaught error prints its traceback and exits 1.
     code = 1
     try:
+        # The master's SIGTERM handler (see cli.main) is not the node's: a
+        # node sent SIGTERM dies of it.
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
         for sock in inherited:
             sock.close()
         log = os.open(os.path.join(log_dir, f"node_{node[0]}.log") if log_dir else os.devnull, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
@@ -167,32 +172,33 @@ def run_tcp_job(
     data_dir: str | Path | None,
     *,
     results_only: bool = False,
-    host: str = "127.0.0.1",
     base_port: int = 0,
     timeout_s: float = 60.0,
     node_mem_limit: int = 1 << 30,
     log_dir: str | Path | None = None,
 ) -> JobResult:
-    """Run one job over freshly forked local node processes.
+    """Run one job over freshly forked local node processes. Each node
+    resolves the job's function ids in the ``DEFAULT_REGISTRY`` it
+    inherits at the fork, as ``run_job`` does in this process.
 
-    The master binds every listener before it forks the first node, so a
-    port that cannot be bound is a ConfigError naming its node and port,
-    and no node is forked. With ``base_port`` 0 every listener gets a free
-    ephemeral port; a nonzero value puts the master at base_port and node
-    i at base_port+1+i. With ``log_dir``, each node's stderr goes to
-    ``node_<id>.log`` there. Data files are looked up as
-    ``node_<id>.tsv`` under ``data_dir`` and loaded by the node processes
-    themselves. A topology with a lossy link is a ConfigError, since TCP
-    mode drops no sends.
+    The master binds every listener, on the loopback address, before it
+    forks the first node, so a port that cannot be bound is a ConfigError
+    naming its node and port, and no node is forked. With ``base_port`` 0
+    every listener gets a free ephemeral port; a nonzero value puts the
+    master at base_port and node i at base_port+1+i. With ``log_dir``,
+    each node's stderr goes to ``node_<id>.log`` there. Data files are
+    looked up as ``node_<id>.tsv`` under ``data_dir`` and loaded by the
+    node processes themselves. A topology with a lossy link is a
+    ConfigError, since TCP mode drops no sends.
     """
-    plan = plan_job(spec, topology, DEFAULT_REGISTRY)
+    plan = plan_job(spec, topology)
     lossy = next((link for link in topology.links.values() if link.failure_prob), None)
     if lossy is not None:
         raise ConfigError(f"TCP mode cannot drop sends, but link {lossy.src} -> {lossy.dst} has failure_prob {lossy.failure_prob}")
     master, targets = plan.master, plan.targets
 
     events: queue.Queue = queue.Queue()
-    server = _listen(host, base_port, events)
+    server = _listen(LOOPBACK, base_port, events)
     listeners: dict[int, socket.socket] = {}  # the master's copy of each node's, until it forks the node
     pids: dict[int, int] = {}  # node ids by pid
     watchers: dict[int, threading.Thread] = {}
@@ -202,7 +208,7 @@ def run_tcp_job(
 
     try:
         for index, node_id in enumerate(targets):
-            listeners[node_id] = listen(host, 0 if base_port == 0 else base_port + 1 + index, f"node {node_id}")
+            listeners[node_id] = listen(LOOPBACK, 0 if base_port == 0 else base_port + 1 + index, f"node {node_id}")
         addresses = {n: listener.getsockname()[:2] for n, listener in listeners.items()} | {master: (server.host, server.port)}
         job = NodeJob(spec, results_only, master, addresses)
         if log_dir is not None:

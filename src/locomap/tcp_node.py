@@ -69,7 +69,6 @@ from .envelope import MAGIC, pack, unpack
 from .errors import ConfigError, DecodeError, LocomapError, TransportFailure
 from .nodes import SensorNode, load_records_tsv
 from .orchestration import ResultMessage, decode_result, host_and_route, send_with_retry
-from .registry import DEFAULT_REGISTRY
 from .transport import ACK, TcpTransport, read_frame
 
 logger = logging.getLogger("locomap.tcp_node")
@@ -286,7 +285,7 @@ class NodeProcess:
                 return
 
             route = reg.routes.get(agent.id, ())
-            agent, nxt, message = host_and_route(self.node, agent, self.job.spec, DEFAULT_REGISTRY, route, self.job.master, self.job.results_only)
+            agent, nxt, message = host_and_route(self.node, agent, self.job.spec, route, self.job.master, self.job.results_only)
             payload = message.encode() if message is not None else pack(agent)
             if not self._send(self._peers, nxt, payload):
                 self._tell_master(SlaveFailed(agent.id, agent.job_id, f"could not forward to node {nxt}"))

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from locomap.registry import DEFAULT_REGISTRY
 from locomap.transport import SimTransport
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -22,6 +23,18 @@ def delivered_sim_sends(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(SimTransport, "send", recording_send)
     return sizes
+
+
+@pytest.fixture
+def process_registry():
+    """``DEFAULT_REGISTRY``, free to register on: copies of its four tables
+    are assigned back after the test. By assignment, since ``register_map``
+    and ``register_combine`` rebind ``_batch_maps``."""
+    tables = ("_maps", "_batch_maps", "_reduces", "_combines")
+    saved = {name: dict(getattr(DEFAULT_REGISTRY, name)) for name in tables}
+    yield DEFAULT_REGISTRY
+    for name, table in saved.items():
+        setattr(DEFAULT_REGISTRY, name, table)
 
 
 def pytest_runtest_logreport(report):

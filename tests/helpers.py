@@ -2,7 +2,9 @@
 
 Nothing in here may call into locomap's own codecs or folds: the CRC is
 computed bit by bit from the polynomial, and the workload references are
-plain Counter/sum arithmetic over the raw values.
+plain Counter/sum arithmetic over the raw values. ``process_running``
+reads a process's state from ``/proc``, for the tests that check that no
+node outlives its job.
 """
 
 from __future__ import annotations
@@ -105,3 +107,13 @@ def all_values(node_values: dict[int, list[bytes]]) -> list[bytes]:
     for node_id in sorted(node_values):
         out.extend(node_values[node_id])
     return out
+
+
+def process_running(pid: int) -> bool:
+    """True unless the process is gone or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            stat = fh.read()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"

@@ -1,14 +1,20 @@
+import contextlib
 import json
 import logging
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import locomap.cli as cli
-from locomap import tcp_cluster
+from locomap import BUILTIN_JOBS, tcp_cluster
 from locomap.cli import main, parse_sizes
 
-from helpers import wordcount_reference
+from helpers import process_running, wordcount_reference
 
 
 @pytest.fixture
@@ -308,6 +314,60 @@ def test_a_lossy_topology_is_exit_1_in_tcp_mode(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_a_job_id_outside_u64_is_exit_1_before_any_fork(capsys, monkeypatch):
+    # The spec rejects it when it is built, before any node could register it.
+    monkeypatch.setattr(tcp_cluster.os, "fork", lambda: pytest.fail("nodes forked"))
+    argv = ["run", "--mode", "tcp", "--job-id", "-1", "--topology", CONFIGS / "iot3.json", "--data-dir", CONFIGS / "sample_data"]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: job_id must fit in u64 (0 to 2**64-1), got -1\n"
+
+
+def test_sigterm_to_a_tcp_master_shuts_every_node_down(tmp_path):
+    # Each node's map writes the node's pid to a file, then sleeps: the
+    # master gets SIGTERM while every node hosts a slave.
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+    (tmp_path / "locomap_sleepy_job.py").write_text(
+        "import os, time\n"
+        "import locomap as lm\n"
+        "\n"
+        "def sleepy(key, value):\n"
+        f"    open(os.path.join({str(pid_dir)!r}, str(os.getpid())), 'w').close()\n"
+        "    time.sleep(30)\n"
+        "    yield from ()\n"
+        "\n"
+        "lm.DEFAULT_REGISTRY.register_map('sleepy-map', sleepy)\n"
+        "lm.BUILTIN_JOBS['sleepy'] = ('sleepy-map', 'identity', 'sum-by-key')\n"
+    )
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src), str(tmp_path))))
+    argv = ["run", "--mode", "tcp", "--topology", CONFIGS / "iot3.json", "--data-dir", CONFIGS / "sample_data"]
+    argv += ["--job", "sleepy", "--job-module", "locomap_sleepy_job", "--timeout", "60"]
+    master = subprocess.Popen([sys.executable, "-m", "locomap", *map(str, argv)], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    pids: list[int] = []
+    try:
+        deadline = time.monotonic() + 30
+        while len(pids) < 3:
+            assert master.poll() is None and time.monotonic() < deadline, "the nodes never all hosted"
+            time.sleep(0.02)
+            pids = [int(path.name) for path in pid_dir.iterdir()]
+        master.send_signal(signal.SIGTERM)
+        _, err = master.communicate(timeout=10)
+        assert master.returncode == 128 + signal.SIGTERM, err
+        gone_by = time.monotonic() + 2.0
+        while any(map(process_running, pids)) and time.monotonic() < gone_by:
+            time.sleep(0.02)
+        assert [pid for pid in pids if process_running(pid)] == []
+    finally:
+        if master.poll() is None:
+            master.kill()
+            master.communicate()
+        for pid in filter(process_running, pids):
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+
+
 BAD_TOPOLOGY_VALUES = {
     "rng-seed-not-an-int": ("rng_seed", "abc"),
     "rng-seed-a-float": ("rng_seed", 1.7),
@@ -354,9 +414,11 @@ def test_a_job_module_that_cannot_be_imported_is_exit_1_in_one_line(capsys, monk
     assert err == "error: cannot import --job-module locomap_no_such_job: No module named 'locomap_no_such_job'\n"
 
 
-def test_a_job_module_on_sys_path_runs_in_every_mode(tmp_path, monkeypatch):
+def test_a_job_module_on_sys_path_runs_in_every_mode(tmp_path, monkeypatch, process_registry, request):
     # The module registers a map and a job name. The CLI imports it, and in
-    # TCP mode the nodes the master forks hold what it registered.
+    # TCP mode the nodes the master forks hold what it registered. Both go
+    # when the test ends.
+    request.addfinalizer(lambda: BUILTIN_JOBS.pop("upper-wordcount", None))
     (tmp_path / "locomap_upper_job.py").write_text(
         "import locomap as lm\n"
         "\n"

@@ -9,8 +9,8 @@ from helpers import heap_pairs, wordcount_reference
 
 
 def wordcount_job(selector=b""):
-    """Job 5's spec and a fresh registry of the built-in functions."""
-    return lm.builtin_job("wordcount", job_id=5, selector=selector), lm.build_default_registry()
+    """Job 5's spec."""
+    return lm.builtin_job("wordcount", job_id=5, selector=selector)
 
 
 def mk_slave(job_id=5, payload=b""):
@@ -168,77 +168,75 @@ class TestIsEmpty:
 
 class TestHost:
     def test_wordcount_partial_matches_reference(self):
-        spec, registry = wordcount_job()
+        spec = wordcount_job()
         node = lm.SensorNode(id=4)
         node.ingest([(b"r1", b"a b"), (b"r2", b"a")])
-        hosted = node.host(mk_slave(), spec, registry)
+        hosted = node.host(mk_slave(), spec)
         assert lm.decode_partial(hosted.payload) == wordcount_reference([b"a b", b"a"]) == {"a": 2, "b": 1}
         assert hosted.itinerary == (4,)
 
     def test_partial_accumulates_across_nodes(self):
-        spec, registry = wordcount_job()
+        spec = wordcount_job()
         first = lm.SensorNode(id=4)
         first.ingest([(b"r", b"a b")])
         second = lm.SensorNode(id=5)
         second.ingest([(b"r", b"b c")])
-        hosted = second.host(first.host(mk_slave(), spec, registry), spec, registry)
+        hosted = second.host(first.host(mk_slave(), spec), spec)
         assert lm.decode_partial(hosted.payload) == {"a": 1, "b": 2, "c": 1}
         assert hosted.itinerary == (4, 5)
 
     def test_empty_heap_leaves_payload_unchanged_but_marks_visit(self):
-        spec, registry = wordcount_job()
-        hosted = lm.SensorNode(id=4).host(mk_slave(payload=b"untouched"), spec, registry)
+        spec = wordcount_job()
+        hosted = lm.SensorNode(id=4).host(mk_slave(payload=b"untouched"), spec)
         assert hosted.payload == b"untouched"
         assert hosted.itinerary == (4,)
 
     def test_selector_with_no_matches_leaves_payload_unchanged(self):
-        spec, registry = wordcount_job(selector=b"co2:")
+        spec = wordcount_job(selector=b"co2:")
         node = lm.SensorNode(id=4)
         node.ingest([(b"temp:1", b"a b")])
-        hosted = node.host(mk_slave(payload=b""), spec, registry)
+        hosted = node.host(mk_slave(payload=b""), spec)
         assert hosted.payload == b""
 
     def test_heap_is_read_only(self):
-        spec, registry = wordcount_job()
+        spec = wordcount_job()
         node = lm.SensorNode(id=4)
         node.ingest([(b"r1", b"a b"), (b"r2", b"c")])
         before = heap_pairs(node.heap)
         total_before = node.heap.total_bytes
-        node.host(mk_slave(), spec, registry)
+        node.host(mk_slave(), spec)
         assert heap_pairs(node.heap) == before
         assert node.heap.total_bytes == total_before
 
     def test_deterministic_payload_bytes(self):
-        spec, registry = wordcount_job()
+        spec = wordcount_job()
         node = lm.SensorNode(id=4)
         node.ingest([(b"r%d" % i, b"w%d x" % (i % 3)) for i in range(50)])
-        assert node.host(mk_slave(), spec, registry).payload == node.host(mk_slave(), spec, registry).payload
+        assert node.host(mk_slave(), spec).payload == node.host(mk_slave(), spec).payload
 
-    def test_map_crash_keeps_payload_and_marks_visit(self):
-        registry = lm.build_default_registry()
-
+    def test_map_crash_keeps_payload_and_marks_visit(self, process_registry):
         def bad_map(key, value):
             raise RuntimeError("sensor on fire")
             yield  # pragma: no cover
 
-        registry.register_map("bad-map", bad_map)
+        process_registry.register_map("bad-map", bad_map)
         spec = lm.JobSpec(job_id=6, task=lm.TaskDescriptor("bad-map", "identity"), combine="sum-by-key")
         node = lm.SensorNode(id=4)
         node.ingest([(b"r", b"x")])
         prior = lm.encode_partial({"w": 1})
         agent = mk_slave(job_id=6, payload=prior)
         with pytest.raises(lm.ExecutionError) as info:
-            node.host(agent, spec, registry)
+            node.host(agent, spec)
         assert info.value.agent.payload == prior
         assert info.value.agent.itinerary == (4,)
 
     @pytest.mark.parametrize("role", [AgentRole.REDUCER, AgentRole.MAPPER])
     def test_reducer_cannot_host(self, role):
         # Only slaves process node data; the mapper stays on the master.
-        spec, registry = wordcount_job()
+        spec = wordcount_job()
         agent = lm.Agent(id=9, role=role, job_id=5)
         with pytest.raises(lm.RoleError):
-            lm.SensorNode(id=4).host(agent, spec, registry)
+            lm.SensorNode(id=4).host(agent, spec)
 
 
 class TestLoadTsv(object):

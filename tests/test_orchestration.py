@@ -90,7 +90,7 @@ class TestHostAndRoute:
         node = lm.SensorNode(id=route[len(itinerary)])
         node.ingest([(b"k%d" % i, v) for i, v in enumerate(values)])
         slave = lm.Agent(id=10, role=AgentRole.SLAVE, job_id=1, itinerary=tuple(itinerary))
-        return host_and_route(node, slave, lm.builtin_job(job, job_id=1), lm.build_default_registry(), route, 0, results_only)
+        return host_and_route(node, slave, lm.builtin_job(job, job_id=1), route, 0, results_only)
 
     def test_next_hop_is_the_next_node_on_the_route(self):
         agent, nxt, message = self.hosted((1, 3))
@@ -115,7 +115,7 @@ class TestHostAndRoute:
     def test_requires_slave_role(self):
         reducer = lm.Agent(id=10, role=AgentRole.REDUCER, job_id=1)
         with pytest.raises(lm.RoleError):
-            host_and_route(lm.SensorNode(id=1), reducer, lm.builtin_job("wordcount", job_id=1), lm.build_default_registry(), (1,), 0, False)
+            host_and_route(lm.SensorNode(id=1), reducer, lm.builtin_job("wordcount", job_id=1), (1,), 0, False)
 
 
 class TestRetryPolicy:
@@ -285,7 +285,7 @@ class TestSlaveLedger:
 class TestFinishJob:
     def test_a_slave_whose_partial_is_discarded_is_reported_failed(self):
         topology = lm.Topology.full_mesh(0, [1, 2], bandwidth_bytes_per_s=1e6)
-        plan = plan_job(lm.builtin_job("wordcount", job_id=1), topology, lm.build_default_registry())
+        plan = plan_job(lm.builtin_job("wordcount", job_id=1), topology)
         good, bad = plan.slaves
         ledgers = [SlaveLedger(good.id, (1,)), SlaveLedger(bad.id, (2,))]
         messages = [lm.ResultMessage(from_agent=good.id, partial=lm.encode_partial({"a": 1})), lm.ResultMessage(from_agent=bad.id, partial=b"not json")]
@@ -373,11 +373,17 @@ class TestRunJob:
         with pytest.raises(lm.ConfigError, match=re.escape(f"target nodes {repeated} are repeated")):
             lm.builtin_job("wordcount", job_id=1, target_nodes=targets, slave_count=1)
 
-    def test_two_jobs_with_one_id_each_host_with_their_own_spec(self):
+    @pytest.mark.parametrize("job_id", [-1, 2**64])
+    def test_a_job_id_outside_u64_is_a_config_error(self, job_id):
+        # Rejected when the spec is built: the envelope carries it as a u64.
+        with pytest.raises(lm.ConfigError, match=re.escape(f"job_id must fit in u64 (0 to 2**64-1), got {job_id}")):
+            lm.builtin_job("wordcount", job_id=job_id)
+        assert lm.builtin_job("wordcount", job_id=2**64 - 1).job_id == 2**64 - 1
+
+    def test_two_jobs_with_one_id_each_host_with_their_own_spec(self, process_registry):
         # Job A's map holds its slave at its first node until job B, with
-        # the same job id and another spec, has been planned and run on the
-        # same registry. A's later hops must still run A's map.
-        registry = lm.build_default_registry()
+        # the same job id and another spec, has been planned and run in the
+        # same process. A's later hops must still run A's map.
         a_hosting, b_done = threading.Event(), threading.Event()
 
         def upper_map(key, value):
@@ -386,7 +392,7 @@ class TestRunJob:
             for word in value.decode().split():
                 yield (word.upper(), 1)
 
-        registry.register_map("upper-map", upper_map)
+        process_registry.register_map("upper-map", upper_map)
         data = {1: [b"a b"], 2: [b"b c"], 3: [b"c a a"]}
         jobs = {
             "a": lm.JobSpec(job_id=1, task=lm.TaskDescriptor("upper-map", "identity"), slave_count=1),
@@ -396,7 +402,7 @@ class TestRunJob:
 
         def run(name):
             cluster, topo = make_cluster(data)
-            results[name] = lm.run_job(jobs[name], cluster, lm.SimTransport(topo), registry=registry).final
+            results[name] = lm.run_job(jobs[name], cluster, lm.SimTransport(topo)).final
 
         def run_b():
             try:
@@ -435,18 +441,16 @@ class TestRunJob:
         assert trimmed.bytes_transferred_total < default.bytes_transferred_total
         assert trimmed.migrations_total < default.migrations_total
 
-    def test_map_crash_skips_that_node_and_continues(self):
-        registry = lm.build_default_registry()
-
+    def test_map_crash_skips_that_node_and_continues(self, process_registry):
         def fragile_map(key, value):
             if value == b"poison":
                 raise RuntimeError("boom")
             yield (value.decode(), 1)
 
-        registry.register_map("fragile", fragile_map)
+        process_registry.register_map("fragile", fragile_map)
         spec = lm.JobSpec(job_id=9, task=lm.TaskDescriptor("fragile", "identity"), combine="sum-by-key")
         cluster, topo = make_cluster({1: [b"ok1"], 2: [b"poison"], 3: [b"ok2"]})
-        result = lm.run_job(spec, cluster, lm.SimTransport(topo), registry=registry)
+        result = lm.run_job(spec, cluster, lm.SimTransport(topo))
         assert result.final == {"ok1": 1, "ok2": 1}
         assert result.partials_received == 3  # the slave survives its bad node
 
@@ -502,24 +506,7 @@ class TestFailures:
         assert result.final == expected
 
 
-class TestCallbackAccounting:
-    def test_failure_free_run_pairs_hooks_with_migrations(self):
-        callbacks = lm.LifecycleCallbacks()
-        cluster, topo = make_cluster({1: [b"a"], 2: [b"b"], 3: []})
-        result = lm.run_job(lm.builtin_job("wordcount", job_id=1), cluster, lm.SimTransport(topo), callbacks=callbacks)
-        assert callbacks.depart_count == callbacks.arrive_count == result.migrations_total
-
-    def test_failed_sends_depart_without_arriving(self):
-        callbacks = lm.LifecycleCallbacks()
-        cluster, topo = make_cluster({1: [b"a"], 2: [b"b"]}, seed=3, failure_prob=0.4)
-        try:
-            result = lm.run_job(lm.builtin_job("wordcount", job_id=1), cluster, lm.SimTransport(topo), callbacks=callbacks)
-        except lm.AllSlavesFailed as exc:
-            result = exc.result
-        # every pack attempt departs; only delivered envelopes arrive
-        assert callbacks.arrive_count == result.migrations_total
-        assert callbacks.depart_count >= callbacks.arrive_count
-
+class TestOracleEquivalence:
     def test_non_utf8_values_still_aggregate_exactly(self):
         values = [b"\xff\xfe word \xf0", b"word \xff\xfe"]
         cluster, topo = make_cluster({1: [values[0]], 2: [values[1]]})
@@ -527,8 +514,6 @@ class TestCallbackAccounting:
         assert result.final == wordcount_reference(values)
         assert result.final["word"] == 2
 
-
-class TestOracleEquivalence:
     @pytest.mark.parametrize("job", ["wordcount", "sum"])
     def test_randomized_runs_match_the_reference(self, job):
         rng = random.Random(99 if job == "wordcount" else 100)

@@ -5,9 +5,13 @@ import pytest
 
 import locomap as lm
 from locomap import registry as registry_module
+from locomap.orchestration import plan_job
 from locomap.registry import SUM_BY_KEY, sum_map, wordcount_map
 
 from helpers import heap_pairs, make_cluster
+
+# A master and one sensor node, for planning jobs.
+TOPOLOGY = lm.Topology.full_mesh(0, [1], bandwidth_bytes_per_s=1e6)
 
 # Byte runs that stress the decode-and-split step: valid and truncated
 # UTF-8, stray continuation and invalid bytes, and whitespace that only
@@ -206,25 +210,22 @@ class TestWordcountKernel:
             assert folded == expected
             assert lm.encode_partial(folded) == lm.encode_partial(expected)
 
-    def test_redefined_map_drops_the_kernel(self):
-        registry = lm.build_default_registry()
-
+    def test_redefined_map_drops_the_kernel(self, process_registry):
         def shout_map(key, value):
             for word in value.decode("utf-8", "replace").split():
                 yield (word.upper(), 1)
 
-        registry.register_map("wordcount-map", shout_map)
-        assert registry.batch_map("wordcount-map", "sum-by-key") is None
+        process_registry.register_map("wordcount-map", shout_map)
+        assert process_registry.batch_map("wordcount-map", "sum-by-key") is None
         spec = lm.builtin_job("wordcount", job_id=21)
-        final = run_against_oracle(spec, registry)
+        final = run_against_oracle(spec)
         assert final == {"A": 2, "B": 2, "C": 1}
 
     @pytest.mark.parametrize("name", ["max-by-key", "sum-by-key"])
-    def test_other_combine_takes_the_per_record_path(self, name):
+    def test_other_combine_takes_the_per_record_path(self, name, process_registry):
         # Max of the emitted 1s is 1 per word; the pre-combined counts the
         # kernel yields would give 2 for "a" and "b".
-        registry = lm.build_default_registry()
-        registry.register_combine(
+        process_registry.register_combine(
             lm.CombineOp(
                 name=name,
                 identity=dict,
@@ -233,17 +234,17 @@ class TestWordcountKernel:
                 sample=SUM_BY_KEY.sample,
             )
         )
-        assert registry.batch_map("wordcount-map", name) is None
+        assert process_registry.batch_map("wordcount-map", name) is None
         spec = lm.JobSpec(job_id=22, task=lm.TaskDescriptor("wordcount-map", "identity"), combine=name)
-        assert run_against_oracle(spec, registry) == {"a": 1, "b": 1, "c": 1}
+        assert run_against_oracle(spec) == {"a": 1, "b": 1, "c": 1}
 
 
-def run_against_oracle(spec, registry) -> dict:
+def run_against_oracle(spec) -> dict:
     """``run_job`` over a fixed two-node cluster; its final must equal the oracle's."""
     cluster, topo = make_cluster({1: [b"a b a"], 2: [b"b c"]})
-    result = lm.run_job(spec, cluster, lm.SimTransport(topo), registry=registry)
+    result = lm.run_job(spec, cluster, lm.SimTransport(topo))
     pairs = [p for node_id in sorted(cluster.nodes) for p in heap_pairs(cluster.nodes[node_id].heap)]
-    assert result.final == lm.sequential_oracle(spec.task, spec.combine, pairs, registry)
+    assert result.final == lm.sequential_oracle(spec.task, spec.combine, pairs)
     return result.final
 
 
@@ -259,7 +260,7 @@ class TestBuiltins:
 
     def test_builtin_job_resolves(self):
         for name in lm.BUILTIN_JOBS:
-            lm.DEFAULT_REGISTRY.check_job(lm.builtin_job(name, job_id=3))
+            plan_job(lm.builtin_job(name, job_id=3), TOPOLOGY)
 
     def test_unknown_builtin_job(self):
         with pytest.raises(lm.ConfigError):
@@ -277,12 +278,14 @@ class TestRegistryResolution:
             registry.resolve_combine("nope")
 
     @pytest.mark.parametrize("missing", ["map", "reduce", "combine"])
-    def test_check_job_validates_every_id(self, missing):
-        registry = lm.build_default_registry()
-        task = lm.TaskDescriptor("nope" if missing == "map" else "wordcount-map", "nope" if missing == "reduce" else "identity")
-        spec = lm.JobSpec(job_id=1, task=task, combine="nope" if missing == "combine" else "sum-by-key")
-        with pytest.raises(lm.UnknownFunction, match="nope"):
-            registry.check_job(spec)
+    def test_plan_job_validates_every_id(self, missing):
+        # The ids from ``missing`` on, in the order map, reduce, combine,
+        # are unregistered; the first of them is the one reported.
+        gone = ("map", "reduce", "combine")[("map", "reduce", "combine").index(missing):]
+        task = lm.TaskDescriptor("nope" if "map" in gone else "wordcount-map", "nope" if "reduce" in gone else "identity")
+        spec = lm.JobSpec(job_id=1, task=task, combine="nope" if "combine" in gone else "sum-by-key")
+        with pytest.raises(lm.UnknownFunction, match=f"^no {missing} .* 'nope'$"):
+            plan_job(spec, TOPOLOGY)
 
     def test_slave_count_validation(self):
         with pytest.raises(lm.ConfigError):

@@ -6,6 +6,7 @@ import queue
 import random
 import re
 import shutil
+import signal
 import socket
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import locomap as lm
-from locomap import AgentRole, orchestration, tcp_cluster, tcp_node
+from locomap import AgentRole, cli, orchestration, tcp_cluster, tcp_node
 from locomap.orchestration import SlaveLedger, account
 from locomap.tcp_cluster import NodeExited, _await_each, _collect, _listen
 from locomap.control import (
@@ -35,7 +36,7 @@ from locomap.control import (
 from locomap.tcp_node import FrameServer, NodeJob, NodeProcess, decode_frame, listen
 from locomap.transport import write_frame
 
-from helpers import wordcount_reference
+from helpers import process_running, wordcount_reference
 
 
 class TestFrameClassification:
@@ -346,7 +347,7 @@ class TestNodeProcess:
         proc2 = start_job_node(node2, server, {10: (1, 2)})
         hosted = []
         host = node2.host
-        monkeypatch.setattr(node2, "host", lambda agent, spec, registry: hosted.append(agent.id) or host(agent, spec, registry))
+        monkeypatch.setattr(node2, "host", lambda agent, spec: hosted.append(agent.id) or host(agent, spec))
 
         # Node 2 is reached through a server that hands every frame to the
         # node but drops the connection before the first ack, so node 1
@@ -405,7 +406,7 @@ class TestNodeProcess:
         node = lm.SensorNode(id=1)
         node.ingest([(b"r", b"a")])
         hosted = []
-        monkeypatch.setattr(node, "host", lambda agent, registry: hosted.append(agent.id))
+        monkeypatch.setattr(node, "host", lambda agent, spec: hosted.append(agent.id))
         proc = start_job_node(node, server, {10: (1,)})
         try:
             transport = lm.TcpTransport({1: (proc.server.host, proc.server.port)})
@@ -758,7 +759,7 @@ class TestRunTcpJob:
         records = [r for n in node_values for r in lm.load_records_tsv(data_dir / f"node_{n}.tsv")]
         assert result.final == lm.sequential_oracle(spec.task, spec.combine, records)
 
-    def test_a_job_module_imported_by_the_master_reaches_the_nodes(self, tmp_path, monkeypatch):
+    def test_a_job_module_imported_by_the_master_reaches_the_nodes(self, tmp_path, monkeypatch, process_registry):
         # Found through sys.path only: no PYTHONPATH names its directory, and
         # no node imports it; each forked node holds what the master imported.
         (tmp_path / "locomap_masteronly.py").write_text(
@@ -897,7 +898,7 @@ class TestRunTcpJob:
         assert len(seen) == 3  # one fork per node
         assert [pid for pid in seen if process_running(pid)] == []
 
-    def test_node_killed_mid_tour_fails_only_its_slave(self, tmp_path):
+    def test_node_killed_mid_tour_fails_only_its_slave(self, tmp_path, process_registry):
         # A map function that kills its node process on a "die" record,
         # registered here before the master forks the nodes.
         def die_or_count(key, value):
@@ -906,7 +907,7 @@ class TestRunTcpJob:
             for word in value.split():
                 yield word.decode(), 1
 
-        lm.DEFAULT_REGISTRY.register_map("die-wordcount", die_or_count)
+        process_registry.register_map("die-wordcount", die_or_count)
 
         node_values = {1: [b"a b", b"c"], 2: [b"a", b"die"], 3: [b"b b c"]}
         data_dir = write_node_files(tmp_path, node_values)
@@ -924,6 +925,28 @@ class TestRunTcpJob:
         assert not killed.delivered
         assert killed.migrations == 1
         assert killed.fail_reason == "node 2 exited with code 17 while holding the slave"
+
+    def test_a_node_sent_sigterm_dies_of_it_under_the_cli_handler(self, tmp_path, process_registry):
+        # The master runs under the CLI's SIGTERM handler, which raises
+        # SystemExit; a forked node resets SIGTERM to the default, so the
+        # SIGTERM its map sends it kills it (code -15) instead of unwinding it.
+        def terminate_self(key, value):
+            os.kill(os.getpid(), signal.SIGTERM)
+            time.sleep(30)
+            yield from ()
+
+        process_registry.register_map("sigterm-map", terminate_self)
+        data_dir = write_node_files(tmp_path, {1: [b"a"]})
+        topology = lm.Topology.full_mesh(0, [1], bandwidth_bytes_per_s=1e6)
+        spec = lm.JobSpec(job_id=1, task=lm.TaskDescriptor("sigterm-map", "identity"), combine="sum-by-key")
+        previous = signal.signal(signal.SIGTERM, cli._exit_on_signal)
+        try:
+            with pytest.raises(lm.AllSlavesFailed) as info:
+                lm.run_tcp_job(spec, topology, data_dir, timeout_s=30)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        (report,) = info.value.result.slave_reports
+        assert report.fail_reason == f"node 1 exited with code {-signal.SIGTERM} while holding the slave"
 
     def test_node_that_exits_computing_its_has_data_answer_fails_the_job_fast(self, tmp_path, monkeypatch):
         # Node 2 exits while it checks its heap for the job's selector, before
@@ -1080,8 +1103,8 @@ class TestRunTcpJob:
         # fails the slave when it is delivered.
         host_and_route = tcp_node.host_and_route
 
-        def bad_partial(node, agent, spec, registry, route, master, results_only):
-            agent, nxt, message = host_and_route(node, agent, spec, registry, route, master, results_only)
+        def bad_partial(node, agent, spec, route, master, results_only):
+            agent, nxt, message = host_and_route(node, agent, spec, route, master, results_only)
             if node.id == 2 and message is not None:
                 message = lm.ResultMessage(message.from_agent, b"not json")
             return agent, nxt, message
@@ -1223,16 +1246,6 @@ class TestRoutesMatchTheSimEngine:
         targets = [r for n in (1, 2) for r in lm.load_records_tsv(data_dir / f"node_{n}.tsv")]
         assert sim.raw_data_bytes == sum(len(k) + len(v) for k, v in targets)
         assert sim.final == lm.sequential_oracle(spec.task, spec.combine, targets)
-
-
-def process_running(pid: int) -> bool:
-    """True unless the process is gone or a zombie."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            stat = fh.read()
-    except FileNotFoundError:
-        return False
-    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 class TestNodeStartup:
