@@ -107,6 +107,10 @@ class SensorNode:
     mem_bytes_limit: int = 1 << 30
     dropped: int = 0
 
+    def __post_init__(self):
+        if self.mem_bytes_limit < 0:
+            raise ConfigError(f"node {self.id}: memory limit must be at least 0 bytes, got {self.mem_bytes_limit}")
+
     def ingest(self, records: Records | list[tuple[bytes, bytes]]) -> int:
         """Store the loader's ``Records``, or a list of ``(key, value)``
         pairs made into columns once, as far as they fit in the memory

@@ -596,7 +596,8 @@ def sequential_oracle(
     everything, fold once, reduce, with the functions of ``DEFAULT_REGISTRY``.
 
     This is what a run must equal whenever the combine is a commutative
-    monoid, regardless of node count, slave count or arrival order.
+    monoid, regardless of node count, slave count or arrival order. A map
+    function that raises is an ExecutionError, as in ``SensorNode.host``.
     """
     map_fn = DEFAULT_REGISTRY.resolve_map(task.map_fn_id)
     combine = DEFAULT_REGISTRY.resolve_combine(combine_id)
@@ -605,6 +606,9 @@ def sequential_oracle(
     def emissions():
         for key, value in pairs:
             if key.startswith(task.input_selector):
-                yield from map_fn(key, value)
+                try:
+                    yield from map_fn(key, value)
+                except Exception as exc:
+                    raise ExecutionError(f"map function failed on key {key!r}: {exc}") from exc
 
     return reduce_fn(combine.fold(combine.identity(), emissions()))

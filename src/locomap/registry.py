@@ -10,7 +10,10 @@ and ``int``, ``float``, ``str``, ``bool`` or ``None`` values) to the next
 slave's next hop skips re-reading what its last hop wrote. The hand-off is
 in-process only and leaves the bytes as they are; the dict it hands out
 equals what ``json.loads`` gives, key order included, and nothing else
-holds it.
+holds it. A flat partial whose values are all exact ``int`` and whose keys
+are all printable ASCII without ``"`` or ``\\`` (every built-in job's, on
+plain keys) is written by one ``%``-format call instead of ``json.dumps``:
+no such key or value needs escaping, so the bytes are the same.
 
 A combine operation must be a commutative monoid over partials: slaves
 arrive in no particular order, so aggregation is only correct when the
@@ -24,7 +27,7 @@ import json
 import random
 import re
 from collections import Counter
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import ConfigError, DecodeError, UnknownFunction
@@ -46,14 +49,21 @@ _handoff: dict[bytes, dict] = {}
 
 def encode_partial(value: Any) -> bytes:
     """Canonical JSON bytes: sorted keys, no whitespace."""
-    if type(value) is not dict or set(map(type, value)) - {str} or set(map(type, value.values())) - _SCALAR_TYPES:
+    if type(value) is not dict or set(map(type, value)) - {str} or (value_types := set(map(type, value.values()))) - _SCALAR_TYPES:
         return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
     ordered = dict.fromkeys(sorted(value))
     ordered.update(value)
-    data = json.dumps(ordered, separators=(",", ":")).encode("utf-8")
     _handoff.clear()
-    if _ESCAPED_HIGH_SURROGATE.search(data) is None:
-        _handoff[data] = ordered
+    if value_types == {int} and (keys := "".join(ordered)).isascii() and keys.isprintable() and '"' not in keys and "\\" not in keys:
+        # json.dumps escapes none of these keys and writes an int as %d does;
+        # with no backslash in the bytes, no surrogate escape can appear.
+        template = "{" + ",".join(['"%s":%d'] * len(ordered)) + "}"
+        data = (template % tuple(chain.from_iterable(ordered.items()))).encode("ascii")
+    else:
+        data = json.dumps(ordered, separators=(",", ":")).encode("utf-8")
+        if _ESCAPED_HIGH_SURROGATE.search(data) is not None:
+            return data
+    _handoff[data] = ordered
     return data
 
 

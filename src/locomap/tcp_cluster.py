@@ -189,8 +189,11 @@ def run_tcp_job(
     each node's stderr goes to ``node_<id>.log`` there. Data files are
     looked up as ``node_<id>.tsv`` under ``data_dir`` and loaded by the
     node processes themselves. A topology with a lossy link is a
-    ConfigError, since TCP mode drops no sends.
+    ConfigError, since TCP mode drops no sends, and so is a negative
+    ``node_mem_limit``; both are raised before any listener is bound.
     """
+    if node_mem_limit < 0:
+        raise ConfigError(f"node memory limit must be at least 0 bytes, got {node_mem_limit}")
     plan = plan_job(spec, topology)
     lossy = next((link for link in topology.links.values() if link.failure_prob), None)
     if lossy is not None:

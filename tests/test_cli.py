@@ -164,6 +164,19 @@ class TestRun:
             assert run_cli(*argv, *limit, "--output", tmp_path / "out.json") == 0
             assert [r.getMessage() for r in caplog.records if "dropped" in r.getMessage()] == expected
 
+    @pytest.mark.parametrize("mode", ["sim", "tcp"])
+    def test_a_negative_memory_limit_is_exit_1_before_any_node_exists(self, workspace, capsys, monkeypatch, mode):
+        # TCP mode refuses it before it binds a listener or forks a node; 0 keeps no record.
+        for name in ("_listen", "listen"):
+            monkeypatch.setattr(tcp_cluster, name, lambda *a, **k: pytest.fail("listener bound"))
+        argv = ["run", "--mode", mode, "--topology", workspace / "topo.json", "--data-dir", workspace / "data"]
+        assert run_cli(*argv, "--mem-limit=-5") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "memory limit must be at least 0 bytes, got -5" in err
+        monkeypatch.undo()
+        assert run_cli(*argv, "--mem-limit", "0", "--output", workspace / "out.json") == 0
+        assert json.loads((workspace / "out.json").read_text())["final"] == {}
+
     def test_unknown_job_is_exit_1_and_named(self, workspace, capsys):
         assert run_cli("run", "--topology", workspace / "topo.json", "--seed", "1", "--job", "nosuch") == 1
         assert "nosuch" in capsys.readouterr().err
@@ -192,6 +205,14 @@ class TestOracle:
         empty.mkdir()
         assert run_cli("oracle", "--data-dir", empty) == 0
         assert json.loads(capsys.readouterr().out)["final"] == {}
+
+    def test_a_failing_map_is_exit_1_in_one_line(self, workspace, capsys):
+        # `run` logs the same failure and goes on; the oracle has no slave to fail.
+        (workspace / "data" / "node_1.tsv").write_bytes(b"k1\thello world\n")
+        assert run_cli("oracle", "--data-dir", workspace / "data", "--job", "sum") == 1
+        err = capsys.readouterr().err
+        assert err == "error: map function failed on key b'k1': invalid literal for int() with base 10: b'hello world'\n"
+        assert "Traceback" not in err
 
     def test_missing_dir_is_exit_1(self, tmp_path):
         assert run_cli("oracle", "--data-dir", tmp_path / "none") == 1

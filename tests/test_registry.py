@@ -52,6 +52,30 @@ def flat_partials(rng: random.Random, n: int) -> list[dict]:
     return partials
 
 
+# Printable ASCII but for the two characters JSON escapes there, then one
+# character each that JSON escapes or writes as non-ASCII, and the ints.
+_PLAIN_KEY_CHARS = [chr(c) for c in range(0x20, 0x7F) if chr(c) not in '"\\']
+_ODD_KEY_CHARS = ['"', "\\", "\x7f", "\x1f", "\u00e9", "\ud800", "\udc00"]
+_INTS = [0, 1, -1, 2**70, -(2**70)]
+
+
+def int_partials(rng: random.Random, n: int) -> list[dict]:
+    """Int-valued partials on plain keys, the empty and one-entry ones among
+    them; some have one key with one odd character, or one non-int value."""
+    partials = [{}, {"": 0}, {"a": True}, {"a": 1.0}]
+    for _ in range(n):
+        keys = ["".join(rng.choices(_PLAIN_KEY_CHARS, k=rng.randrange(4))) for _ in range(rng.randrange(1, 8))]
+        if rng.randrange(2):
+            key = rng.choice(keys)
+            cut = rng.randrange(len(key) + 1)
+            keys.append(key[:cut] + rng.choice(_ODD_KEY_CHARS) + key[cut:])
+        partial = {key: rng.choice(_INTS) for key in keys}
+        if not rng.randrange(4):
+            partial[rng.choice(keys)] = rng.choice([True, 1.0])
+        partials.append(partial)
+    return partials
+
+
 def typed_items(value: dict) -> list[tuple]:
     """Items in order, with types and reprs, so 1 != True and nan == nan."""
     return [(type(k), repr(k), type(v), repr(v)) for k, v in value.items()]
@@ -85,7 +109,7 @@ class TestPartialCodec:
             lm.decode_partial(b"\xff\xfe not json")
 
     def test_flat_partials_encode_canonically_and_decode_as_json_loads(self):
-        for value in flat_partials(random.Random(9), 400):
+        for value in flat_partials(random.Random(9), 400) + int_partials(random.Random(9), 400):
             data = lm.encode_partial(value)
             assert data == canonical_json(value)
             expected = typed_items(json.loads(data))
